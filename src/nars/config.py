@@ -37,6 +37,13 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _finite_float(s: str) -> float:
+    value = float(s)
+    if not np.isfinite(value):
+        raise ValueError(f"{s} is not a finite number")
+    return value
+
+
 class Conf:
     """Typed reader over a parsed INI file with consumption tracking."""
 
@@ -73,7 +80,7 @@ class Conf:
         return value
 
     def get_float(self, section, key, default=_REQUIRED) -> float:
-        return self._get(section, key, float, default)
+        return self._get(section, key, _finite_float, default)
 
     def get_int(self, section, key, default=_REQUIRED) -> int:
         return self._get(section, key, int, default)
@@ -99,7 +106,7 @@ class Conf:
 
     def get_floats(self, section, key, default=_REQUIRED) -> tuple[float, ...]:
         def parse(s):
-            return tuple(float(tok) for tok in s.replace(",", " ").split())
+            return tuple(_finite_float(tok) for tok in s.replace(",", " ").split())
 
         return self._get(section, key, parse, default)
 
@@ -194,9 +201,14 @@ def build_mic_positions(conf: Conf) -> list[tuple[float, float, float]]:
     """Either a circular [array] (center, radius, n_mics) or explicit [mics]."""
     if conf.has_section("mics"):
         rows = conf.section_items("mics")
+        if not all(key.isdigit() for key, _ in rows):
+            raise ConfigurationError("[mics] keys must be mic indices 0, 1, ...")
         positions = []
         for key, raw in sorted(rows, key=lambda kv: int(kv[0])):
-            vals = tuple(float(t) for t in raw.replace(",", " ").split())
+            try:
+                vals = tuple(_finite_float(t) for t in raw.replace(",", " ").split())
+            except ValueError:
+                raise ConfigurationError(f"[mics] {key} needs finite numbers, not {raw!r}")
             if len(vals) != 3:
                 raise ConfigurationError(f"[mics] {key} needs exactly 3 coordinates")
             conf._record("mics", key, vals)
@@ -283,7 +295,7 @@ class RlParams:
 
 
 def build_rl(conf: Conf) -> RlParams:
-    return RlParams(
+    params = RlParams(
         budget=conf.get_int("rl", "budget", 2048),
         horizon=conf.get_int("rl", "horizon", 16),
         episodes_per_update=conf.get_int("rl", "episodes_per_update", 4),
@@ -307,3 +319,8 @@ def build_rl(conf: Conf) -> RlParams:
         m_bands=conf.get_int("rl", "m_bands", 64),
         aec_taps=conf.get_int("rl", "aec_taps", 4),
     )
+    # the env groups the bands into 8 state features and uses hop = m_bands / 2,
+    # which FilterBankSpec accepts for every positive multiple of 8
+    if params.m_bands < 8 or params.m_bands % 8:
+        raise ConfigurationError(f"{conf.path}: [rl] m_bands must be a positive multiple of 8")
+    return params

@@ -4,8 +4,11 @@ A small diagonal-Gaussian policy (tanh-squashed mean, one hidden tanh layer,
 separate value perceptron) trained with clipped-surrogate updates over GAE
 advantages, plus a tabular Q-learner for the discrete routing toy. The
 environment wraps a rendered scene: actions are bounded deltas on the AEC
-step size, two band-gain trims, and the beam steering; each step re-runs the
-front end on the next audio chunk and scores it.
+step size, two band-gain trims, and the beam steering. Work that no action
+changes (the SRP scan, the far-end analysis, the raw-mic SI-SNR baseline) is
+done once per chunk when the env is built; each step runs only the
+action-dependent front end (DAS, analysis, AEC, band gains, synthesis) on
+the next audio chunk and scores it.
 
 All gradients are computed by hand in numpy; a finite-difference check of
 the full objective is part of the acceptance gate.
@@ -23,6 +26,7 @@ from .frontend import (
     BandGainProfile,
     FilterBankSpec,
     MicArrayGeometry,
+    SubbandState,
     apply_spectral_mask,
     band_gain,
     beamform_das,
@@ -514,14 +518,34 @@ ACT_DIM = len(ACTION_BOUNDS)
 _OPS_BUDGET_PER_SAMPLE = 4000.0
 
 
+@dataclass(frozen=True)
+class _ChunkInputs:
+    """What TuningEnv needs of one chunk that no action changes."""
+
+    mics: np.ndarray  # (n_mics, chunk) view into the rendered scene
+    ref: np.ndarray  # (chunk,) clean reference
+    far_sub: SubbandState | None  # far-end analysis, None without an echo path
+    base_si_snr: float  # si_snr(ref, mics[0])
+    srp_az: float  # SRP azimuth estimate, degrees
+    srp_confidence: float  # peak-to-mean SRP power, mapped to [0, 1]
+
+
 class TuningEnv:
     """Front-end tuning loop over a rendered scene.
 
-    Chunks advance cyclically; each step applies the action's deltas, runs
-    beamformer -> subband AEC -> band gains on the current chunk, and scores
-    the result. Every quantity is a deterministic function of the scenario
-    seed and the action sequence; the latency term in the reward is a
-    modeled compute cost, not a wall clock.
+    Chunks advance cyclically and every episode starts at chunk 0, so an
+    episode visits chunks 0 .. min(horizon, n_chunks) - 1. For each of those
+    the constructor computes, once, what no action changes: the SRP scan
+    (azimuth and confidence) on the chunk's leading <= 2048 samples, the
+    far-end subband analysis, and the SI-SNR of the raw reference mic. Each
+    step applies the action's deltas, runs beamformer -> analysis -> subband
+    AEC -> band gains -> synthesis on the current chunk, and scores the
+    result. Every quantity is a deterministic function of the scenario seed
+    and the action sequence; the latency term in the reward is a modeled
+    compute cost of the deployed front end, not a wall clock.
+
+    A visited chunk whose SRP window is all zero raises NoSourceError from
+    the constructor, not from the first step that would visit it.
     """
 
     def __init__(
@@ -538,6 +562,8 @@ class TuningEnv:
     ):
         if horizon < 1:
             raise DomainError("horizon must be at least one step")
+        if m_bands < 8 or m_bands % 8:
+            raise DomainError("m_bands must be a positive multiple of 8 (8 band groups)")
         self.scenario = scenario
         self.weights = weights
         self.horizon = horizon
@@ -564,7 +590,20 @@ class TuningEnv:
         self.noise_band_var = np.mean(np.abs(ns.bands) ** 2, axis=1)
         self.noise_ref = float(np.mean(self.noise_band_var)) or 1.0
         self._modeled_rtf = self._latency_proxy()
+        self._chunks = [self._chunk_inputs(k) for k in range(min(horizon, self.n_chunks))]
         self.reset()
+
+    def _chunk_inputs(self, k: int) -> _ChunkInputs:
+        lo = k * self.chunk
+        mics = self.rendered.mics[:, lo : lo + self.chunk]
+        ref = self.rendered.clean_ref[lo : lo + self.chunk]
+        far_sub = None
+        if self.rendered.far_end is not None:
+            far_sub = fb_analyze(self.bank, self.rendered.far_end[lo : lo + self.chunk])
+        sub = mics[:, : min(self.chunk, 2048)]
+        az, curve = srp_localize(self.geom, sub, AzimuthGrid(n_points=18))
+        conf = float(np.clip(curve.max() / max(curve.mean(), 1e-300) - 1.0, 0.0, 3.0) / 3.0)
+        return _ChunkInputs(mics, ref, far_sub, si_snr(ref, mics[0]), az, conf)
 
     def _latency_proxy(self) -> float:
         n = self.chunk
@@ -604,28 +643,21 @@ class TuningEnv:
         return band_gain(profile)
 
     def _process(self) -> tuple[EnvState, float]:
-        lo = self.chunk_idx * self.chunk
-        mics = self.rendered.mics[:, lo : lo + self.chunk]
-        y = beamform_das(self.geom, das_weights(self.geom, self.steer), mics)
+        c = self._chunks[self.chunk_idx]
+        y = beamform_das(self.geom, das_weights(self.geom, self.steer), c.mics)
         y_sub = fb_analyze(self.bank, y)
-        if self.rendered.far_end is not None:
-            far_sub = fb_analyze(self.bank, self.rendered.far_end[lo : lo + self.chunk])
+        if c.far_sub is not None:
             aec = make_aec(self.bank.m_bands, self.aec_taps, mu=self.mu)
-            y_sub, _ = aec_process(aec, far_sub, y_sub)
+            y_sub, _ = aec_process(aec, c.far_sub, y_sub)
         gains = self._band_gains()
         y_sub = apply_spectral_mask(
             y_sub, np.broadcast_to(np.clip(gains, 0.0, 1.0)[:, None], y_sub.bands.shape)
         )
         enhanced = fb_synthesize(self.bank, y_sub)
 
-        ref = self.rendered.clean_ref[lo : lo + self.chunk]
-        quality_raw = si_snr(ref, enhanced) - si_snr(ref, mics[0])
+        quality_raw = si_snr(c.ref, enhanced) - c.base_si_snr
         q_hat = (np.clip(quality_raw, -10.0, 30.0) + 10.0) / 40.0
-
-        sub = mics[:, : min(self.chunk, 2048)]
-        az, curve = srp_localize(self.geom, sub, AzimuthGrid(n_points=18))
-        conf = float(np.clip(curve.max() / max(curve.mean(), 1e-300) - 1.0, 0.0, 3.0) / 3.0)
-        offset = float(((az - self.steer + 180.0) % 360.0 - 180.0) / 180.0)
+        offset = float(((c.srp_az - self.steer + 180.0) % 360.0 - 180.0) / 180.0)
 
         powers = np.abs(y_sub.bands) ** 2
         groups = powers.reshape(8, -1, powers.shape[1]).mean(axis=(1, 2))
@@ -636,7 +668,7 @@ class TuningEnv:
             trim_lo_db=self.trim_lo,
             trim_hi_db=self.trim_hi,
             steer_deg=self.steer,
-            srp_confidence=conf,
+            srp_confidence=c.srp_confidence,
             srp_offset=offset,
         )
         return state, float(q_hat)
@@ -660,11 +692,6 @@ class TuningEnv:
         self.step_count += 1
         self.chunk_idx = (self.chunk_idx + 1) % self.n_chunks
         return self.state, float(reward), self.step_count >= self.horizon
-
-
-def env_step(env: TuningEnv, action: Action) -> tuple[EnvState, float, bool]:
-    """Advance the tuning loop one action; see TuningEnv.step."""
-    return env.step(action)
 
 
 # === training loop ===

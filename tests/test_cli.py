@@ -1,4 +1,8 @@
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -350,6 +354,32 @@ def test_bad_parallel_value(tmp_path):
         ["localize", "--config", str(cfg), "--out", str(tmp_path / "o"), "--parallel", "0"]
     )
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "command, cfg_text",
+    [
+        ("train", TRAIN_CFG + "m_bands = 36\n"),
+        ("frontend", FRONTEND_CFG.replace("snr_db = 10", "snr_db = nan")),
+    ],
+    ids=["train-m_bands-36", "frontend-snr_db-nan"],
+)
+def test_bad_config_value_exits_one_with_one_log_line(tmp_path, command, cfg_text):
+    cfg = tmp_path / f"{command}.ini"
+    cfg.write_text(cfg_text)
+    out = tmp_path / "out"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, NARS_LOG="error")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "nars.cli", command, "--config", str(cfg), "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("ERROR"), proc.stderr
+    assert "Traceback" not in proc.stderr + proc.stdout
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_exit_code_taxonomy():

@@ -5,7 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+import nars.rl
 from nars.errors import DomainError, NumericalError
+from nars.frontend import AzimuthGrid, srp_localize
 from nars.rl import (
     ACT_DIM,
     ACTION_BOUNDS,
@@ -19,7 +21,6 @@ from nars.rl import (
     TuningEnv,
     clipped_action,
     compute_gae,
-    env_step,
     init_policy,
     log_prob,
     objective_and_grad,
@@ -357,7 +358,7 @@ def test_action_bounds_enforced_before_any_effect(env):
     env.reset()
     mu0, steer0 = env.mu, env.steer
     with pytest.raises(DomainError):
-        env_step(env, Action(deltas=np.array([0.5, 0.0, 0.0, 0.0])))
+        env.step(Action(deltas=np.array([0.5, 0.0, 0.0, 0.0])))
     assert (env.mu, env.steer) == (mu0, steer0)
     assert env.step_count == 0
 
@@ -371,10 +372,10 @@ def test_clipped_action_respects_bounds():
 
 def test_zero_delta_repeats_identically(env):
     env.reset()
-    _, r1, _ = env_step(env, zero_action())
-    _, r2, _ = env_step(env, zero_action())  # single-chunk scene, same input again
+    _, r1, _ = env.step(zero_action())
+    _, r2, _ = env.step(zero_action())  # single-chunk scene, same input again
     env.reset()
-    _, r1b, _ = env_step(env, zero_action())
+    _, r1b, _ = env.step(zero_action())
     assert r1 == r2
     assert r1 == r1b
 
@@ -387,10 +388,10 @@ def test_steering_toward_source_beats_zero_delta():
     )
     e = TuningEnv(tuning_scenario(mic_positions=mics), chunk_seconds=0.2, horizon=4)
     e.reset()
-    _, r_zero, _ = env_step(e, zero_action())
+    _, r_zero, _ = e.step(zero_action())
     e.reset()
     toward = Action(deltas=np.array([0.0, 0.0, 0.0, -30.0]))  # undo the init offset
-    _, r_steer, _ = env_step(e, toward)
+    _, r_steer, _ = e.step(toward)
     assert r_steer > r_zero
 
 
@@ -398,8 +399,8 @@ def test_latency_only_reward_is_nonpositive_and_action_free():
     w = RewardWeights(quality=0.0, latency=1.0, energy=0.0)
     e = TuningEnv(tuning_scenario(), w, chunk_seconds=0.2, horizon=4)
     e.reset()
-    _, r1, _ = env_step(e, zero_action())
-    _, r2, _ = env_step(e, Action(deltas=np.array([0.1, 1.0, -1.0, 10.0])))
+    _, r1, _ = e.step(zero_action())
+    _, r2, _ = e.step(Action(deltas=np.array([0.1, 1.0, -1.0, 10.0])))
     assert r1 <= 0.0
     assert r1 == r2  # modeled compute cost does not depend on the action
 
@@ -411,7 +412,7 @@ def test_rewards_stay_in_documented_range(env):
         a = Action(deltas=rng.uniform(-1.0, 1.0, 4) * ACTION_BOUNDS)
         if env.step_count >= env.horizon:
             env.reset()
-        _, r, _ = env_step(env, a)
+        _, r, _ = env.step(a)
         assert -2.0 <= r <= 1.0
 
 
@@ -419,10 +420,58 @@ def test_episode_terminates_at_horizon(env):
     env.reset()
     done = False
     for k in range(env.horizon):
-        _, _, done = env_step(env, zero_action())
+        _, _, done = env.step(zero_action())
     assert done
     with pytest.raises(DomainError):
-        env_step(env, zero_action())
+        env.step(zero_action())
+
+
+@pytest.mark.parametrize("horizon", [3, 8])
+def test_srp_scans_once_per_visited_chunk(monkeypatch, horizon):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return srp_localize(*args, **kwargs)
+
+    monkeypatch.setattr(nars.rl, "srp_localize", counting)
+    e = TuningEnv(tuning_scenario(duration=0.3), chunk_seconds=0.05, horizon=horizon)
+    assert e.n_chunks == 6
+    for _ in range(3):
+        e.reset()
+        for _ in range(e.horizon):
+            e.step(zero_action())
+    assert len(calls) == min(horizon, e.n_chunks)
+
+
+def test_srp_features_match_a_direct_scan_at_every_step():
+    e = TuningEnv(
+        tuning_scenario(duration=0.3), chunk_seconds=0.1, horizon=7, init_steer_offset_deg=50.0
+    )
+    rng = np.random.default_rng(21)
+    state = e.reset()
+    for k in range(e.horizon + 1):
+        idx = (k - 1) % e.n_chunks if k else 0  # reset and the first step both see chunk 0
+        lo = idx * e.chunk
+        sub = e.rendered.mics[:, lo : lo + min(e.chunk, 2048)]
+        az, curve = srp_localize(e.geom, sub, AzimuthGrid(n_points=18))
+        conf = float(np.clip(curve.max() / max(curve.mean(), 1e-300) - 1.0, 0.0, 3.0) / 3.0)
+        offset = float(((az - e.steer + 180.0) % 360.0 - 180.0) / 180.0)
+        assert state.srp_confidence == conf
+        assert state.srp_offset == offset
+        if k < e.horizon:
+            deltas = np.array([0.0, 0.0, 0.0, rng.uniform(10.0, 45.0) * rng.choice([-1, 1])])
+            state, _, _ = e.step(Action(deltas=deltas))
+
+
+@pytest.mark.parametrize("m_bands", [0, 12, 36])
+def test_env_rejects_band_counts_before_rendering(monkeypatch, m_bands):
+    def no_render(*args, **kwargs):
+        raise AssertionError("rendered before validating m_bands")
+
+    monkeypatch.setattr(nars.rl, "render_scene", no_render)
+    with pytest.raises(DomainError):
+        TuningEnv(tuning_scenario(), m_bands=m_bands)
 
 
 def test_reward_weights_validation():
