@@ -323,4 +323,9 @@ def build_rl(conf: Conf) -> RlParams:
     # which FilterBankSpec accepts for every positive multiple of 8
     if params.m_bands < 8 or params.m_bands % 8:
         raise ConfigurationError(f"{conf.path}: [rl] m_bands must be a positive multiple of 8")
+    if params.chunk_seconds <= 0:
+        raise ConfigurationError(f"{conf.path}: [rl] chunk_seconds must be positive")
+    for key in ("aec_taps", "minibatch", "episodes_per_update", "hidden", "v_hidden"):
+        if getattr(params, key) < 1:
+            raise ConfigurationError(f"{conf.path}: [rl] {key} must be at least 1")
     return params

@@ -5,6 +5,13 @@ cancellation, delay-and-sum beamforming with fractional steering delays,
 steered-response-power localization, spectral masking, per-band gains, and
 dynamic channel mixing.
 
+The SRP scan does not beamform once per azimuth. A steering bank, built once
+per (geometry, grid) and cached, holds every (azimuth, mic) fractional-delay
+kernel scaled by the DAS gain as one dense matrix W over (mic, integer
+shift); the power curve is then sum_t (W X(t))^2 / n, where X(t) stacks the
+shifted copies of each mic, computed as one matrix product per short time
+block so memory does not grow with the frame length.
+
 Band m of the analysis bank is the prototype modulated by exp(i 2 pi m j / M)
 and decimated by the hop L: x_m(k) = sum_j h(j) x(kL - j) exp(i 2 pi m j / M).
 The prototype is pointwise-normalized so sum_k h^2(n - kL) = 1/M exactly;
@@ -13,11 +20,12 @@ synthesis is the scaled adjoint, leaving only stopband-level alias leakage.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import threading
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dsp import FRAC_DELAY_TAPS, delay_signal
+from .dsp import FRAC_DELAY_TAPS, frac_delay_kernels, kernel_offsets, shift_add
 from .errors import ConfigurationError, DataError, DomainError, FramingError, NoSourceError
 
 # === filter bank ===
@@ -289,11 +297,13 @@ def beamform_das(geom: MicArrayGeometry, weights: BeamformerWeights, frames: np.
     delays_samp = weights.delays * geom.fs
     if np.max(np.abs(delays_samp)) + FRAC_DELAY_TAPS >= n:
         raise FramingError("steering delay exceeds the frame padding")
+    n_int = np.floor(delays_samp)
+    kernels = frac_delay_kernels(delays_samp - n_int)
     out = np.zeros(n)
-    for g, d, x in zip(weights.gains, delays_samp, frames):
+    for g, shift, kernel, x in zip(weights.gains, n_int, kernels, frames):
         if g == 0.0:
             continue
-        out += g * delay_signal(x, d)
+        out += g * shift_add(x, int(shift), kernel)
     return out
 
 
@@ -318,24 +328,96 @@ class AzimuthGrid:
         return (self.start_deg + np.arange(self.n_points) * self.step) % 360.0
 
 
+@dataclass(frozen=True)
+class _SteeringBank:
+    """DAS steering for every grid azimuth as one matrix over (mic, shift).
+
+    Row i of ``weights`` is the beam at azimuth i: column m * n_shifts + j
+    holds the gain-scaled kernel tap that mic m contributes at integer
+    shift ``max_shift - j``.
+    """
+
+    weights: np.ndarray  # (n_az, n_mics * n_shifts)
+    max_shift: int
+    n_shifts: int
+    max_delay: float  # largest |steering delay| over the grid, samples
+
+
+_BANK_CACHE_SIZE = 16
+_banks: dict = {}
+_banks_lock = threading.Lock()  # `localize --parallel` scans from several threads
+
+
+def _build_steering_bank(geom: MicArrayGeometry, grid: AzimuthGrid) -> _SteeringBank:
+    delays = np.stack([steering_delays(geom, az) * geom.fs for az in grid.angles])
+    n_int = np.floor(delays).astype(np.int64)
+    kernels = frac_delay_kernels(delays - n_int) / geom.n_mics  # (n_az, n_mics, taps)
+    shifts = n_int[..., None] + kernel_offsets()
+    max_shift = int(shifts.max())
+    n_shifts = max_shift - int(shifts.min()) + 1
+    w = np.zeros((grid.n_points, geom.n_mics, n_shifts))
+    np.put_along_axis(w, max_shift - shifts, kernels, axis=2)
+    w.flags.writeable = False  # shared by every scan of this (geometry, grid)
+    return _SteeringBank(
+        weights=w.reshape(grid.n_points, -1),
+        max_shift=max_shift,
+        n_shifts=n_shifts,
+        max_delay=float(np.max(np.abs(delays))),
+    )
+
+
+def _steering_bank(geom: MicArrayGeometry, grid: AzimuthGrid) -> _SteeringBank:
+    """The bank for (geometry, grid), built on first use and then reused."""
+    key = (geom.positions.tobytes(), geom.fs, geom.c, grid.n_points, grid.start_deg)
+    with _banks_lock:
+        bank = _banks.get(key)
+        if bank is None:
+            bank = _build_steering_bank(geom, grid)
+            if len(_banks) >= _BANK_CACHE_SIZE:
+                _banks.clear()
+            _banks[key] = bank
+    return bank
+
+
+_SRP_BLOCK = 256  # samples per matrix product; bounds the stacked copy in memory
+
+
 def srp_localize(
     geom: MicArrayGeometry, frames: np.ndarray, grid: AzimuthGrid = AzimuthGrid()
 ) -> tuple[float, np.ndarray]:
     """Azimuth estimate by scanning delay-and-sum output power.
 
-    Returns (azimuth_deg, power curve over the grid). The peak is refined by
-    parabolic interpolation over its periodic neighbors; exact ties resolve
-    to the lowest azimuth index.
+    Returns (azimuth_deg, power curve over the grid). Power at each azimuth
+    is the mean square of the DAS output steered there, equal to a
+    ``beamform_das`` scan up to the order of the additions: the cached
+    steering bank of (geom, grid) is applied to the zero-filled shifted mic
+    copies as one matrix product per block of at most 256 samples. The peak
+    is refined by parabolic interpolation over its periodic neighbors; exact
+    ties resolve to the lowest azimuth index.
     """
     frames = np.asarray(frames, dtype=np.float64)
     if geom.n_mics < 2:
         raise ConfigurationError("localization needs at least two mics")
     if not np.any(frames):
         raise NoSourceError("all-zero frames carry no source to localize")
-    power = np.empty(grid.n_points)
-    for i, az in enumerate(grid.angles):
-        y = beamform_das(geom, das_weights(geom, az), frames)
-        power[i] = float(np.mean(y**2))
+    if frames.ndim != 2 or frames.shape[0] != geom.n_mics:
+        raise FramingError("frames must be (n_mics, n_samples)")
+    n = frames.shape[1]
+    bank = _steering_bank(geom, grid)
+    if bank.max_delay + FRAC_DELAY_TAPS >= n:
+        raise FramingError("steering delay exceeds the frame padding")
+    # padded[m, t + j] = x_m(t - (max_shift - j)), zero outside the frame; the
+    # delays are centroid-relative, so the shifts straddle zero and x fits
+    padded = np.zeros((geom.n_mics, n + bank.n_shifts - 1))
+    padded[:, bank.max_shift : bank.max_shift + n] = frames
+    windows = np.lib.stride_tricks.sliding_window_view(padded, bank.n_shifts, axis=1)
+    power = np.zeros(grid.n_points)
+    for t0 in range(0, n, _SRP_BLOCK):
+        t1 = min(t0 + _SRP_BLOCK, n)
+        x = windows[:, t0:t1].transpose(1, 0, 2).reshape(t1 - t0, -1)  # (block, n_mics * n_shifts)
+        y = x @ bank.weights.T
+        power += np.einsum("ta,ta->a", y, y)
+    power /= n
     i = int(np.argmax(power))  # first maximum = lowest azimuth index on ties
     p_l, p_c, p_r = power[i - 1], power[i], power[(i + 1) % grid.n_points]
     denom = p_l - 2 * p_c + p_r

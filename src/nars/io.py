@@ -34,6 +34,8 @@ POLICY_MAGIC = b"NARSPOL1"
 def write_wav(path, fs: float, data: np.ndarray, fmt: str = "float32") -> None:
     """Mono or interleaved multichannel WAV; fmt is "float32" or "pcm16".
 
+    ``fs`` must be a whole number of Hz, as the WAV header stores an integer.
+
     Multichannel input is (n_channels, n_samples) and is interleaved on disk.
     pcm16 expects data within [-1, 1] and scales to full range.
     """
@@ -42,9 +44,9 @@ def write_wav(path, fs: float, data: np.ndarray, fmt: str = "float32") -> None:
         data = data.T  # scipy wants (n_samples, n_channels)
     elif data.ndim != 1:
         raise DataError("audio must be 1-D or (n_channels, n_samples)")
-    rate = int(round(fs))
-    if rate <= 0 or rate > 2**31 - 1:
-        raise DataError("sample rate not representable in WAV")
+    if not 0 < fs <= 2**31 - 1 or fs != int(fs):
+        raise DataError(f"sample rate {fs!r} is not a whole number of Hz representable in WAV")
+    rate = int(fs)
     if fmt == "float32":
         wavfile.write(path, rate, data.astype(np.float32))
     elif fmt == "pcm16":

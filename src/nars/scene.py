@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dsp import FRAC_DELAY_HALF_WIDTH, FRAC_DELAY_TAPS, frac_delay_kernel, kernel_offsets
+from .dsp import FRAC_DELAY_TAPS, frac_delay_kernels, kernel_offsets
 from .errors import DomainError
 
 NOISE_KINDS = ("white", "pink", "street_surrogate", "car_surrogate", "babble_surrogate")
@@ -120,27 +120,23 @@ def image_source_rir(room: RoomSpec, src: tuple, mic: tuple) -> np.ndarray:
                 d = float(np.linalg.norm(np.array([x, y, z]) - mic))
                 images.append((d, b))
 
-    max_delay = max(d for d, _ in images) * room.fs / room.c
-    n = int(np.ceil(max_delay)) + FRAC_DELAY_TAPS + 1
+    dist = np.array([d for d, _ in images])
+    n = int(np.ceil(dist.max() * room.fs / room.c)) + FRAC_DELAY_TAPS + 1
+    # Python-float powers: numpy's array power rounds differently (0.4**2)
+    amp = np.array([room.reflection**b for _, b in images]) / (4 * np.pi * dist)
+    delay = dist * room.fs / room.c
+    n_int = np.floor(delay)
+    kernels = frac_delay_kernels(delay - n_int)
+    idx = n_int.astype(np.int64)[:, None] + kernel_offsets()
+    ok = (idx >= 0) & (idx < n)
     rir = np.zeros(n)
-    offs = kernel_offsets()
-    for d, bounces in images:
-        amp = room.reflection**bounces / (4 * np.pi * d)
-        delay = d * room.fs / room.c
-        n_int = int(np.floor(delay))
-        kernel = frac_delay_kernel(delay - n_int)
-        idx = n_int + offs
-        ok = (idx >= 0) & (idx < n)
-        rir[idx[ok]] += amp * kernel[ok]
+    np.add.at(rir, idx[ok], (amp[:, None] * kernels)[ok])  # image by image, in order
     return rir
 
 
 def direct_path_delay_samples(room: RoomSpec, src: tuple, mic: tuple) -> float:
     d = float(np.linalg.norm(np.asarray(src, float) - np.asarray(mic, float)))
     return d * room.fs / room.c
-
-
-CAUSALITY_HALF_WIDTH = FRAC_DELAY_HALF_WIDTH
 
 
 # === noise surrogates ===

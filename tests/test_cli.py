@@ -356,15 +356,8 @@ def test_bad_parallel_value(tmp_path):
     assert code == 1
 
 
-@pytest.mark.parametrize(
-    "command, cfg_text",
-    [
-        ("train", TRAIN_CFG + "m_bands = 36\n"),
-        ("frontend", FRONTEND_CFG.replace("snr_db = 10", "snr_db = nan")),
-    ],
-    ids=["train-m_bands-36", "frontend-snr_db-nan"],
-)
-def test_bad_config_value_exits_one_with_one_log_line(tmp_path, command, cfg_text):
+def _run_module(tmp_path, command, cfg_text):
+    """``python -m nars.cli`` in a fresh process, so stderr holds every log line."""
     cfg = tmp_path / f"{command}.ini"
     cfg.write_text(cfg_text)
     out = tmp_path / "out"
@@ -375,11 +368,49 @@ def test_bad_config_value_exits_one_with_one_log_line(tmp_path, command, cfg_tex
         [sys.executable, "-m", "nars.cli", command, "--config", str(cfg), "--out", str(out)],
         capture_output=True, text=True, env=env, timeout=120,
     )
-    assert proc.returncode == 1
+    return proc, out
+
+
+def _assert_one_error_line(proc):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("ERROR"), proc.stderr
     assert "Traceback" not in proc.stderr + proc.stdout
+
+
+@pytest.mark.parametrize(
+    "command, cfg_text",
+    [
+        ("train", TRAIN_CFG + "m_bands = 36\n"),
+        ("frontend", FRONTEND_CFG.replace("snr_db = 10", "snr_db = nan")),
+    ],
+    ids=["train-m_bands-36", "frontend-snr_db-nan"],
+)
+def test_bad_config_value_exits_one_with_one_log_line(tmp_path, command, cfg_text):
+    proc, out = _run_module(tmp_path, command, cfg_text)
+    assert proc.returncode == 1
+    _assert_one_error_line(proc)
     assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("chunk_seconds", "0"),
+        ("chunk_seconds", "-0.2"),
+        ("aec_taps", "0"),
+        ("minibatch", "0"),
+        ("episodes_per_update", "0"),
+        ("hidden", "0"),
+        ("v_hidden", "0"),
+    ],
+)
+def test_bad_rl_value_exits_one_before_any_output(tmp_path, key, value):
+    kept = [l for l in TRAIN_CFG.splitlines() if not l.startswith(key + " ")]
+    proc, out = _run_module(tmp_path, "train", "\n".join(kept + [f"{key} = {value}", ""]))
+    assert proc.returncode == 1, proc.stderr
+    _assert_one_error_line(proc)
+    assert key in proc.stderr
+    assert not out.exists()
 
 
 def test_exit_code_taxonomy():

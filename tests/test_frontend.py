@@ -1,9 +1,13 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nars.dsp import delay_signal, frac_delay_kernel
+import nars.frontend
+from nars.dsp import _kaiser_cont, delay_signal, frac_delay_kernel, frac_delay_kernels, kernel_offsets
 from nars.errors import ConfigurationError, DataError, DomainError, FramingError, NoSourceError
 from nars.frontend import (
     AzimuthGrid,
@@ -282,6 +286,78 @@ def test_srp_validation():
         srp_localize(solo, np.ones((1, 1000)))
 
 
+def _srp_reference(geom, frames, grid):
+    return np.array([np.mean(beamform_das(geom, das_weights(geom, az), frames) ** 2) for az in grid.angles])
+
+
+SRP_GEOMETRIES = {
+    "circle-8-5cm": circular_array(8, 0.05, fs=FS),
+    "random-4": MicArrayGeometry(
+        positions=np.random.default_rng(20).uniform(-0.08, 0.08, size=(4, 3)), fs=FS
+    ),
+    "circle-8-30cm": circular_array(8, 0.3, fs=FS),
+}
+
+
+@pytest.mark.parametrize("grid", [AzimuthGrid(72), AzimuthGrid(18), AzimuthGrid(36, start_deg=5.0)],
+                         ids=["72", "18", "36-from-5"])
+@pytest.mark.parametrize("n", [300, 1000, 8192])
+@pytest.mark.parametrize("name", sorted(SRP_GEOMETRIES))
+def test_srp_power_matches_a_beamform_das_scan(name, n, grid):
+    geom = SRP_GEOMETRIES[name]
+    frames = np.random.default_rng(n).standard_normal((geom.n_mics, n))
+    az, power = srp_localize(geom, frames, grid)
+    ref = _srp_reference(geom, frames, grid)
+    np.testing.assert_allclose(power, ref, rtol=1e-12, atol=0)
+    assert np.argmax(power) == np.argmax(ref)
+    assert azimuth_error_deg(az, grid.angles[np.argmax(ref)]) <= grid.step / 2
+
+
+def test_srp_reuses_the_steering_bank(monkeypatch):
+    geom = circular_array(8, 0.05, fs=FS)
+    frames = np.random.default_rng(21).standard_normal((8, 2000))
+    grid = AzimuthGrid(24, start_deg=1.25)  # a grid no other test scans
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return frac_delay_kernels(*args, **kwargs)
+
+    monkeypatch.setattr(nars.frontend, "frac_delay_kernels", counting)
+    srp_localize(geom, frames, grid)
+    assert len(calls) == 1
+    same = circular_array(8, 0.05, fs=FS)  # equal geometry, another object
+    srp_localize(same, frames, AzimuthGrid(24, start_deg=1.25))
+    assert len(calls) == 1
+
+
+def test_srp_bank_cache_shared_by_threads():
+    # more grids than the cache holds, so threads also race on its clearing
+    geom = circular_array(8, 0.05, fs=FS)
+    frames = np.random.default_rng(23).standard_normal((8, 600))
+    grids = [AzimuthGrid(n, start_deg=0.75) for n in range(4, 4 + 2 * nars.frontend._BANK_CACHE_SIZE)]
+    expect = [srp_localize(geom, frames, g)[1] for g in grids]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            got = list(pool.map(lambda g: srp_localize(geom, frames, g)[1], grids * 3, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    for power, ref in zip(got, expect * 3):
+        np.testing.assert_allclose(power, ref, rtol=1e-12, atol=0)
+
+
+def test_srp_framing_errors():
+    geom = circular_array(8, 0.3, fs=FS)  # steering span of about 14 samples
+    with pytest.raises(FramingError):
+        srp_localize(geom, np.ones((8, 20)))
+    with pytest.raises(FramingError):
+        srp_localize(geom, np.ones((9, 1000)))
+    with pytest.raises(FramingError):
+        srp_localize(geom, np.ones(1000))
+
+
 def test_azimuth_error_wraps():
     assert azimuth_error_deg(359.0, 1.0) == pytest.approx(2.0)
     assert azimuth_error_deg(0.0, 180.0) == pytest.approx(180.0)
@@ -404,6 +480,24 @@ def test_fractional_delay_of_tone():
     y = delay_signal(x, 0.5)
     expect = np.sin(2 * np.pi * f * (t - 0.5 / FS))
     assert np.max(np.abs(y[50:-50] - expect[50:-50])) < 1e-3
+
+
+def _scalar_kernel(frac, taps=8):
+    # reference: the one-fraction formula, normalised by a whole-array sum
+    t = kernel_offsets(taps) - frac
+    kernel = np.sinc(t) * _kaiser_cont(t, taps / 2 + 0.5)
+    return kernel / kernel.sum()
+
+
+def test_batched_kernels_equal_scalar_kernels_bit_for_bit():
+    fracs = np.concatenate([[0.0, 0.5, 0.25, np.nextafter(1.0, 0.0)],
+                            np.random.default_rng(22).uniform(size=2000)])
+    kernels = frac_delay_kernels(fracs)
+    assert kernels.shape == (len(fracs), 8)
+    for frac, row in zip(fracs, kernels):
+        assert row.tobytes() == _scalar_kernel(frac).tobytes()
+        assert frac_delay_kernel(frac).tobytes() == row.tobytes()
+    assert frac_delay_kernels(fracs.reshape(4, -1)).shape == (4, len(fracs) // 4, 8)
 
 
 def test_frac_delay_kernel_dc_gain():

@@ -64,6 +64,21 @@ def test_wav_bad_shape_and_rate(tmp_path):
         write_wav(tmp_path / "r.wav", 0.0, np.zeros(10))
 
 
+@pytest.mark.parametrize("fs", [16000.7, 15999.5, float("nan"), float("inf")])
+def test_wav_rejects_a_rate_that_is_not_whole_hz(tmp_path, fs):
+    path = tmp_path / "f.wav"
+    with pytest.raises(DataError):
+        write_wav(path, fs, np.zeros(10))
+    assert not path.exists()
+
+
+def test_wav_whole_hz_float_rate_still_writes(tmp_path):
+    path = tmp_path / "w.wav"
+    write_wav(path, 16000.0, np.zeros(10))
+    fs, _ = read_wav(path)
+    assert fs == 16000.0
+
+
 def test_wav_deterministic_bytes(tmp_path):
     x = np.random.default_rng(2).standard_normal(256)
     write_wav(tmp_path / "a.wav", 16000.0, x)

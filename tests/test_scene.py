@@ -3,12 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nars.dsp import FRAC_DELAY_TAPS, frac_delay_kernel, kernel_offsets
 from nars.errors import DomainError
 from nars.scene import (
     NOISE_KINDS,
     Metrics,
     RoomSpec,
     ScenarioConfig,
+    _axis_images,
     direct_path_delay_samples,
     image_source_rir,
     measure_rtf,
@@ -119,6 +121,45 @@ def test_rir_causality_property(sx, sy, sz, mx, my, mz):
     lead = int(np.floor(delay)) - 4
     assert not np.any(rir[: max(lead, 0)])
     assert np.all(np.isfinite(rir))
+
+
+def _per_image_rir(room, src, mic):
+    # reference: one scalar kernel per image, added image by image
+    src, mic = np.asarray(src, float), np.asarray(mic, float)
+    axes = [_axis_images(src[k], room.dims[k], room.max_order) for k in range(3)]
+    images = []
+    for x, bx in axes[0]:
+        for y, by in axes[1]:
+            if bx + by > room.max_order:
+                continue
+            for z, bz in axes[2]:
+                b = bx + by + bz
+                if b <= room.max_order:
+                    images.append((float(np.linalg.norm(np.array([x, y, z]) - mic)), b))
+    n = int(np.ceil(max(d for d, _ in images) * room.fs / room.c)) + FRAC_DELAY_TAPS + 1
+    rir = np.zeros(n)
+    offs = kernel_offsets()
+    for d, bounces in images:
+        amp = room.reflection**bounces / (4 * np.pi * d)
+        delay = d * room.fs / room.c
+        n_int = int(np.floor(delay))
+        kernel = frac_delay_kernel(delay - n_int)
+        idx = n_int + offs
+        ok = (idx >= 0) & (idx < n)
+        rir[idx[ok]] += amp * kernel[ok]
+    return rir
+
+
+@pytest.mark.parametrize("max_order", [0, 1, 2, 3])
+@pytest.mark.parametrize("reflection", [0.4, 0.6])
+def test_rir_equals_the_per_image_sum_bit_for_bit(reflection, max_order):
+    room = RoomSpec(dims=(6.0, 5.0, 3.0), reflection=reflection, max_order=max_order, fs=16000.0)
+    rng = np.random.default_rng(max_order)
+    pairs = [((1.5, 3.5, 1.5), (3.0, 2.5, 1.2)), ((3.0, 2.5, 1.2), (3.0, 2.5, 1.201))]
+    pairs += [(tuple(rng.uniform(0.2, 0.8, 3) * room.dims), tuple(rng.uniform(0.2, 0.8, 3) * room.dims))
+              for _ in range(5)]
+    for src, mic in pairs:
+        assert image_source_rir(room, src, mic).tobytes() == _per_image_rir(room, src, mic).tobytes()
 
 
 # === noise synthesis ===
