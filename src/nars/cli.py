@@ -7,13 +7,17 @@ re-run reproduces the artifacts bit for bit. Timing columns (rtf) are the
 one documented exception. Summaries go to stdout as ``key=value`` lines;
 diagnostics go to the log (NARS_LOG=error|info|debug, stderr).
 
+``frontend`` and ``bench`` run the front-end chain ``frontend.enhance``,
+the same chain that ``train`` tunes; ``scene``, ``frontend`` and
+``localize`` scan SRP over the leading <= 8192 samples of a scene.
+
 Exit codes: 0 ok, 1 configuration, 2 data, 3 numerical, 4 validity.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
+import contextlib
 import logging
 import math
 import os
@@ -28,14 +32,11 @@ from .errors import ConfigurationError, DataError, NarsError
 from .frontend import (
     AzimuthGrid,
     FilterBankSpec,
-    aec_process,
     azimuth_error_deg,
-    beamform_das,
     circular_array,
-    das_weights,
+    enhance,
     fb_analyze,
-    fb_synthesize,
-    make_aec,
+    scenario_geometry,
     srp_localize,
 )
 from .rl import ACT_DIM, OBS_DIM, init_policy, train_tuning_policy
@@ -51,14 +52,12 @@ from .scene import (
 from .wavefield import (
     AxisymGrid,
     PlaneWaveGrid,
-    TimeWaveform,
     analytic_gaussian_axis,
     gaussian_profile,
-    harmonic_spectrum,
     rayleigh_distance,
     shock_formation_distance,
     simulate_kzk_axisym,
-    simulate_westervelt_plane,
+    westervelt_harmonic_curve,
 )
 
 log = logging.getLogger("nars")
@@ -82,8 +81,25 @@ def _summary(key: str, value) -> None:
     print(f"{key}={io.fmt_num(value) if not isinstance(value, str) else value}")
 
 
-def _localize_window(n: int) -> int:
-    return min(n, 8192)
+def _localize(geom, mics) -> tuple[float, np.ndarray]:
+    """SRP azimuth and power curve over the leading <= 8192 samples."""
+    return srp_localize(geom, mics[:, :8192])
+
+
+@contextlib.contextmanager
+def _artifacts(out_dir, conf, metrics: Metrics | None = None):
+    """An artifact set closed by metrics.csv (when given) and resolved.ini.
+
+    After a clean publish the metrics are printed as summary lines.
+    """
+    row = {} if metrics is None else metrics.row()
+    with io.ArtifactSet(out_dir) as art:
+        yield art
+        if row:
+            io.write_csv(art.path("metrics.csv"), list(row.keys()), [list(row.values())])
+        conf.dump_resolved(art.path("resolved.ini"))
+    for key, value in row.items():
+        _summary(key, value)
 
 
 # === subcommands ===
@@ -108,17 +124,9 @@ def cmd_wave(args) -> None:
         z_max = sigma_end * x_shock
     grid = PlaneWaveGrid(n_time=n_time, n_steps=n_steps, dz=z_max / n_steps, z_max=z_max)
 
-    zs: list[float] = []
-    ratio_rows: list[np.ndarray] = []
+    zs, ratio_rows, final = westervelt_harmonic_curve(medium, src, grid, n_max=n_harm)
 
-    def record(z, samples):
-        zs.append(z)
-        w = TimeWaveform(samples, fs=grid.n_time * src.f0)
-        ratio_rows.append(harmonic_spectrum(w, src.f0, n_harm) / src.p0)
-
-    final = simulate_westervelt_plane(medium, src, grid, n_harm_out=n_harm, callback=record)
-
-    with io.ArtifactSet(args.out) as art:
+    with _artifacts(args.out, conf) as art:
         header = ["z"] + [f"B{n}" for n in range(1, n_harm + 1)]
         io.write_csv(
             art.path("harmonics.csv"),
@@ -127,7 +135,6 @@ def cmd_wave(args) -> None:
         )
         t = np.arange(grid.n_time) / final.fs
         io.write_csv(art.path("waveform.csv"), ["t", "p"], zip(t, final.samples))
-        conf.dump_resolved(art.path("resolved.ini"))
 
     _summary("shock_distance_m", x_shock)
     _summary("sigma_end", z_max / x_shock)
@@ -162,26 +169,16 @@ def cmd_kzk(args) -> None:
         medium, src, gaussian_profile(a), grid, strang=strang, callback=record
     )
 
-    with io.ArtifactSet(args.out) as art:
+    with _artifacts(args.out, conf) as art:
         header = ["z"] + [f"H{n}" for n in range(1, grid.n_harm + 1)]
         io.write_csv(
             art.path("axis.csv"), header, ([z] + list(row) for z, row in zip(zs, axis_rows))
         )
         io.write_field_dump(art.path("field.nfd"), field)
-        conf.dump_resolved(art.path("resolved.ini"))
 
     _summary("rayleigh_m", rayleigh_distance(src, a, medium))
     _summary("p1_axis_end_pa", float(np.abs(field.amps[0, 0])))
     _summary("p1_linear_ref_pa", analytic_gaussian_axis(src, a, medium, field.z))
-
-
-def _steered_frames(rendered, steer_deg: float | None, geom):
-    """SRP estimate on a leading window, then DAS at the chosen azimuth."""
-    window = rendered.mics[:, : _localize_window(rendered.mics.shape[1])]
-    est_az, power = srp_localize(geom, window)
-    az = est_az if steer_deg is None else steer_deg
-    y = beamform_das(geom, das_weights(geom, az), rendered.mics)
-    return y, est_az, power
 
 
 def cmd_scene(args) -> None:
@@ -189,13 +186,11 @@ def cmd_scene(args) -> None:
     seed = cfg.effective_seed(conf, args.seed)
     scenario = cfg.build_scenario(conf, seed)
     conf.finish()
-    geom = cfg.build_geometry(scenario)
 
     t0 = time.perf_counter()
     rendered = render_scene(scenario)
     elapsed = time.perf_counter() - t0
-    window = rendered.mics[:, : _localize_window(rendered.mics.shape[1])]
-    est_az, _ = srp_localize(geom, window)
+    est_az, _ = _localize(scenario_geometry(scenario), rendered.mics)
 
     m = Metrics(
         scenario_id=f"scene-{seed}",
@@ -204,16 +199,11 @@ def cmd_scene(args) -> None:
         rtf=measure_rtf(elapsed, scenario.duration),
         doa_err_deg=azimuth_error_deg(est_az, rendered.true_azimuth_deg),
     )
-    with io.ArtifactSet(args.out) as art:
+    with _artifacts(args.out, conf, m) as art:
         io.write_wav(art.path("mics.wav"), rendered.fs, rendered.mics)
         io.write_wav(art.path("clean_ref.wav"), rendered.fs, rendered.clean_ref)
         if rendered.far_end is not None:
             io.write_wav(art.path("far_end.wav"), rendered.fs, rendered.far_end)
-        row = m.row()
-        io.write_csv(art.path("metrics.csv"), list(row.keys()), [list(row.values())])
-        conf.dump_resolved(art.path("resolved.ini"))
-    for key, value in m.row().items():
-        _summary(key, value)
 
 
 def cmd_frontend(args) -> None:
@@ -222,31 +212,28 @@ def cmd_frontend(args) -> None:
     scenario = cfg.build_scenario(conf, seed)
     params = cfg.build_frontend(conf)
     conf.finish()
-    geom = cfg.build_geometry(scenario)
+    geom = scenario_geometry(scenario)
     spec = FilterBankSpec(m_bands=params.m_bands, hop=params.hop, fs=scenario.room.fs)
 
     rendered = render_scene(scenario)
-    n = rendered.mics.shape[1]
 
     t0 = time.perf_counter()
-    y, est_az, power = _steered_frames(rendered, params.steer_deg, geom)
-    mic_state = fb_analyze(spec, y)
+    est_az, power = _localize(geom, rendered.mics)
+    steer = est_az if params.steer_deg is None else params.steer_deg
+    far_sub = None if rendered.far_end is None else fb_analyze(spec, rendered.far_end)
+    mic_sub, out_sub, enhanced = enhance(
+        geom, spec, rendered.mics, steer, far_sub, mu=params.mu, aec_taps=params.aec_taps
+    )
+    elapsed = time.perf_counter() - t0
+
     erle_rows = []
-    if rendered.far_end is not None:
-        far_state = fb_analyze(spec, rendered.far_end)
-        residual, _ = aec_process(
-            make_aec(spec.m_bands, params.aec_taps, mu=params.mu), far_state, mic_state
-        )
-        p_mic = np.sum(np.abs(mic_state.bands) ** 2, axis=0)
-        p_res = np.sum(np.abs(residual.bands) ** 2, axis=0)
+    if far_sub is not None:
+        p_mic = np.sum(np.abs(mic_sub.bands) ** 2, axis=0)
+        p_res = np.sum(np.abs(out_sub.bands) ** 2, axis=0)
         with np.errstate(divide="ignore"):
             trace = 10.0 * np.log10(p_mic / np.maximum(p_res, 1e-300))
-        n_live = min(len(trace), -(-n // spec.hop))  # drop the flush tail
+        n_live = min(len(trace), -(-mic_sub.n_samples // spec.hop))  # drop the flush tail
         erle_rows = [[k, f"{trace[k]:.6f}"] for k in range(n_live)]
-    else:
-        residual = mic_state
-    enhanced = fb_synthesize(spec, residual)[:n]
-    elapsed = time.perf_counter() - t0
 
     base = si_snr(rendered.clean_ref, rendered.mics[0])
     enh = si_snr(rendered.clean_ref, enhanced)
@@ -257,46 +244,11 @@ def cmd_frontend(args) -> None:
         rtf=measure_rtf(elapsed, scenario.duration),
         doa_err_deg=azimuth_error_deg(est_az, rendered.true_azimuth_deg),
     )
-    with io.ArtifactSet(args.out) as art:
+    with _artifacts(args.out, conf, m) as art:
         io.write_wav(art.path("enhanced.wav"), rendered.fs, enhanced)
         io.write_csv(art.path("erle.csv"), ["frame", "erle_db"], erle_rows)
         grid = AzimuthGrid()
         io.write_csv(art.path("srp.csv"), ["angle_deg", "power"], zip(grid.angles, power))
-        row = m.row()
-        io.write_csv(art.path("metrics.csv"), list(row.keys()), [list(row.values())])
-        conf.dump_resolved(art.path("resolved.ini"))
-    for key, value in m.row().items():
-        _summary(key, value)
-
-
-def _localize_one(conf_snapshot, seed: int, index: int, explicit_pos):
-    """Render scene ``index`` and localize it; pure function of (seed, index)."""
-    room, mic_positions, noise_kind, snr_db, duration = conf_snapshot
-    rng = scene_rng(seed, index)
-    if explicit_pos is not None:
-        pos = tuple(explicit_pos)
-    else:
-        margin = 0.5
-        lo = np.full(3, margin)
-        hi = np.asarray(room.dims) - margin
-        if np.any(hi <= lo):
-            raise ConfigurationError("room too small for a 0.5 m placement margin")
-        pos = tuple(lo + (hi - lo) * rng.uniform(size=3))
-    sub_seed = int(rng.integers(2**63))
-    scenario = ScenarioConfig(
-        room=room,
-        source_pos=pos,
-        mic_positions=mic_positions,
-        noise_kind=noise_kind,
-        snr_db=snr_db,
-        seed=sub_seed,
-        duration=duration,
-    )
-    rendered = render_scene(scenario)
-    geom = cfg.build_geometry(scenario)
-    window = rendered.mics[:, : _localize_window(rendered.mics.shape[1])]
-    est_az, _ = srp_localize(geom, window)
-    return rendered.true_azimuth_deg, est_az
 
 
 def cmd_localize(args) -> None:
@@ -314,31 +266,38 @@ def cmd_localize(args) -> None:
         raise ConfigurationError("[localize] n_scenes must be at least 1")
     if n_scenes > 1 and explicit_pos is not None:
         raise ConfigurationError("explicit source_pos only makes sense with n_scenes = 1")
-
-    snapshot = (room, mic_positions, noise_kind, snr_db, duration)
-    results: list[tuple[float, float] | None] = [None] * n_scenes
-    if args.parallel > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=args.parallel) as pool:
-            futures = {
-                pool.submit(_localize_one, snapshot, seed, i, explicit_pos): i
-                for i in range(n_scenes)
-            }
-            for fut in concurrent.futures.as_completed(futures):
-                results[futures[fut]] = fut.result()
-    else:
-        for i in range(n_scenes):
-            results[i] = _localize_one(snapshot, seed, i, explicit_pos)
+    margin = 0.5
+    lo = np.full(3, margin)
+    hi = np.asarray(room.dims) - margin
+    if explicit_pos is None and np.any(hi <= lo):
+        raise ConfigurationError("room too small for a 0.5 m placement margin")
 
     rows = []
     errs = []
-    for i, (true_az, est_az) in enumerate(results):
+    for i in range(n_scenes):
+        # scene i is a pure function of (seed, i)
+        rng = scene_rng(seed, i)
+        pos = explicit_pos
+        if pos is None:
+            pos = tuple(lo + (hi - lo) * rng.uniform(size=3))
+        scenario = ScenarioConfig(
+            room=room,
+            source_pos=pos,
+            mic_positions=mic_positions,
+            noise_kind=noise_kind,
+            snr_db=snr_db,
+            seed=int(rng.integers(2**63)),
+            duration=duration,
+        )
+        rendered = render_scene(scenario)
+        est_az, _ = _localize(scenario_geometry(scenario), rendered.mics)
+        true_az = rendered.true_azimuth_deg
         err = azimuth_error_deg(est_az, true_az)
         errs.append(err)
         rows.append([i, f"{true_az:.6f}", f"{est_az:.6f}", f"{err:.6f}"])
 
-    with io.ArtifactSet(args.out) as art:
+    with _artifacts(args.out, conf) as art:
         io.write_csv(art.path("doa.csv"), ["scene", "true_az_deg", "est_az_deg", "err_deg"], rows)
-        conf.dump_resolved(art.path("resolved.ini"))
     _summary("n_scenes", n_scenes)
     _summary("doa_err_deg", float(np.mean(errs)))
     _summary("doa_err_max_deg", float(np.max(errs)))
@@ -381,14 +340,13 @@ def cmd_train(args) -> None:
             aec_taps=rl.aec_taps,
         ),
     )
-    with io.ArtifactSet(args.out) as art:
+    with _artifacts(args.out, conf) as art:
         io.write_csv(
             art.path("curve.csv"),
             ["episode", "mean_reward", "clip_fraction", "mean_ratio"],
             ([r["episode"], r["mean_reward"], r["clip_fraction"], r["mean_ratio"]] for r in curve),
         )
         io.write_policy_vector(art.path("policy.npc"), trained.theta)
-        conf.dump_resolved(art.path("resolved.ini"))
     _summary("episodes", len(curve))
     _summary("final_mean_reward", curve[-1]["mean_reward"])
     tail = [float(r["mean_reward"]) for r in curve[-max(1, len(curve) // 4) :]]
@@ -399,12 +357,14 @@ def cmd_bench(args) -> None:
     conf = cfg.load_config(args.config)
     seed = cfg.effective_seed(conf, args.seed)
     durations = conf.get_floats("bench", "durations", (3.0, 7.0, 15.0, 25.0, 35.0))
-    fs = conf.get_float("bench", "fs", 16000.0)
+    fs = conf.get_fs("bench", 16000.0)
     n_mics = conf.get_int("bench", "n_mics", 8)
     m_bands = conf.get_int("bench", "m_bands", 64)
     hop = conf.get_int("bench", "hop", m_bands // 2)
     aec_taps = conf.get_int("bench", "aec_taps", 4)
     conf.finish()
+    conf.check(n_mics >= 2, "bench", "n_mics", "must be at least 2")
+    conf.check(aec_taps >= 1, "bench", "aec_taps", "must be at least 1")
     if len(durations) == 0:
         raise DataError("bench corpus is empty: no durations configured")
     if any(d <= 0 for d in durations):
@@ -412,9 +372,8 @@ def cmd_bench(args) -> None:
 
     geom = circular_array(n_mics, 0.05, fs=fs)
     spec = FilterBankSpec(m_bands=m_bands, hop=hop, fs=fs)
-    weights = das_weights(geom, 0.0)
 
-    with io.ArtifactSet(args.out) as art:
+    with _artifacts(args.out, conf) as art:
         corpus = []
         for i, d in enumerate(durations):
             rng = scene_rng(seed, i)
@@ -434,11 +393,7 @@ def cmd_bench(args) -> None:
             _, far = io.read_wav(far_path)
             duration = mics.shape[1] / fs_r
             t0 = time.perf_counter()
-            y = beamform_das(geom, weights, mics)
-            mic_state = fb_analyze(spec, y)
-            far_state = fb_analyze(spec, far)
-            residual, _ = aec_process(make_aec(m_bands, aec_taps), far_state, mic_state)
-            fb_synthesize(spec, residual)
+            enhance(geom, spec, mics, 0.0, fb_analyze(spec, far), mu=0.5, aec_taps=aec_taps)
             elapsed = time.perf_counter() - t0
             rtf = measure_rtf(elapsed, duration)
             per_bucket.setdefault(_bucket(duration), []).append(rtf)
@@ -451,7 +406,6 @@ def cmd_bench(args) -> None:
             vals = np.asarray(per_bucket[label])
             rows.append([label, f"{vals.mean():.6f}", f"{np.percentile(vals, 95):.6f}"])
         io.write_csv(art.path("rtf.csv"), ["bucket", "mean_rtf", "p95_rtf"], rows)
-        conf.dump_resolved(art.path("resolved.ini"))
     for label, mean_s, p95_s in rows:
         _summary(f"rtf_mean[{label}]", mean_s)
 
@@ -485,7 +439,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="INI config file")
         p.add_argument("--out", required=True, help="artifact output directory")
         p.add_argument("--seed", type=int, default=None, help="override the configured seed")
-        p.add_argument("--parallel", type=int, default=1, help="worker threads where supported")
     return parser
 
 
@@ -503,8 +456,6 @@ def main(argv=None) -> int:
     try:
         _setup_logging()
         args = _build_parser().parse_args(argv)
-        if args.parallel < 1:
-            raise ConfigurationError("--parallel must be at least 1")
         _COMMANDS[args.command](args)
     except NarsError as e:
         log.error("%s", e)

@@ -16,8 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import io
 from .errors import ConfigurationError
-from .frontend import MicArrayGeometry
+from .frontend import circular_array
 from .rl import RewardWeights
 from .scene import NOISE_KINDS, RoomSpec, ScenarioConfig
 from .wavefield import Medium, SourceWaveform
@@ -110,11 +111,22 @@ class Conf:
 
         return self._get(section, key, parse, default)
 
+    def get_fs(self, section, default=_REQUIRED) -> float:
+        """``[section] fs``, which must be a whole number of Hz that WAV can store."""
+        fs = self.get_float(section, "fs", default)
+        self.check(io.is_wav_rate(fs), section, "fs", "must be a whole number of Hz")
+        return fs
+
     def get_vec3(self, section, key, default=_REQUIRED):
         value = self.get_floats(section, key, default)
         if value is not None and len(value) != 3:
             raise ConfigurationError(f"{self.path}: [{section}] {key} needs exactly 3 numbers")
         return value
+
+    def check(self, ok: bool, section: str, key: str, rule: str) -> None:
+        """Reject a parsed value that breaks ``rule`` unless ``ok``."""
+        if not ok:
+            raise ConfigurationError(f"{self.path}: [{section}] {key} {rule}")
 
     def section_items(self, section: str) -> list[tuple[str, str]]:
         if not self.cp.has_section(section):
@@ -193,7 +205,7 @@ def build_room(conf: Conf) -> RoomSpec:
         reflection=conf.get_float("room", "reflection"),
         max_order=conf.get_int("room", "max_order"),
         c=conf.get_float("room", "c", 343.0),
-        fs=conf.get_float("room", "fs"),
+        fs=conf.get_fs("room"),
     )
 
 
@@ -221,11 +233,7 @@ def build_mic_positions(conf: Conf) -> list[tuple[float, float, float]]:
     n_mics = conf.get_int("array", "n_mics")
     if n_mics < 1 or radius <= 0:
         raise ConfigurationError("[array] needs n_mics >= 1 and radius > 0")
-    angles = 2.0 * np.pi * np.arange(n_mics) / n_mics
-    return [
-        (center[0] + radius * float(np.cos(t)), center[1] + radius * float(np.sin(t)), center[2])
-        for t in angles
-    ]
+    return [tuple(p) for p in circular_array(n_mics, radius, center=center).positions.tolist()]
 
 
 def build_scenario(conf: Conf, seed: int) -> ScenarioConfig:
@@ -244,14 +252,6 @@ def build_scenario(conf: Conf, seed: int) -> ScenarioConfig:
     )
 
 
-def build_geometry(scenario: ScenarioConfig) -> MicArrayGeometry:
-    return MicArrayGeometry(
-        positions=np.asarray(scenario.mic_positions, dtype=np.float64),
-        fs=scenario.room.fs,
-        c=scenario.room.c,
-    )
-
-
 @dataclass(frozen=True)
 class FrontendParams:
     m_bands: int
@@ -263,13 +263,16 @@ class FrontendParams:
 
 def build_frontend(conf: Conf) -> FrontendParams:
     m_bands = conf.get_int("frontend", "m_bands", 64)
-    return FrontendParams(
+    params = FrontendParams(
         m_bands=m_bands,
         hop=conf.get_int("frontend", "hop", m_bands // 2),
         aec_taps=conf.get_int("frontend", "aec_taps", 4),
         mu=conf.get_float("frontend", "mu", 0.5),
         steer_deg=conf.get_float("frontend", "steer_deg", None),
     )
+    conf.check(params.aec_taps >= 1, "frontend", "aec_taps", "must be at least 1")
+    conf.check(0.0 <= params.mu <= 2.0, "frontend", "mu", "must lie in [0, 2]")
+    return params
 
 
 @dataclass(frozen=True)
@@ -321,11 +324,9 @@ def build_rl(conf: Conf) -> RlParams:
     )
     # the env groups the bands into 8 state features and uses hop = m_bands / 2,
     # which FilterBankSpec accepts for every positive multiple of 8
-    if params.m_bands < 8 or params.m_bands % 8:
-        raise ConfigurationError(f"{conf.path}: [rl] m_bands must be a positive multiple of 8")
-    if params.chunk_seconds <= 0:
-        raise ConfigurationError(f"{conf.path}: [rl] chunk_seconds must be positive")
+    m = params.m_bands
+    conf.check(m >= 8 and m % 8 == 0, "rl", "m_bands", "must be a positive multiple of 8")
+    conf.check(params.chunk_seconds > 0, "rl", "chunk_seconds", "must be positive")
     for key in ("aec_taps", "minibatch", "episodes_per_update", "hidden", "v_hidden"):
-        if getattr(params, key) < 1:
-            raise ConfigurationError(f"{conf.path}: [rl] {key} must be at least 1")
+        conf.check(getattr(params, key) >= 1, "rl", key, "must be at least 1")
     return params

@@ -2,8 +2,9 @@
 
 Oversampled complex-modulated DFT filter bank, per-band NLMS echo
 cancellation, delay-and-sum beamforming with fractional steering delays,
-steered-response-power localization, spectral masking, per-band gains, and
-dynamic channel mixing.
+steered-response-power localization, spectral masking and per-band gains.
+``enhance`` chains them (DAS -> analysis -> AEC -> band gains -> synthesis)
+for every caller: ``nars frontend``, ``nars bench`` and the tuning env.
 
 The SRP scan does not beamform once per azimuth. A steering bank, built once
 per (geometry, grid) and cached, holds every (azimuth, mic) fractional-delay
@@ -113,7 +114,6 @@ class SubbandState:
     """Analysis output: complex frames, shape (m_bands, n_frames)."""
 
     bands: np.ndarray
-    frame_index: int
     n_samples: int
 
 
@@ -133,7 +133,7 @@ def fb_analyze(spec: FilterBankSpec, x: np.ndarray) -> SubbandState:
     frames = windows[:, ::-1] * spec.prototype[None, :]
     folded = frames.reshape(n_frames, P // M, M).sum(axis=1)
     bands = M * np.fft.ifft(folded, axis=1).T
-    return SubbandState(bands=bands, frame_index=n_frames, n_samples=len(x))
+    return SubbandState(bands=bands, n_samples=len(x))
 
 
 def fb_synthesize(spec: FilterBankSpec, state: SubbandState) -> np.ndarray:
@@ -211,7 +211,7 @@ def aec_process(
             norm = np.einsum("bt,bt->b", hist, np.conj(hist)).real + eps
             w += mu * np.conj(hist) * (err / norm)[:, None]
     new_state = SubbandAecState(weights=w, far_hist=hist, mu=mu, eps_reg=eps)
-    return SubbandState(bands=out, frame_index=mic.frame_index, n_samples=mic.n_samples), new_state
+    return SubbandState(bands=out, n_samples=mic.n_samples), new_state
 
 
 def erle_db(mic: SubbandState, residual: SubbandState, tail_frames: int | None = None) -> float:
@@ -254,6 +254,15 @@ def circular_array(n_mics: int, radius: float, center=(0.0, 0.0, 0.0), fs: float
     ang = 2 * np.pi * np.arange(n_mics) / n_mics
     pos = np.stack([np.cos(ang) * radius, np.sin(ang) * radius, np.zeros(n_mics)], axis=1)
     return MicArrayGeometry(positions=pos + np.asarray(center, float), fs=fs, c=c)
+
+
+def scenario_geometry(scenario) -> MicArrayGeometry:
+    """The array of a ``scene.ScenarioConfig``: its mics at the room's fs and c."""
+    return MicArrayGeometry(
+        positions=np.asarray(scenario.mic_positions, dtype=np.float64),
+        fs=scenario.room.fs,
+        c=scenario.room.c,
+    )
 
 
 @dataclass(frozen=True)
@@ -345,7 +354,7 @@ class _SteeringBank:
 
 _BANK_CACHE_SIZE = 16
 _banks: dict = {}
-_banks_lock = threading.Lock()  # `localize --parallel` scans from several threads
+_banks_lock = threading.Lock()  # library callers may scan from several threads
 
 
 def _build_steering_bank(geom: MicArrayGeometry, grid: AzimuthGrid) -> _SteeringBank:
@@ -433,7 +442,7 @@ def azimuth_error_deg(a: float, b: float) -> float:
     return float(d)
 
 
-# === masking, per-band gain, dynamic mixing ===
+# === masking and per-band gain ===
 
 
 def apply_spectral_mask(state: SubbandState, mask: np.ndarray) -> SubbandState:
@@ -443,9 +452,7 @@ def apply_spectral_mask(state: SubbandState, mask: np.ndarray) -> SubbandState:
         raise FramingError("mask shape must match the subband frames")
     if np.any(mask < 0) or np.any(mask > 1):
         raise DomainError("mask values must lie in [0, 1]")
-    return SubbandState(
-        bands=state.bands * mask, frame_index=state.frame_index, n_samples=state.n_samples
-    )
+    return SubbandState(bands=state.bands * mask, n_samples=state.n_samples)
 
 
 @dataclass
@@ -481,60 +488,34 @@ def band_gain(profile: BandGainProfile) -> np.ndarray:
     return np.clip(raw, profile.g_min, profile.g_max)
 
 
-@dataclass
-class MixtureWeights:
-    alpha: np.ndarray  # (n_channels, n_frames), rows of each frame on the simplex
-
-    def __post_init__(self):
-        self.alpha = np.asarray(self.alpha, dtype=np.float64)
-        if self.alpha.ndim != 2:
-            raise DomainError("alpha must be (n_channels, n_frames)")
-        if np.any(self.alpha < 0):
-            raise DomainError("mixture weights must be nonnegative")
-        col = self.alpha.sum(axis=0)
-        if np.any(np.abs(col - 1.0) > 1e-6):
-            raise DomainError("mixture weights must sum to 1 per frame")
+# === the front-end chain ===
 
 
-def dynamic_mix(weights: MixtureWeights, channels: np.ndarray) -> np.ndarray:
-    """Per-frame convex combination y(k) = sum_m alpha_m(k) x_m(k)."""
-    channels = np.asarray(channels, dtype=np.float64)
-    if channels.shape != weights.alpha.shape:
-        raise FramingError("channels and weights must have equal shape")
-    return np.sum(channels * weights.alpha, axis=0)
+def enhance(
+    geom: MicArrayGeometry,
+    spec: FilterBankSpec,
+    mics: np.ndarray,
+    steer_deg: float,
+    far_sub: SubbandState | None = None,
+    *,
+    mu: float,
+    aec_taps: int,
+    band_gains: np.ndarray | None = None,
+) -> tuple[SubbandState, SubbandState, np.ndarray]:
+    """DAS at ``steer_deg`` -> analysis -> AEC -> band gains -> synthesis.
 
-
-def snr_mixture_weights(
-    channels: np.ndarray,
-    noise_power: np.ndarray,
-    frame: int = 256,
-    smoothing: float = 0.98,
-) -> MixtureWeights:
-    """Weights proportional to a decision-directed a-priori SNR per channel.
-
-    ``noise_power`` is the known/estimated noise power per channel. The SNR
-    estimate smooths the previous frame's cleaned power against the current
-    posterior SNR (classic decision-directed recursion), then weights are
-    renormalized per sample.
+    The AEC runs, from a fresh state, only when the far-end analysis
+    ``far_sub`` is given; ``band_gains`` (one gain in [0, 1] per band, held
+    over every frame) only when given. Returns the beamformed subbands
+    before the AEC, the subbands after the last stage, and the synthesized
+    samples, as many as ``mics`` has columns.
     """
-    channels = np.asarray(channels, dtype=np.float64)
-    if channels.ndim != 2:
-        raise FramingError("channels must be (n_channels, n_samples)")
-    noise_power = np.asarray(noise_power, dtype=np.float64)
-    if noise_power.shape != (channels.shape[0],):
-        raise DomainError("one noise power per channel required")
-    if np.any(noise_power <= 0):
-        raise DomainError("noise powers must be positive")
-    n_ch, n = channels.shape
-    n_frames = (n + frame - 1) // frame
-    xi = None
-    alpha = np.empty((n_ch, n))
-    for k in range(n_frames):
-        sl = slice(k * frame, min((k + 1) * frame, n))
-        p = np.mean(channels[:, sl] ** 2, axis=1)
-        gamma = p / noise_power
-        inst = np.maximum(gamma - 1.0, 0.0)
-        xi = inst if xi is None else smoothing * xi + (1.0 - smoothing) * inst
-        w = np.maximum(xi, 1e-8)
-        alpha[:, sl] = (w / w.sum())[:, None]
-    return MixtureWeights(alpha=alpha)
+    y = beamform_das(geom, das_weights(geom, steer_deg), mics)
+    mic_sub = fb_analyze(spec, y)
+    out_sub = mic_sub
+    if far_sub is not None:
+        out_sub, _ = aec_process(make_aec(spec.m_bands, aec_taps, mu=mu), far_sub, mic_sub)
+    if band_gains is not None:
+        mask = np.broadcast_to(np.asarray(band_gains)[:, None], out_sub.bands.shape)
+        out_sub = apply_spectral_mask(out_sub, mask)
+    return mic_sub, out_sub, fb_synthesize(spec, out_sub)

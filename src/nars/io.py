@@ -31,6 +31,11 @@ POLICY_MAGIC = b"NARSPOL1"
 # === WAV ===
 
 
+def is_wav_rate(fs: float) -> bool:
+    """True for a positive whole number of Hz that a WAV header can store."""
+    return 0 < fs <= 2**31 - 1 and fs == int(fs)
+
+
 def write_wav(path, fs: float, data: np.ndarray, fmt: str = "float32") -> None:
     """Mono or interleaved multichannel WAV; fmt is "float32" or "pcm16".
 
@@ -44,7 +49,7 @@ def write_wav(path, fs: float, data: np.ndarray, fmt: str = "float32") -> None:
         data = data.T  # scipy wants (n_samples, n_channels)
     elif data.ndim != 1:
         raise DataError("audio must be 1-D or (n_channels, n_samples)")
-    if not 0 < fs <= 2**31 - 1 or fs != int(fs):
+    if not is_wav_rate(fs):
         raise DataError(f"sample rate {fs!r} is not a whole number of Hz representable in WAV")
     rate = int(fs)
     if fmt == "float32":
@@ -148,11 +153,13 @@ class ArtifactSet:
 
     Use as a context manager: ask for paths under .path(name), write files
     there, and the whole set is moved into out_dir on a clean exit. Any
-    exception discards the stage, leaving out_dir untouched.
+    exception discards the stage, leaving out_dir untouched; an out_dir that
+    this set created is removed again if it is still empty.
     """
 
     def __init__(self, out_dir):
         self.out_dir = os.path.abspath(out_dir)
+        self._created = not os.path.isdir(self.out_dir)
         os.makedirs(self.out_dir, exist_ok=True)
         self._stage = tempfile.mkdtemp(prefix=".stage-", dir=self.out_dir)
         self._names: list[str] = []
@@ -179,4 +186,6 @@ class ArtifactSet:
                 os.makedirs(os.path.dirname(dst), exist_ok=True)
                 os.replace(src, dst)
         shutil.rmtree(self._stage, ignore_errors=True)
+        if exc_type is not None and self._created and not os.listdir(self.out_dir):
+            os.rmdir(self.out_dir)
         return False

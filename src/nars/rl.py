@@ -7,8 +7,9 @@ environment wraps a rendered scene: actions are bounded deltas on the AEC
 step size, two band-gain trims, and the beam steering. Work that no action
 changes (the SRP scan, the far-end analysis, the raw-mic SI-SNR baseline) is
 done once per chunk when the env is built; each step runs only the
-action-dependent front end (DAS, analysis, AEC, band gains, synthesis) on
-the next audio chunk and scores it.
+action-dependent front end on the next audio chunk and scores it. That is
+``frontend.enhance`` (DAS, analysis, AEC, band gains, synthesis), the same
+chain that ``nars frontend`` runs.
 
 All gradients are computed by hand in numpy; a finite-difference check of
 the full objective is part of the acceptance gate.
@@ -25,16 +26,11 @@ from .frontend import (
     AzimuthGrid,
     BandGainProfile,
     FilterBankSpec,
-    MicArrayGeometry,
     SubbandState,
-    apply_spectral_mask,
     band_gain,
-    beamform_das,
-    das_weights,
+    enhance,
     fb_analyze,
-    fb_synthesize,
-    make_aec,
-    aec_process,
+    scenario_geometry,
     srp_localize,
 )
 from .scene import ScenarioConfig, RenderedScene, render_scene, si_snr
@@ -160,9 +156,7 @@ def log_prob(p: PolicyParams, obs: np.ndarray, act: np.ndarray) -> np.ndarray:
 def sample_actions(p: PolicyParams, obs: np.ndarray, rng: np.random.Generator):
     mean, std = policy_mean_std(p, obs)
     raw = mean + std * rng.standard_normal(mean.shape)
-    z = (raw - mean) / std
-    logp = np.sum(-0.5 * z**2 - np.log(std) - 0.5 * _LOG_2PI, axis=1)
-    return raw, logp
+    return raw, log_prob(p, obs, raw)
 
 
 def value(p: PolicyParams, obs: np.ndarray) -> np.ndarray:
@@ -538,11 +532,11 @@ class TuningEnv:
     the constructor computes, once, what no action changes: the SRP scan
     (azimuth and confidence) on the chunk's leading <= 2048 samples, the
     far-end subband analysis, and the SI-SNR of the raw reference mic. Each
-    step applies the action's deltas, runs beamformer -> analysis -> subband
-    AEC -> band gains -> synthesis on the current chunk, and scores the
-    result. Every quantity is a deterministic function of the scenario seed
-    and the action sequence; the latency term in the reward is a modeled
-    compute cost of the deployed front end, not a wall clock.
+    step applies the action's deltas, runs ``enhance`` (beamformer ->
+    analysis -> subband AEC -> band gains -> synthesis) on the current chunk,
+    and scores the result. Every quantity is a deterministic function of the
+    scenario seed and the action sequence; the latency term in the reward is
+    a modeled compute cost of the deployed front end, not a wall clock.
 
     A visited chunk whose SRP window is all zero raises NoSourceError from
     the constructor, not from the first step that would visit it.
@@ -574,11 +568,7 @@ class TuningEnv:
         if self.chunk > n:
             raise DomainError("chunk longer than the rendered scene")
         self.n_chunks = n // self.chunk
-        self.geom = MicArrayGeometry(
-            positions=np.asarray(scenario.mic_positions, dtype=np.float64),
-            fs=fs,
-            c=scenario.room.c,
-        )
+        self.geom = scenario_geometry(scenario)
         self.bank = FilterBankSpec(m_bands=m_bands, hop=m_bands // 2, fs=fs)
         self.aec_taps = aec_taps
         self.init_steer = (self.rendered.true_azimuth_deg + init_steer_offset_deg) % 360.0
@@ -644,22 +634,22 @@ class TuningEnv:
 
     def _process(self) -> tuple[EnvState, float]:
         c = self._chunks[self.chunk_idx]
-        y = beamform_das(self.geom, das_weights(self.geom, self.steer), c.mics)
-        y_sub = fb_analyze(self.bank, y)
-        if c.far_sub is not None:
-            aec = make_aec(self.bank.m_bands, self.aec_taps, mu=self.mu)
-            y_sub, _ = aec_process(aec, c.far_sub, y_sub)
-        gains = self._band_gains()
-        y_sub = apply_spectral_mask(
-            y_sub, np.broadcast_to(np.clip(gains, 0.0, 1.0)[:, None], y_sub.bands.shape)
+        _, out_sub, enhanced = enhance(
+            self.geom,
+            self.bank,
+            c.mics,
+            self.steer,
+            c.far_sub,
+            mu=self.mu,
+            aec_taps=self.aec_taps,
+            band_gains=np.clip(self._band_gains(), 0.0, 1.0),
         )
-        enhanced = fb_synthesize(self.bank, y_sub)
 
         quality_raw = si_snr(c.ref, enhanced) - c.base_si_snr
         q_hat = (np.clip(quality_raw, -10.0, 30.0) + 10.0) / 40.0
         offset = float(((c.srp_az - self.steer + 180.0) % 360.0 - 180.0) / 180.0)
 
-        powers = np.abs(y_sub.bands) ** 2
+        powers = np.abs(out_sub.bands) ** 2
         groups = powers.reshape(8, -1, powers.shape[1]).mean(axis=(1, 2))
         logp = np.clip((np.log10(groups + 1e-300) + 12.0) / 12.0, -1.0, 2.0)
         state = EnvState(

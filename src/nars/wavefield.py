@@ -48,11 +48,6 @@ class Medium:
         if self.beta < 0 or self.delta < 0:
             raise DomainError("medium requires beta >= 0 and delta >= 0")
 
-    @property
-    def alpha_nl(self) -> float:
-        # quadratic coupling coefficient; computed, never stored
-        return self.beta / (self.rho0 * self.c**2)
-
 
 @dataclass(frozen=True)
 class SourceWaveform:
@@ -155,10 +150,6 @@ class TimeWaveform:
         self.samples = np.asarray(self.samples, dtype=np.float64)
         if self.fs <= 0:
             raise DomainError("fs must be positive")
-
-    @property
-    def duration(self) -> float:
-        return self.samples.shape[-1] / self.fs
 
 
 # === closed forms ===
@@ -292,10 +283,11 @@ def simulate_westervelt_plane(
 
 def westervelt_harmonic_curve(
     medium: Medium, src: SourceWaveform, grid: PlaneWaveGrid, n_max: int = 4
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, TimeWaveform]:
     """Harmonic ratios |p_n|/p0 recorded along the march.
 
-    Returns (z, ratios) with ratios shaped (n_steps + 1, n_max).
+    Returns (z, ratios, final) with ratios shaped (n_steps + 1, n_max) and
+    final the cycle at z_max, as ``simulate_westervelt_plane`` returns it.
     """
     zs: list[float] = []
     rows: list[np.ndarray] = []
@@ -305,8 +297,8 @@ def westervelt_harmonic_curve(
         w = TimeWaveform(samples, fs=grid.n_time * src.f0)
         rows.append(harmonic_spectrum(w, src.f0, n_max) / src.p0)
 
-    simulate_westervelt_plane(medium, src, grid, n_harm_out=n_max, callback=record)
-    return np.asarray(zs), np.asarray(rows)
+    final = simulate_westervelt_plane(medium, src, grid, n_harm_out=n_max, callback=record)
+    return np.asarray(zs), np.asarray(rows), final
 
 
 # === axisymmetric harmonic solver ===

@@ -89,7 +89,7 @@ def test_criterion_01_fubini_agreement(capsys):
     src = SourceWaveform(p0=1e6, f0=1e6)
     x_shock = shock_formation_distance(WATER, src)
     grid = PlaneWaveGrid(n_time=1024, n_steps=400, dz=0.5 * x_shock / 400, z_max=0.5 * x_shock)
-    z, ratios = westervelt_harmonic_curve(WATER, src, grid, n_max=3)
+    z, ratios, _ = westervelt_harmonic_curve(WATER, src, grid, n_max=3)
     worst = 0.0
     for sigma in (0.1, 0.3, 0.5):
         for n in (1, 2, 3):

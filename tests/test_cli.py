@@ -1,5 +1,7 @@
 import csv
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -87,6 +89,8 @@ horizon = 16
 epochs = 4
 minibatch = 32
 """
+
+BENCH_CFG = "[bench]\ndurations = 3\nfs = 16000\nn_mics = 4\n"
 
 
 @pytest.fixture(autouse=True)
@@ -240,18 +244,6 @@ def test_localize_known_source(tmp_path):
     assert float(row["err_deg"]) <= 1.0
 
 
-def test_localize_parallel_matches_serial(tmp_path):
-    code_a, out_a = run_cli(tmp_path, "localize", LOCALIZE_CFG)
-    cfg = tmp_path / "par.ini"
-    cfg.write_text(LOCALIZE_CFG)
-    out_b = tmp_path / "out_par"
-    code_b = cli.main(
-        ["localize", "--config", str(cfg), "--out", str(out_b), "--parallel", "3"]
-    )
-    assert code_a == code_b == 0
-    assert (out_a / "doa.csv").read_bytes() == (out_b / "doa.csv").read_bytes()
-
-
 def test_localize_rejects_explicit_pos_with_many_scenes(tmp_path):
     cfg = LOCALIZE_CFG.replace("[scene]", "[scene]\nsource_pos = 4, 3, 1.2")
     code, _ = run_cli(tmp_path, "localize", cfg)
@@ -275,8 +267,7 @@ def test_train_writes_curve_and_loadable_policy(tmp_path):
 
 
 def test_bench_single_bucket(tmp_path):
-    cfg = "[bench]\ndurations = 3\nfs = 16000\nn_mics = 4\n"
-    code, out = run_cli(tmp_path, "bench", cfg)
+    code, out = run_cli(tmp_path, "bench", BENCH_CFG)
     assert code == 0
     rows = read_rows(out / "rtf.csv")
     assert len(rows) == 1
@@ -347,15 +338,6 @@ def test_invalid_log_level_exits_one(tmp_path, monkeypatch):
     assert code == 1
 
 
-def test_bad_parallel_value(tmp_path):
-    cfg = tmp_path / "l.ini"
-    cfg.write_text(LOCALIZE_CFG)
-    code = cli.main(
-        ["localize", "--config", str(cfg), "--out", str(tmp_path / "o"), "--parallel", "0"]
-    )
-    assert code == 1
-
-
 def _run_module(tmp_path, command, cfg_text):
     """``python -m nars.cli`` in a fresh process, so stderr holds every log line."""
     cfg = tmp_path / f"{command}.ini"
@@ -378,18 +360,36 @@ def _assert_one_error_line(proc):
 
 
 @pytest.mark.parametrize(
-    "command, cfg_text",
+    "command, key, cfg_text",
     [
-        ("train", TRAIN_CFG + "m_bands = 36\n"),
-        ("frontend", FRONTEND_CFG.replace("snr_db = 10", "snr_db = nan")),
+        ("train", "m_bands", TRAIN_CFG + "m_bands = 36\n"),
+        ("frontend", "snr_db", FRONTEND_CFG.replace("snr_db = 10", "snr_db = nan")),
+        ("frontend", "aec_taps", FRONTEND_CFG.replace("aec_taps = 4", "aec_taps = 0")),
+        ("frontend", "aec_taps", FRONTEND_CFG.replace("aec_taps = 4", "aec_taps = -2")),
+        ("frontend", "mu", FRONTEND_CFG.replace("mu = 0.5", "mu = 3")),
+        ("bench", "aec_taps", BENCH_CFG + "aec_taps = 0\n"),
+        ("bench", "n_mics", BENCH_CFG.replace("n_mics = 4", "n_mics = 1")),
+        ("bench", "fs", BENCH_CFG.replace("fs = 16000", "fs = 16000.7")),
+        ("scene", "fs", SCENE_CFG.replace("fs = 16000", "fs = 16000.7")),
     ],
-    ids=["train-m_bands-36", "frontend-snr_db-nan"],
+    ids=[
+        "train-m_bands-36",
+        "frontend-snr_db-nan",
+        "frontend-aec_taps-0",
+        "frontend-aec_taps--2",
+        "frontend-mu-3",
+        "bench-aec_taps-0",
+        "bench-n_mics-1",
+        "bench-fs-16000.7",
+        "scene-fs-16000.7",
+    ],
 )
-def test_bad_config_value_exits_one_with_one_log_line(tmp_path, command, cfg_text):
+def test_bad_config_value_exits_one_with_one_log_line(tmp_path, command, key, cfg_text):
     proc, out = _run_module(tmp_path, command, cfg_text)
     assert proc.returncode == 1
     _assert_one_error_line(proc)
-    assert not out.exists() or not any(out.iterdir())
+    assert key in proc.stderr
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -422,3 +422,17 @@ def test_exit_code_taxonomy():
     assert errors.NumericalError("x").exit_code == 3
     assert errors.DivergenceError("x").exit_code == 3
     assert errors.ValidityError("x").exit_code == 4
+
+
+def test_readme_commands_parse_and_name_existing_configs():
+    root = Path(__file__).resolve().parents[1]
+    blocks = re.findall(r"```sh\n(.*?)```", (root / "README.md").read_text(), flags=re.S)
+    commands = [ln for b in blocks for ln in b.splitlines() if ln.startswith("nars ")]
+    assert {line.split()[1] for line in commands} == set(cli._COMMANDS)
+    parser = cli._build_parser()
+    for line in commands:
+        try:
+            args = parser.parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {line}")
+        assert (root / args.config).is_file(), line

@@ -14,7 +14,6 @@ from nars.frontend import (
     BandGainProfile,
     FilterBankSpec,
     MicArrayGeometry,
-    MixtureWeights,
     SubbandState,
     aec_process,
     apply_spectral_mask,
@@ -23,16 +22,16 @@ from nars.frontend import (
     beamform_das,
     circular_array,
     das_weights,
-    dynamic_mix,
+    enhance,
     erle_db,
     fb_analyze,
     fb_synthesize,
     make_aec,
-    snr_mixture_weights,
+    scenario_geometry,
     srp_localize,
     steering_delays,
 )
-from nars.scene import si_snr, synth_noise
+from nars.scene import RoomSpec, ScenarioConfig, render_scene, si_snr, synth_noise
 
 FS = 16000.0
 BANK = FilterBankSpec(m_bands=64, hop=32, fs=FS)
@@ -132,8 +131,8 @@ def synthetic_states(n_frames=1500, m_bands=16, seed=0, path=(0.8, 0.3)):
     mic = np.zeros_like(far)
     for lag, g in enumerate(path):
         mic[:, lag:] += g * far[:, : n_frames - lag]
-    fstate = SubbandState(bands=far, frame_index=n_frames, n_samples=n_frames * 8)
-    mstate = SubbandState(bands=mic, frame_index=n_frames, n_samples=n_frames * 8)
+    fstate = SubbandState(bands=far, n_samples=n_frames * 8)
+    mstate = SubbandState(bands=mic, n_samples=n_frames * 8)
     return fstate, mstate
 
 
@@ -168,8 +167,8 @@ def test_aec_streaming_matches_batch():
     state = make_aec(16, 4, mu=0.5)
     chunks = []
     for lo in range(0, 300, 75):
-        f = SubbandState(bands=far.bands[:, lo : lo + 75], frame_index=lo + 75, n_samples=0)
-        m = SubbandState(bands=mic.bands[:, lo : lo + 75], frame_index=lo + 75, n_samples=0)
+        f = SubbandState(bands=far.bands[:, lo : lo + 75], n_samples=0)
+        m = SubbandState(bands=mic.bands[:, lo : lo + 75], n_samples=0)
         out, state = aec_process(state, f, m)
         chunks.append(out.bands)
     assert np.allclose(np.concatenate(chunks, axis=1), res_a.bands, atol=1e-12)
@@ -179,10 +178,10 @@ def test_aec_validation():
     far, mic = synthetic_states(n_frames=40)
     with pytest.raises(ConfigurationError):
         aec_process(make_aec(8, 4), far, mic)  # band count mismatch
-    short = SubbandState(bands=mic.bands[:, :20], frame_index=20, n_samples=0)
+    short = SubbandState(bands=mic.bands[:, :20], n_samples=0)
     with pytest.raises(FramingError):
         aec_process(make_aec(16, 4), far, short)
-    bad = SubbandState(bands=mic.bands * np.nan, frame_index=40, n_samples=0)
+    bad = SubbandState(bands=mic.bands * np.nan, n_samples=0)
     with pytest.raises(DataError):
         aec_process(make_aec(16, 4), far, bad)
     with pytest.raises(DomainError):
@@ -199,10 +198,10 @@ def test_aec_weights_bounded_property(mu, seed):
 
 
 def test_erle_definition():
-    mic = SubbandState(bands=np.ones((8, 10), dtype=complex), frame_index=10, n_samples=0)
-    res = SubbandState(bands=np.full((8, 10), 0.1, dtype=complex), frame_index=10, n_samples=0)
+    mic = SubbandState(bands=np.ones((8, 10), dtype=complex), n_samples=0)
+    res = SubbandState(bands=np.full((8, 10), 0.1, dtype=complex), n_samples=0)
     assert erle_db(mic, res) == pytest.approx(20.0, abs=1e-9)
-    silent = SubbandState(bands=np.zeros((8, 10), dtype=complex), frame_index=10, n_samples=0)
+    silent = SubbandState(bands=np.zeros((8, 10), dtype=complex), n_samples=0)
     assert erle_db(mic, silent) == np.inf
 
 
@@ -421,47 +420,49 @@ def test_band_gain_validation():
                         g_min=0.05, g_max=4.0, noise_ref=1.0)
 
 
-def test_dynamic_mix_identity_on_one_hot():
-    ch = np.random.default_rng(12).standard_normal((3, 50))
-    alpha = np.zeros((3, 50))
-    alpha[1] = 1.0
-    assert np.array_equal(dynamic_mix(MixtureWeights(alpha=alpha), ch), ch[1])
+# === the front-end chain ===
 
 
-@settings(max_examples=20, deadline=None)
-@given(seed=st.integers(0, 200))
-def test_dynamic_mix_convex_hull_property(seed):
-    rng = np.random.default_rng(seed)
-    ch = np.repeat(rng.standard_normal((4, 1)), 30, axis=1)  # per-channel constants
-    w = rng.random((4, 30))
-    w /= w.sum(axis=0)
-    y = dynamic_mix(MixtureWeights(alpha=w), ch)
-    assert np.all(y <= ch.max(axis=0) + 1e-12)
-    assert np.all(y >= ch.min(axis=0) - 1e-12)
+@pytest.fixture(scope="module")
+def short_scene():
+    """0.25 s of an 8-mic, 5 cm circle with an echo path."""
+    mics = circular_array(8, 0.05, center=(3.0, 2.5, 1.2)).positions.tolist()
+    scenario = ScenarioConfig(
+        room=RoomSpec(dims=(6.0, 5.0, 3.0), reflection=0.4, max_order=1, fs=FS),
+        source_pos=(1.5, 3.5, 1.5),
+        mic_positions=tuple(map(tuple, mics)),
+        noise_kind="white",
+        snr_db=10.0,
+        seed=5,
+        duration=0.25,
+        echo_pos=(5.0, 1.0, 1.3),
+    )
+    return scenario_geometry(scenario), render_scene(scenario)
 
 
-def test_mixture_weights_validation():
-    with pytest.raises(DomainError):
-        MixtureWeights(alpha=np.full((2, 10), 0.7))  # columns sum to 1.4
-    with pytest.raises(DomainError):
-        MixtureWeights(alpha=np.array([[1.5], [-0.5]]))  # negative entry
+@pytest.mark.parametrize("with_far, with_gains", [(False, False), (True, False), (True, True)])
+def test_enhance_equals_the_hand_written_chain(short_scene, with_far, with_gains):
+    geom, r = short_scene
+    far_sub = fb_analyze(BANK, r.far_end) if with_far else None
+    gains = np.linspace(0.1, 1.0, BANK.m_bands) if with_gains else None
+    mic_sub, out_sub, y = enhance(
+        geom, BANK, r.mics, 40.0, far_sub, mu=0.3, aec_taps=3, band_gains=gains
+    )
 
+    want_mic = fb_analyze(BANK, beamform_das(geom, das_weights(geom, 40.0), r.mics))
+    want_out = want_mic
+    if with_far:
+        want_out, _ = aec_process(make_aec(BANK.m_bands, 3, mu=0.3), far_sub, want_mic)
+    if with_gains:
+        mask = np.broadcast_to(gains[:, None], want_out.bands.shape)
+        want_out = apply_spectral_mask(want_out, mask)
+    want_y = fb_synthesize(BANK, want_out)
 
-def test_dynamic_mix_shape_mismatch():
-    w = MixtureWeights(alpha=np.full((2, 10), 0.5))
-    with pytest.raises(FramingError):
-        dynamic_mix(w, np.zeros((2, 11)))
-
-
-def test_snr_mixture_prefers_clean_channel():
-    rng = np.random.default_rng(13)
-    clean = synth_noise("babble_surrogate", 0.5, FS, seed=14)
-    ch = np.stack([clean + 0.05 * rng.standard_normal(len(clean)),
-                   clean + 1.0 * rng.standard_normal(len(clean))])
-    w = snr_mixture_weights(ch, noise_power=np.array([0.05**2, 1.0]))
-    mixed = dynamic_mix(w, ch)
-    assert si_snr(clean, mixed) >= si_snr(clean, ch[1])
-    assert np.mean(w.alpha[0]) > 0.8  # leans hard on the clean channel
+    assert mic_sub.bands.tobytes() == want_mic.bands.tobytes()
+    assert out_sub.bands.tobytes() == want_out.bands.tobytes()
+    assert y.tobytes() == want_y.tobytes()
+    assert y.shape == (r.mics.shape[1],)
+    assert with_far or with_gains or out_sub is mic_sub
 
 
 # === fractional delays ===

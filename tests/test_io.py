@@ -198,8 +198,20 @@ def test_artifact_set_discards_on_failure(tmp_path):
             with open(art.path("a.txt"), "w") as fh:
                 fh.write("partial")
             raise RuntimeError("boom")
-    assert not (out / "a.txt").exists()
-    assert not any(p.name.startswith(".stage-") for p in out.iterdir())
+    assert not out.exists()  # the set made it, so the set takes it back
+
+
+def test_artifact_set_failure_keeps_a_directory_it_did_not_create(tmp_path):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "keep.txt").write_text("earlier run")
+    with pytest.raises(RuntimeError):
+        with ArtifactSet(out) as art:
+            with open(art.path("keep.txt"), "w") as fh:
+                fh.write("partial")
+            raise RuntimeError("boom")
+    assert [p.name for p in out.iterdir()] == ["keep.txt"]
+    assert (out / "keep.txt").read_text() == "earlier run"
 
 
 def test_artifact_set_nested_paths(tmp_path):

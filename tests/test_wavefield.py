@@ -109,7 +109,7 @@ def test_rayleigh_distance():
 
 
 def test_westervelt_matches_fubini():
-    z, ratios = westervelt_harmonic_curve(WATER, SRC_1MPA, plane_grid(0.3), n_max=3)
+    z, ratios, _ = westervelt_harmonic_curve(WATER, SRC_1MPA, plane_grid(0.3), n_max=3)
     for n in (1, 2, 3):
         assert ratios[-1][n - 1] == pytest.approx(FUBINI_TABLE[(n, 0.3)], rel=1e-2)
 
@@ -118,7 +118,7 @@ def test_westervelt_second_harmonic_slope():
     # d|p2|/dz -> beta * omega * p0^2 / (2 rho0 c^3) for sigma << 1
     src = SourceWaveform(p0=5e5, f0=1e6)
     grid = plane_grid(0.01, n_steps=20, src=src)
-    z, ratios = westervelt_harmonic_curve(WATER, src, grid, n_max=2)
+    z, ratios, _ = westervelt_harmonic_curve(WATER, src, grid, n_max=2)
     slope = np.polyfit(z, ratios[:, 1] * src.p0, 1)[0]
     expect = WATER.beta * 2 * np.pi * src.f0 * src.p0**2 / (2 * WATER.rho0 * WATER.c**3)
     assert slope == pytest.approx(expect, rel=1e-3)
@@ -132,7 +132,7 @@ def test_westervelt_refuses_shock_regime():
 def test_westervelt_linear_regime_no_harmonics():
     linear = Medium(rho0=1000.0, c=1500.0, beta=0.0)
     grid = PlaneWaveGrid(n_time=256, n_steps=20, dz=0.01, z_max=0.2)
-    z, ratios = westervelt_harmonic_curve(linear, SRC_1MPA, grid, n_max=3)
+    z, ratios, _ = westervelt_harmonic_curve(linear, SRC_1MPA, grid, n_max=3)
     assert np.all(ratios[:, 1:] <= 1e-12)
     assert ratios[-1][0] == pytest.approx(1.0, rel=1e-12)
 
@@ -161,7 +161,7 @@ def test_westervelt_resolution_convergence():
     # finer time sampling reduces the Fubini mismatch
     errs = []
     for n_time in (128, 512):
-        z, ratios = westervelt_harmonic_curve(
+        z, ratios, _ = westervelt_harmonic_curve(
             WATER, SRC_1MPA, plane_grid(0.5, n_time=n_time), n_max=2
         )
         errs.append(abs(ratios[-1][1] - FUBINI_TABLE[(2, 0.5)]))
