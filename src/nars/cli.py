@@ -31,7 +31,6 @@ from . import io
 from .errors import ConfigurationError, DataError, NarsError
 from .frontend import (
     AzimuthGrid,
-    FilterBankSpec,
     azimuth_error_deg,
     circular_array,
     enhance,
@@ -210,10 +209,10 @@ def cmd_frontend(args) -> None:
     conf = cfg.load_config(args.config)
     seed = cfg.effective_seed(conf, args.seed)
     scenario = cfg.build_scenario(conf, seed)
-    params = cfg.build_frontend(conf)
+    params = cfg.build_frontend(conf, scenario.room.fs)
     conf.finish()
     geom = scenario_geometry(scenario)
-    spec = FilterBankSpec(m_bands=params.m_bands, hop=params.hop, fs=scenario.room.fs)
+    spec = params.bank
 
     rendered = render_scene(scenario)
 
@@ -359,8 +358,7 @@ def cmd_bench(args) -> None:
     durations = conf.get_floats("bench", "durations", (3.0, 7.0, 15.0, 25.0, 35.0))
     fs = conf.get_fs("bench", 16000.0)
     n_mics = conf.get_int("bench", "n_mics", 8)
-    m_bands = conf.get_int("bench", "m_bands", 64)
-    hop = conf.get_int("bench", "hop", m_bands // 2)
+    spec = cfg.build_bank(conf, "bench", fs)
     aec_taps = conf.get_int("bench", "aec_taps", 4)
     conf.finish()
     conf.check(n_mics >= 2, "bench", "n_mics", "must be at least 2")
@@ -371,7 +369,6 @@ def cmd_bench(args) -> None:
         raise ConfigurationError("[bench] durations must be positive")
 
     geom = circular_array(n_mics, 0.05, fs=fs)
-    spec = FilterBankSpec(m_bands=m_bands, hop=hop, fs=fs)
 
     with _artifacts(args.out, conf) as art:
         corpus = []

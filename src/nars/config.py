@@ -18,7 +18,7 @@ import numpy as np
 
 from . import io
 from .errors import ConfigurationError
-from .frontend import circular_array
+from .frontend import FilterBankSpec, circular_array
 from .rl import RewardWeights
 from .scene import NOISE_KINDS, RoomSpec, ScenarioConfig
 from .wavefield import Medium, SourceWaveform
@@ -214,25 +214,27 @@ def build_mic_positions(conf: Conf) -> list[tuple[float, float, float]]:
     if conf.has_section("mics"):
         rows = conf.section_items("mics")
         if not all(key.isdigit() for key, _ in rows):
-            raise ConfigurationError("[mics] keys must be mic indices 0, 1, ...")
+            raise ConfigurationError(f"{conf.path}: [mics] keys must be mic indices 0, 1, ...")
         positions = []
         for key, raw in sorted(rows, key=lambda kv: int(kv[0])):
             try:
                 vals = tuple(_finite_float(t) for t in raw.replace(",", " ").split())
             except ValueError:
-                raise ConfigurationError(f"[mics] {key} needs finite numbers, not {raw!r}")
+                raise ConfigurationError(
+                    f"{conf.path}: [mics] {key} needs finite numbers, not {raw!r}"
+                )
             if len(vals) != 3:
-                raise ConfigurationError(f"[mics] {key} needs exactly 3 coordinates")
+                raise ConfigurationError(f"{conf.path}: [mics] {key} needs exactly 3 coordinates")
             conf._record("mics", key, vals)
             positions.append(vals)
-        if not positions:
-            raise ConfigurationError("[mics] section is empty")
+        if len(positions) < 2:
+            raise ConfigurationError(f"{conf.path}: [mics] needs at least two mics for SRP")
         return positions
     center = conf.get_vec3("array", "center")
     radius = conf.get_float("array", "radius")
     n_mics = conf.get_int("array", "n_mics")
-    if n_mics < 1 or radius <= 0:
-        raise ConfigurationError("[array] needs n_mics >= 1 and radius > 0")
+    conf.check(n_mics >= 2, "array", "n_mics", "must be at least 2 for SRP")
+    conf.check(radius > 0, "array", "radius", "must be positive")
     return [tuple(p) for p in circular_array(n_mics, radius, center=center).positions.tolist()]
 
 
@@ -252,20 +254,27 @@ def build_scenario(conf: Conf, seed: int) -> ScenarioConfig:
     )
 
 
+def build_bank(conf: Conf, section: str, fs: float) -> FilterBankSpec:
+    """The bank of ``[section] m_bands``/``hop``; FilterBankSpec's errors name the keys."""
+    m_bands = conf.get_int(section, "m_bands", 64)
+    hop = conf.get_int(section, "hop", m_bands // 2)
+    try:
+        return FilterBankSpec(m_bands=m_bands, hop=hop, fs=fs)
+    except ConfigurationError as e:
+        raise ConfigurationError(f"{conf.path}: [{section}] m_bands/hop: {e}") from None
+
+
 @dataclass(frozen=True)
 class FrontendParams:
-    m_bands: int
-    hop: int
+    bank: FilterBankSpec
     aec_taps: int
     mu: float
     steer_deg: float | None  # None = steer from the SRP estimate
 
 
-def build_frontend(conf: Conf) -> FrontendParams:
-    m_bands = conf.get_int("frontend", "m_bands", 64)
+def build_frontend(conf: Conf, fs: float) -> FrontendParams:
     params = FrontendParams(
-        m_bands=m_bands,
-        hop=conf.get_int("frontend", "hop", m_bands // 2),
+        bank=build_bank(conf, "frontend", fs),
         aec_taps=conf.get_int("frontend", "aec_taps", 4),
         mu=conf.get_float("frontend", "mu", 0.5),
         steer_deg=conf.get_float("frontend", "steer_deg", None),

@@ -55,8 +55,6 @@ def _dual_window(h: np.ndarray, m_bands: int, hop: int) -> np.ndarray:
     """
     P = len(h)
     M, L = m_bands, hop
-    if M % L:
-        raise ConfigurationError("dual design requires hop to divide m_bands")
     rho = M // L
     K = P // L
     q_max = (P - 1) // M  # |q| beyond this cannot overlap
@@ -83,8 +81,9 @@ class FilterBankSpec:
     m_bands: int
     hop: int
     fs: float
-    prototype: np.ndarray = field(repr=False, default=None)
-    dual: np.ndarray = field(repr=False, default=None)
+    # derived from (m_bands, hop), so they take no part in equality or hashing
+    prototype: np.ndarray = field(init=False, repr=False, compare=False)
+    dual: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.m_bands < 2 or self.hop < 1:
@@ -95,14 +94,9 @@ class FilterBankSpec:
             raise ConfigurationError("hop must divide m_bands")
         if self.fs <= 0:
             raise ConfigurationError("fs must be positive")
-        if self.prototype is None:
-            object.__setattr__(self, "prototype", _design_prototype(self.m_bands, self.hop, 8))
-        if len(self.prototype) % self.m_bands:
-            raise ConfigurationError("prototype length must be a multiple of m_bands")
-        if self.dual is None:
-            object.__setattr__(self, "dual", _dual_window(self.prototype, self.m_bands, self.hop))
-        if self.dual.shape != self.prototype.shape:
-            raise ConfigurationError("dual window must match the prototype length")
+        prototype = _design_prototype(self.m_bands, self.hop, 8)
+        object.__setattr__(self, "prototype", prototype)
+        object.__setattr__(self, "dual", _dual_window(prototype, self.m_bands, self.hop))
 
     @property
     def n_taps(self) -> int:
@@ -156,27 +150,25 @@ def fb_synthesize(spec: FilterBankSpec, state: SubbandState) -> np.ndarray:
 
 # === per-band NLMS echo canceller ===
 
+AEC_EPS_REG = 1e-6  # regularizes the NLMS step against a silent far end
+
 
 @dataclass
 class SubbandAecState:
     weights: np.ndarray  # (m_bands, n_taps) complex
     far_hist: np.ndarray  # (m_bands, n_taps) complex, newest first
     mu: float
-    eps_reg: float
 
     def __post_init__(self):
         if not 0.0 <= self.mu <= 2.0:
             raise DomainError("step size mu must lie in [0, 2]")
-        if self.eps_reg <= 0:
-            raise DomainError("eps_reg must be positive")
 
 
-def make_aec(m_bands: int, n_taps: int, mu: float = 0.5, eps_reg: float = 1e-6) -> SubbandAecState:
+def make_aec(m_bands: int, n_taps: int, mu: float = 0.5) -> SubbandAecState:
     return SubbandAecState(
         weights=np.zeros((m_bands, n_taps), dtype=np.complex128),
         far_hist=np.zeros((m_bands, n_taps), dtype=np.complex128),
         mu=mu,
-        eps_reg=eps_reg,
     )
 
 
@@ -187,7 +179,7 @@ def aec_process(
 
     Per band: estimate = W . far_history, error = mic - estimate, then the
     normalized update W += mu * conj(far_hist) * error / (||far_hist||^2 +
-    eps_reg). Returns the echo-reduced subbands and the updated state; the
+    AEC_EPS_REG). Returns the echo-reduced subbands and the updated state; the
     input state is not mutated.
     """
     if far.bands.shape[0] != mic.bands.shape[0] or far.bands.shape[0] != state.weights.shape[0]:
@@ -198,7 +190,7 @@ def aec_process(
         raise DataError("non-finite subband samples")
     w = state.weights.copy()
     hist = state.far_hist.copy()
-    mu, eps = state.mu, state.eps_reg
+    mu = state.mu
     n_frames = mic.bands.shape[1]
     out = np.empty_like(mic.bands)
     for k in range(n_frames):
@@ -208,9 +200,9 @@ def aec_process(
         err = mic.bands[:, k] - est
         out[:, k] = err
         if mu != 0.0:
-            norm = np.einsum("bt,bt->b", hist, np.conj(hist)).real + eps
+            norm = np.einsum("bt,bt->b", hist, np.conj(hist)).real + AEC_EPS_REG
             w += mu * np.conj(hist) * (err / norm)[:, None]
-    new_state = SubbandAecState(weights=w, far_hist=hist, mu=mu, eps_reg=eps)
+    new_state = SubbandAecState(weights=w, far_hist=hist, mu=mu)
     return SubbandState(bands=out, n_samples=mic.n_samples), new_state
 
 

@@ -36,13 +36,12 @@ def is_wav_rate(fs: float) -> bool:
     return 0 < fs <= 2**31 - 1 and fs == int(fs)
 
 
-def write_wav(path, fs: float, data: np.ndarray, fmt: str = "float32") -> None:
-    """Mono or interleaved multichannel WAV; fmt is "float32" or "pcm16".
+def write_wav(path, fs: float, data: np.ndarray) -> None:
+    """Mono or interleaved multichannel float32 WAV.
 
     ``fs`` must be a whole number of Hz, as the WAV header stores an integer.
 
     Multichannel input is (n_channels, n_samples) and is interleaved on disk.
-    pcm16 expects data within [-1, 1] and scales to full range.
     """
     data = np.asarray(data)
     if data.ndim == 2:
@@ -51,15 +50,7 @@ def write_wav(path, fs: float, data: np.ndarray, fmt: str = "float32") -> None:
         raise DataError("audio must be 1-D or (n_channels, n_samples)")
     if not is_wav_rate(fs):
         raise DataError(f"sample rate {fs!r} is not a whole number of Hz representable in WAV")
-    rate = int(fs)
-    if fmt == "float32":
-        wavfile.write(path, rate, data.astype(np.float32))
-    elif fmt == "pcm16":
-        if np.any(np.abs(data) > 1.0):
-            raise DataError("pcm16 data must lie within [-1, 1]")
-        wavfile.write(path, rate, np.round(data * 32767.0).astype(np.int16))
-    else:
-        raise ConfigurationError(f"unknown WAV format {fmt!r}")
+    wavfile.write(path, int(fs), data.astype(np.float32))
 
 
 def read_wav(path) -> tuple[float, np.ndarray]:

@@ -36,6 +36,7 @@ from .frontend import (
 from .scene import ScenarioConfig, RenderedScene, render_scene, si_snr
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
+VF_COEF = 0.5  # weight of the value loss in the PPO objective
 
 
 # === policy ===
@@ -226,10 +227,8 @@ def objective_and_grad(
     old_logp: np.ndarray,
     adv: np.ndarray,
     ret: np.ndarray,
-    *,
-    vf_coef: float = 0.5,
 ) -> tuple[float, np.ndarray, dict]:
-    """Clipped surrogate minus value loss, with its exact gradient.
+    """Clipped surrogate minus VF_COEF times the value loss, with its exact gradient.
 
     Gradient ascent direction; verified against central finite differences
     in the acceptance gate.
@@ -256,7 +255,7 @@ def objective_and_grad(
     hv = np.tanh(zv1)
     v = (hv @ b["Wv2"].T + b["bv2"])[:, 0]
     v_err = v - ret
-    j = j_pg - vf_coef * float(np.mean(v_err**2))
+    j = j_pg - VF_COEF * float(np.mean(v_err**2))
 
     # backward pass
     grad = {name: np.zeros_like(arr) for name, arr in b.items()}
@@ -272,7 +271,7 @@ def objective_and_grad(
     grad["W1"] = d_z1.T @ obs
     grad["b1"] = d_z1.sum(axis=0)
 
-    d_v = -vf_coef * 2.0 * v_err / N
+    d_v = -VF_COEF * 2.0 * v_err / N
     grad["Wv2"] = (d_v[:, None] * hv).sum(axis=0)[None, :]
     grad["bv2"] = np.array([d_v.sum()])
     d_hv = d_v[:, None] * b["Wv2"][0][None, :]
@@ -304,7 +303,6 @@ def ppo_update(
     *,
     epochs: int = 4,
     minibatch: int = 64,
-    vf_coef: float = 0.5,
     rng: np.random.Generator | None = None,
 ) -> tuple[PolicyParams, dict]:
     """One update over a batch of trajectories; returns a new PolicyParams.
@@ -336,16 +334,14 @@ def ppo_update(
         order = rng.permutation(n)
         for lo in range(0, n, minibatch):
             sel = order[lo : lo + minibatch]
-            _, g, _ = objective_and_grad(
-                new, obs[sel], act[sel], logp[sel], adv[sel], ret[sel], vf_coef=vf_coef
-            )
+            _, g, _ = objective_and_grad(new, obs[sel], act[sel], logp[sel], adv[sel], ret[sel])
             t_step += 1
             m = 0.9 * m + 0.1 * g
             s = 0.999 * s + 0.001 * g**2
             m_hat = m / (1.0 - 0.9**t_step)
             s_hat = s / (1.0 - 0.999**t_step)
             theta += p.lr * m_hat / (np.sqrt(s_hat) + 1e-8)
-    _, _, diag = objective_and_grad(new, obs, act, logp, adv, ret, vf_coef=vf_coef)
+    _, _, diag = objective_and_grad(new, obs, act, logp, adv, ret)
     return new, diag
 
 

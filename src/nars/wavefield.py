@@ -1,12 +1,25 @@
 """Nonlinear acoustic propagation: plane-wave and axisymmetric beam solvers.
 
-Two marching solvers share the same medium description. The plane-wave
-solver evolves one steady-state cycle of a periodic wave in retarded time,
-splitting each range step into an exact lossless distortion substep
-(simple-wave characteristics, resampled onto the uniform time grid) and an
-exact per-harmonic thermoviscous decay. The axisymmetric solver marches
-complex harmonic amplitudes A_n(r, z) with a split of Crank-Nicolson radial
-diffraction, exact absorption, and explicit quadratic harmonic coupling.
+Both solvers march a state along z in steps of dz. Each builds its list of
+named substeps once, before marching, with every coefficient that does not
+change between steps already computed; a substep that would be the identity
+(no loss, or a linear medium) is left out. ``_march`` then applies the list
+once per step. After each substep it raises ``DivergenceError`` naming that
+substep if the state is non-finite or above the solver's limit, and it calls
+``callback(z, state)`` at z = 0 and after every step.
+
+The plane-wave (Westervelt) solver evolves one steady-state cycle of a
+periodic wave in retarded time. Its substeps are an exact lossless
+distortion (simple-wave characteristics resampled onto the uniform time
+grid) when beta > 0, then an exact per-harmonic thermoviscous decay when
+delta > 0. Its limit is 10 max|p(z=0)|.
+
+The axisymmetric (KZK) solver marches complex harmonic amplitudes A_n(r, z)
+with the frequency-domain split-step scheme of Aanonsen et al. (1984). Its
+substeps are Crank-Nicolson radial diffraction per harmonic over dz (with
+Strang splitting, over dz/2 first and last), exact absorption when
+delta > 0, explicit quadratic harmonic coupling when beta > 0, and the
+absorbing edge ramp. Its limit is 10 p0 max(1, max|profile|).
 
 Amplitude convention for the harmonic field: p(r, z, tau) =
 Re{ sum_n A_n(r, z) exp(i n w tau) }, so |A_n| is directly the measured
@@ -75,10 +88,11 @@ class SourceWaveform:
         center = T / 2 + self.phase / (2 * np.pi * self.f0)
         return self.p0 * np.exp(-0.5 * ((t - center) / (T / 12)) ** 2)
 
-    def max_slope(self, n_time: int = 4096) -> float:
-        """Largest |dp/dtau| of one source cycle (exact for sine)."""
+    def max_slope(self) -> float:
+        """Largest |dp/dtau| of one source cycle (exact for sine, else on 4096 samples)."""
         if self.kind == "sine":
             return 2 * np.pi * self.f0 * self.p0
+        n_time = 4096
         p = self.samples(n_time)
         dt = self.period() / n_time
         return float(np.max(np.abs(np.gradient(p, dt))))
@@ -131,14 +145,6 @@ class HarmonicField:
 
     amps: np.ndarray
     z: float
-
-    @property
-    def n_harm(self) -> int:
-        return self.amps.shape[0]
-
-    @property
-    def n_r(self) -> int:
-        return self.amps.shape[1]
 
 
 @dataclass
@@ -218,6 +224,24 @@ def harmonic_spectrum(w: TimeWaveform, f0: float, n_max: int) -> np.ndarray:
     return 2.0 * np.abs(spec[bins]) / n
 
 
+# === the march ===
+
+
+def _march(state, substeps, n_steps: int, dz: float, limit: float, solver: str, callback):
+    """Apply the (name, function) ``substeps`` in order, ``n_steps`` times."""
+    if callback is not None:
+        callback(0.0, state.copy())
+    for step in range(n_steps):
+        for name, apply in substeps:
+            state = apply(state)
+            peak = np.abs(state).max()
+            if not np.isfinite(peak) or peak > limit:
+                raise DivergenceError(f"{solver} march diverged in the {name} substep")
+        if callback is not None:
+            callback((step + 1) * dz, state.copy())
+    return state
+
+
 # === plane-wave solver ===
 
 
@@ -260,24 +284,18 @@ def simulate_westervelt_plane(
     p = src.samples(grid.n_time)
     eps = medium.beta * grid.dz / (medium.rho0 * medium.c**3)
 
-    decay = None
+    substeps = []
+    if medium.beta > 0:
+        substeps.append(("distortion", lambda q: _distort_lossless(q, tau, period, eps)))
     if medium.delta > 0:
-        n_idx = np.arange(grid.n_time // 2 + 1)
-        omega_n = 2 * np.pi * src.f0 * n_idx
+        omega_n = 2 * np.pi * src.f0 * np.arange(grid.n_time // 2 + 1)
         decay = np.exp(-medium.delta * omega_n**2 * grid.dz / (2 * medium.c**3))
+        substeps.append(
+            ("absorption", lambda q: np.fft.irfft(np.fft.rfft(q) * decay, n=grid.n_time))
+        )
 
-    peak0 = np.max(np.abs(p))
-    if callback is not None:
-        callback(0.0, p.copy())
-    for step in range(grid.n_steps):
-        if medium.beta > 0:
-            p = _distort_lossless(p, tau, period, eps)
-        if decay is not None:
-            p = np.fft.irfft(np.fft.rfft(p) * decay, n=grid.n_time)
-        if np.max(np.abs(p)) > 10 * peak0:
-            raise DivergenceError("plane-wave march diverged after the absorption substep")
-        if callback is not None:
-            callback((step + 1) * grid.dz, p.copy())
+    limit = 10 * np.max(np.abs(p))
+    p = _march(p, substeps, grid.n_steps, grid.dz, limit, "plane-wave", callback)
     return TimeWaveform(p, fs=grid.n_time * src.f0)
 
 
@@ -361,68 +379,56 @@ def _quadratic_coupling(amps: np.ndarray) -> np.ndarray:
     return s
 
 
-class _KzkStepper:
-    def __init__(self, medium: Medium, src: SourceWaveform, grid: AxisymGrid):
-        self.medium = medium
-        self.src = src
-        self.grid = grid
-        self.omega = 2 * np.pi * src.f0
-        self._cn_cache: dict[float, list[np.ndarray]] = {}
-        self.lower, self.diag, self.upper = _radial_laplacian_bands(grid.n_r, grid.dr)
-        # quadratic absorbing ramp over the outer 10% of the radius
-        i0 = int(np.floor(0.9 * grid.n_r))
-        ramp = np.zeros(grid.n_r)
-        width_m = (grid.n_r - 1 - i0) * grid.dr
-        if width_m > 0:
-            x = (np.arange(grid.n_r) - i0) / (grid.n_r - 1 - i0)
-            ramp = np.where(x > 0, x**2, 0.0) * (30.0 / width_m)
-        self.edge_rate = ramp
+def _kzk_substeps(medium: Medium, src: SourceWaveform, grid: AxisymGrid, strang: bool) -> list:
+    """The named substeps of one KZK step of dz, each built once."""
+    omega = 2 * np.pi * src.f0
+    n = np.arange(1, grid.n_harm + 1)
+    lower, diag, upper = _radial_laplacian_bands(grid.n_r, grid.dr)
 
-    def _cn_matrices(self, dz: float) -> list[np.ndarray]:
-        """Per-harmonic banded (I + i dz/(4 k_n) L) and RHS bands."""
-        if dz in self._cn_cache:
-            return self._cn_cache[dz]
-        mats = []
-        for n in range(1, self.grid.n_harm + 1):
-            k_n = n * self.omega / self.medium.c
-            coef = 1j * dz / (4 * k_n)
-            ab = np.zeros((3, self.grid.n_r), dtype=np.complex128)
-            ab[0, 1:] = coef * self.upper[:-1]
-            ab[1, :] = 1.0 + coef * self.diag
-            ab[2, :-1] = coef * self.lower[1:]
-            mats.append(ab)
-        self._cn_cache[dz] = mats
-        return mats
+    # Crank-Nicolson per harmonic over h: the banded matrix of (I + i h/(4 k_n) L)
+    # and the three bands of (I - i h/(4 k_n) L) applied to the current state
+    h = grid.dz / 2 if strang else grid.dz
+    bands = []
+    for n_i in range(1, grid.n_harm + 1):
+        k_n = n_i * omega / medium.c
+        coef = 1j * h / (4 * k_n)
+        ab = np.zeros((3, grid.n_r), dtype=np.complex128)
+        ab[0, 1:] = coef * upper[:-1]
+        ab[1, :] = 1.0 + coef * diag
+        ab[2, :-1] = coef * lower[1:]
+        coef = -1j * h / (4 * k_n)
+        bands.append((ab, 1.0 + coef * diag, coef * upper[:-1], coef * lower[1:]))
 
-    def diffract(self, amps: np.ndarray, dz: float) -> np.ndarray:
-        mats = self._cn_matrices(dz)
+    def diffract(amps):
         out = np.empty_like(amps)
-        for idx in range(self.grid.n_harm):
-            k_n = (idx + 1) * self.omega / self.medium.c
-            coef = -1j * dz / (4 * k_n)
+        for idx, (ab, rhs_diag, rhs_upper, rhs_lower) in enumerate(bands):
             a = amps[idx]
-            rhs = (1.0 + coef * self.diag) * a
-            rhs[:-1] += coef * self.upper[:-1] * a[1:]
-            rhs[1:] += coef * self.lower[1:] * a[:-1]
-            out[idx] = solve_banded((1, 1), mats[idx], rhs)
+            rhs = rhs_diag * a
+            rhs[:-1] += rhs_upper * a[1:]
+            rhs[1:] += rhs_lower * a[:-1]
+            out[idx] = solve_banded((1, 1), ab, rhs)
         return out
 
-    def absorb(self, amps: np.ndarray, dz: float) -> np.ndarray:
-        if self.medium.delta == 0:
-            return amps
-        n = np.arange(1, self.grid.n_harm + 1)
-        decay = np.exp(-self.medium.delta * (n * self.omega) ** 2 * dz / (2 * self.medium.c**3))
-        return amps * decay[:, None]
-
-    def nonlinear(self, amps: np.ndarray, dz: float) -> np.ndarray:
-        if self.medium.beta == 0:
-            return amps
-        n = np.arange(1, self.grid.n_harm + 1)
-        gain = 1j * n * self.omega * self.medium.beta / (4 * self.medium.rho0 * self.medium.c**3)
-        return amps + dz * gain[:, None] * _quadratic_coupling(amps)
-
-    def edge_damp(self, amps: np.ndarray, dz: float) -> np.ndarray:
-        return amps * np.exp(-self.edge_rate * dz)[None, :]
+    substeps = [("diffraction", diffract)]
+    if medium.delta > 0:
+        decay = np.exp(-medium.delta * (n * omega) ** 2 * grid.dz / (2 * medium.c**3))[:, None]
+        substeps.append(("absorption", lambda amps: amps * decay))
+    if medium.beta > 0:
+        gain = 1j * n * omega * medium.beta / (4 * medium.rho0 * medium.c**3)
+        gain_dz = grid.dz * gain[:, None]
+        substeps.append(("nonlinearity", lambda amps: amps + gain_dz * _quadratic_coupling(amps)))
+    if strang:
+        substeps.append(substeps[0])
+    # quadratic absorbing ramp over the outer 10% of the radius
+    i0 = int(np.floor(0.9 * grid.n_r))
+    edge_rate = np.zeros(grid.n_r)
+    width_m = (grid.n_r - 1 - i0) * grid.dr
+    if width_m > 0:
+        x = (np.arange(grid.n_r) - i0) / (grid.n_r - 1 - i0)
+        edge_rate = np.where(x > 0, x**2, 0.0) * (30.0 / width_m)
+    edge = np.exp(-edge_rate * grid.dz)[None, :]
+    substeps.append(("edge ramp", lambda amps: amps * edge))
+    return substeps
 
 
 def simulate_kzk_axisym(
@@ -455,36 +461,9 @@ def simulate_kzk_axisym(
         raise DataError("source_profile must be finite on the radial grid")
     amps[0] = src.p0 * prof * np.exp(1j * src.phase)
 
-    stepper = _KzkStepper(medium, src, grid)
+    substeps = _kzk_substeps(medium, src, grid, strang)
     limit = 10 * src.p0 * max(1.0, float(np.max(np.abs(prof))))
-
-    def check(stage: str):
-        m = np.abs(amps).max()
-        if not np.isfinite(m) or m > limit:
-            raise DivergenceError(f"axisymmetric march diverged in the {stage} substep")
-
-    if callback is not None:
-        callback(0.0, amps.copy())
-    for step in range(grid.n_z):
-        if strang:
-            amps = stepper.diffract(amps, grid.dz / 2)
-            check("diffraction")
-            amps = stepper.absorb(amps, grid.dz)
-            check("absorption")
-            amps = stepper.nonlinear(amps, grid.dz)
-            check("nonlinearity")
-            amps = stepper.diffract(amps, grid.dz / 2)
-            check("diffraction")
-        else:
-            amps = stepper.diffract(amps, grid.dz)
-            check("diffraction")
-            amps = stepper.absorb(amps, grid.dz)
-            check("absorption")
-            amps = stepper.nonlinear(amps, grid.dz)
-            check("nonlinearity")
-        amps = stepper.edge_damp(amps, grid.dz)
-        if callback is not None:
-            callback((step + 1) * grid.dz, amps.copy())
+    amps = _march(amps, substeps, grid.n_z, grid.dz, limit, "axisymmetric", callback)
     return HarmonicField(amps, z=grid.n_z * grid.dz)
 
 

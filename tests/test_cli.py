@@ -161,6 +161,16 @@ def test_kzk_artifacts(tmp_path):
     assert field.z == pytest.approx(40 * 0.002)
 
 
+def test_kzk_divergence_exits_three_with_one_log_line(tmp_path):
+    shipped = (Path(__file__).resolve().parents[1] / "configs" / "kzk.ini").read_text()
+    cfg_text = shipped.replace("beta = 0.0", "beta = 3.5").replace("p0 = 1e5", "p0 = 1e9")
+    proc, out = _run_module(tmp_path, "kzk", cfg_text)
+    assert proc.returncode == 3
+    _assert_one_error_line(proc)
+    assert "nonlinearity substep" in proc.stderr
+    assert not out.exists()
+
+
 # === scene ===
 
 
@@ -228,6 +238,10 @@ duration = 0.25
 [localize]
 n_scenes = 6
 """
+
+LOCALIZE_ONE_MIC_CFG = LOCALIZE_CFG.replace(
+    "[array]\ncenter = 3, 2.5, 1.2\nradius = 0.05\nn_mics = 8", "[mics]\n0 = 3, 2.5, 1.2"
+)
 
 
 def test_localize_known_source(tmp_path):
@@ -371,6 +385,10 @@ def _assert_one_error_line(proc):
         ("bench", "n_mics", BENCH_CFG.replace("n_mics = 4", "n_mics = 1")),
         ("bench", "fs", BENCH_CFG.replace("fs = 16000", "fs = 16000.7")),
         ("scene", "fs", SCENE_CFG.replace("fs = 16000", "fs = 16000.7")),
+        ("frontend", "n_mics", FRONTEND_CFG.replace("n_mics = 8", "n_mics = 1")),
+        ("localize", "[mics]", LOCALIZE_ONE_MIC_CFG),
+        ("frontend", "[frontend] m_bands/hop", FRONTEND_CFG.replace("m_bands = 64", "m_bands = 60")),
+        ("bench", "[bench] m_bands/hop", BENCH_CFG + "hop = 0\n"),
     ],
     ids=[
         "train-m_bands-36",
@@ -382,6 +400,10 @@ def _assert_one_error_line(proc):
         "bench-n_mics-1",
         "bench-fs-16000.7",
         "scene-fs-16000.7",
+        "frontend-n_mics-1",
+        "localize-mics-one-row",
+        "frontend-m_bands-60",
+        "bench-hop-0",
     ],
 )
 def test_bad_config_value_exits_one_with_one_log_line(tmp_path, command, key, cfg_text):

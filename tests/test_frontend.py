@@ -50,8 +50,16 @@ def test_bank_spec_validation():
         FilterBankSpec(m_bands=64, hop=48, fs=FS)  # undersampled
     with pytest.raises(ConfigurationError):
         FilterBankSpec(m_bands=60, hop=32, fs=FS)  # hop does not divide m_bands
+    with pytest.raises(ConfigurationError, match="hop must divide m_bands"):
+        FilterBankSpec(m_bands=96, hop=36, fs=FS)  # oversampled, but 36 does not divide 96
     with pytest.raises(ConfigurationError):
         FilterBankSpec(m_bands=64, hop=32, fs=-1.0)
+
+
+def test_bank_specs_compare_by_their_settings():
+    same = FilterBankSpec(m_bands=64, hop=32, fs=FS)
+    assert same == BANK and hash(same) == hash(BANK)
+    assert FilterBankSpec(m_bands=32, hop=16, fs=FS) != BANK
 
 
 def test_bank_round_trip_white_noise():

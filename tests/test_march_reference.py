@@ -1,0 +1,167 @@
+"""The substep march against an inline copy of the per-step solvers it replaced.
+
+The reference below rebuilds every coefficient inside each step, writes the
+Strang and first-order sequences out separately and runs its own Westervelt
+loop. ``simulate_kzk_axisym`` and ``westervelt_harmonic_curve`` must agree
+with it bit for bit, in the final state and in every callback state.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+from scipy.linalg import solve_banded
+
+from nars.errors import DivergenceError
+from nars.wavefield import (
+    AxisymGrid,
+    Medium,
+    PlaneWaveGrid,
+    SourceWaveform,
+    TimeWaveform,
+    _distort_lossless,
+    _quadratic_coupling,
+    _radial_laplacian_bands,
+    gaussian_profile,
+    harmonic_spectrum,
+    rayleigh_distance,
+    shock_formation_distance,
+    simulate_kzk_axisym,
+    westervelt_harmonic_curve,
+)
+
+
+class _ReferenceKzk:
+    def __init__(self, medium, src, grid):
+        self.medium, self.grid = medium, grid
+        self.omega = 2 * np.pi * src.f0
+        self.lower, self.diag, self.upper = _radial_laplacian_bands(grid.n_r, grid.dr)
+        i0 = int(np.floor(0.9 * grid.n_r))
+        ramp = np.zeros(grid.n_r)
+        width_m = (grid.n_r - 1 - i0) * grid.dr
+        if width_m > 0:
+            x = (np.arange(grid.n_r) - i0) / (grid.n_r - 1 - i0)
+            ramp = np.where(x > 0, x**2, 0.0) * (30.0 / width_m)
+        self.edge_rate = ramp
+
+    def diffract(self, amps, dz):
+        out = np.empty_like(amps)
+        for idx in range(self.grid.n_harm):
+            k_n = (idx + 1) * self.omega / self.medium.c
+            coef = 1j * dz / (4 * k_n)
+            ab = np.zeros((3, self.grid.n_r), dtype=np.complex128)
+            ab[0, 1:] = coef * self.upper[:-1]
+            ab[1, :] = 1.0 + coef * self.diag
+            ab[2, :-1] = coef * self.lower[1:]
+            coef = -1j * dz / (4 * k_n)
+            a = amps[idx]
+            rhs = (1.0 + coef * self.diag) * a
+            rhs[:-1] += coef * self.upper[:-1] * a[1:]
+            rhs[1:] += coef * self.lower[1:] * a[:-1]
+            out[idx] = solve_banded((1, 1), ab, rhs)
+        return out
+
+    def absorb(self, amps, dz):
+        if self.medium.delta == 0:
+            return amps
+        n = np.arange(1, self.grid.n_harm + 1)
+        decay = np.exp(-self.medium.delta * (n * self.omega) ** 2 * dz / (2 * self.medium.c**3))
+        return amps * decay[:, None]
+
+    def nonlinear(self, amps, dz):
+        if self.medium.beta == 0:
+            return amps
+        n = np.arange(1, self.grid.n_harm + 1)
+        gain = 1j * n * self.omega * self.medium.beta / (4 * self.medium.rho0 * self.medium.c**3)
+        return amps + dz * gain[:, None] * _quadratic_coupling(amps)
+
+    def edge_damp(self, amps, dz):
+        return amps * np.exp(-self.edge_rate * dz)[None, :]
+
+
+def _reference_kzk(medium, src, profile, grid, strang):
+    stepper = _ReferenceKzk(medium, src, grid)
+    amps = np.zeros((grid.n_harm, grid.n_r), dtype=np.complex128)
+    amps[0] = src.p0 * np.asarray(profile(grid.r), dtype=np.float64) * np.exp(1j * src.phase)
+    states = [amps.copy()]
+    for _ in range(grid.n_z):
+        if strang:
+            amps = stepper.diffract(amps, grid.dz / 2)
+            amps = stepper.absorb(amps, grid.dz)
+            amps = stepper.nonlinear(amps, grid.dz)
+            amps = stepper.diffract(amps, grid.dz / 2)
+        else:
+            amps = stepper.diffract(amps, grid.dz)
+            amps = stepper.absorb(amps, grid.dz)
+            amps = stepper.nonlinear(amps, grid.dz)
+        amps = stepper.edge_damp(amps, grid.dz)
+        states.append(amps.copy())
+    return amps, states
+
+
+def _reference_westervelt_curve(medium, src, grid, n_max):
+    period = src.period()
+    tau = np.arange(grid.n_time) * (period / grid.n_time)
+    p = src.samples(grid.n_time)
+    eps = medium.beta * grid.dz / (medium.rho0 * medium.c**3)
+    decay = None
+    if medium.delta > 0:
+        omega_n = 2 * np.pi * src.f0 * np.arange(grid.n_time // 2 + 1)
+        decay = np.exp(-medium.delta * omega_n**2 * grid.dz / (2 * medium.c**3))
+    fs = grid.n_time * src.f0
+    zs, rows = [0.0], [harmonic_spectrum(TimeWaveform(p, fs=fs), src.f0, n_max) / src.p0]
+    for step in range(grid.n_steps):
+        if medium.beta > 0:
+            p = _distort_lossless(p, tau, period, eps)
+        if decay is not None:
+            p = np.fft.irfft(np.fft.rfft(p) * decay, n=grid.n_time)
+        zs.append((step + 1) * grid.dz)
+        rows.append(harmonic_spectrum(TimeWaveform(p, fs=fs), src.f0, n_max) / src.p0)
+    return np.asarray(zs), np.asarray(rows), p
+
+
+KZK_SRC = SourceWaveform(p0=1e5, f0=1e6)
+KZK_RADIUS = 0.004
+
+
+@pytest.mark.parametrize(
+    "beta, delta, strang", list(itertools.product((0.0, 3.5), (0.0, 4.5e-4), (False, True)))
+)
+def test_kzk_march_matches_per_step_reference(beta, delta, strang):
+    medium = Medium(rho0=1000.0, c=1500.0, beta=beta, delta=delta)
+    z_r = rayleigh_distance(KZK_SRC, KZK_RADIUS, medium)
+    grid = AxisymGrid(n_r=96, dr=2e-4, n_z=24, dz=z_r / 24, n_harm=6)
+    profile = gaussian_profile(KZK_RADIUS)
+    states = []
+    field = simulate_kzk_axisym(
+        medium, KZK_SRC, profile, grid, strang=strang,
+        callback=lambda z, amps: states.append((z, amps)),
+    )
+    expect, expect_states = _reference_kzk(medium, KZK_SRC, profile, grid, strang)
+    assert np.array_equal(field.amps, expect)
+    assert [z for z, _ in states] == [step * grid.dz for step in range(grid.n_z + 1)]
+    assert len(states) == len(expect_states)
+    for (_, got), want in zip(states, expect_states):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("delta", [0.0, 4.5e-3])
+def test_westervelt_curve_matches_per_step_reference(delta):
+    medium = Medium(rho0=1000.0, c=1500.0, beta=3.5, delta=delta)
+    src = SourceWaveform(p0=1e6, f0=1e6)
+    z_max = 0.5 * shock_formation_distance(medium, src)
+    grid = PlaneWaveGrid(n_time=512, n_steps=100, dz=z_max / 100, z_max=z_max)
+    zs, ratios, final = westervelt_harmonic_curve(medium, src, grid, n_max=4)
+    ref_zs, ref_ratios, ref_final = _reference_westervelt_curve(medium, src, grid, 4)
+    assert np.array_equal(zs, ref_zs)
+    assert np.array_equal(ratios, ref_ratios)
+    assert np.array_equal(final.samples, ref_final)
+
+
+def test_kzk_divergence_names_the_nonlinearity_substep():
+    # configs/kzk.ini with beta = 3.5 and p0 = 1e9: the quadratic coupling blows up
+    medium = Medium(rho0=1000.0, c=1500.0, beta=3.5, delta=0.0)
+    src = SourceWaveform(p0=1e9, f0=1e6)
+    grid = AxisymGrid(n_r=96, dr=0.0002, n_z=40, dz=0.002, n_harm=4)
+    with pytest.raises(DivergenceError, match="in the nonlinearity substep"):
+        simulate_kzk_axisym(medium, src, gaussian_profile(0.004), grid)
