@@ -16,10 +16,12 @@ delta > 0. Its limit is 10 max|p(z=0)|.
 
 The axisymmetric (KZK) solver marches complex harmonic amplitudes A_n(r, z)
 with the frequency-domain split-step scheme of Aanonsen et al. (1984). Its
-substeps are Crank-Nicolson radial diffraction per harmonic over dz (with
-Strang splitting, over dz/2 first and last), exact absorption when
-delta > 0, explicit quadratic harmonic coupling when beta > 0, and the
-absorbing edge ramp. Its limit is 10 p0 max(1, max|profile|).
+substeps are Crank-Nicolson radial diffraction over dz (with Strang
+splitting, over dz/2 first and last), exact absorption when delta > 0,
+explicit quadratic harmonic coupling when beta > 0, and the absorbing edge
+ramp. Diffraction stacks the per-harmonic tridiagonal systems into one
+block-diagonal system and makes one banded solve per substep. Its limit is
+10 p0 max(1, max|profile|).
 
 Amplitude convention for the harmonic field: p(r, z, tau) =
 Re{ sum_n A_n(r, z) exp(i n w tau) }, so |A_n| is directly the measured
@@ -252,7 +254,20 @@ def _distort_lossless(p: np.ndarray, tau: np.ndarray, period: float, eps: float)
     wrap = (y[0] + period) - y[-1]
     if np.any(dy <= 0) or wrap <= 0:
         raise DivergenceError("nonlinear distortion substep lost monotonicity (shock reached)")
-    return np.interp(tau, y, p, period=period)
+    # np.interp(period=) reduces tau and y with two float % passes and sorts y
+    # with argsort. Here tau already lies in [0, period), and y increases over
+    # less than one period from y[0] = -eps p[0] > -period (sigma < 1 keeps
+    # eps |p| under period / 2). So wrapping y takes one add or subtract per
+    # wrapped point (the bits of np.mod), and its sorted order is the rotation
+    # that starts at its minimum. The padded table is the one np.interp
+    # builds for period=, so the result is the same to the bit.
+    ym = y.copy()
+    ym[y < 0] += period
+    ym[y >= period] -= period
+    k = int(np.argmin(ym))
+    xp = np.concatenate((ym[[k - 1]] - period, ym[k:], ym[:k], ym[[k]] + period))
+    fp = np.concatenate((p[[k - 1]], p[k:], p[:k], p[[k]]))
+    return np.interp(tau, xp, fp)
 
 
 def simulate_westervelt_plane(
@@ -366,16 +381,20 @@ def _quadratic_coupling(amps: np.ndarray) -> np.ndarray:
 
     S_n = sum_{m<n} A_m A_{n-m} + 2 sum_{m>n} A_m conj(A_{m-n}); products
     that would land above n_harm are truncated, never wrapped.
+
+    The summation order is part of the contract: each S_n starts from zero,
+    adds the first sum in ascending m and then the second in ascending m,
+    so the march stays bit-identical to a term-by-term loop. Each pass
+    below adds one term to every harmonic that has it.
     """
     n_harm = amps.shape[0]
     s = np.zeros_like(amps)
-    for n in range(1, n_harm + 1):
-        acc = np.zeros(amps.shape[1], dtype=np.complex128)
-        for m in range(1, n):
-            acc += amps[m - 1] * amps[n - m - 1]
-        for m in range(n + 1, n_harm + 1):
-            acc += 2.0 * amps[m - 1] * np.conj(amps[m - n - 1])
-        s[n - 1] = acc
+    for m in range(1, n_harm):
+        s[m:] += amps[m - 1] * amps[: n_harm - m]
+    two = 2.0 * amps
+    conj = np.conj(amps)
+    for d in range(1, n_harm):
+        s[: n_harm - d] += two[d:] * conj[d - 1]
     return s
 
 
@@ -386,28 +405,33 @@ def _kzk_substeps(medium: Medium, src: SourceWaveform, grid: AxisymGrid, strang:
     lower, diag, upper = _radial_laplacian_bands(grid.n_r, grid.dr)
 
     # Crank-Nicolson per harmonic over h: the banded matrix of (I + i h/(4 k_n) L)
-    # and the three bands of (I - i h/(4 k_n) L) applied to the current state
+    # and the three bands of (I - i h/(4 k_n) L) applied to the current state.
+    # The harmonics' matrices sit one after another in a single tridiagonal
+    # ab; the entries that would couple neighbouring blocks stay zero, so one
+    # solve gives each harmonic its own solution to the bit.
     h = grid.dz / 2 if strang else grid.dz
-    bands = []
-    for n_i in range(1, grid.n_harm + 1):
-        k_n = n_i * omega / medium.c
+    n_harm, n_r = grid.n_harm, grid.n_r
+    ab = np.zeros((3, n_harm * n_r), dtype=np.complex128)
+    blocks = ab.reshape(3, n_harm, n_r)
+    rhs_diag = np.empty((n_harm, n_r), dtype=np.complex128)
+    rhs_upper = np.empty((n_harm, n_r - 1), dtype=np.complex128)
+    rhs_lower = np.empty((n_harm, n_r - 1), dtype=np.complex128)
+    for idx in range(n_harm):
+        k_n = (idx + 1) * omega / medium.c
         coef = 1j * h / (4 * k_n)
-        ab = np.zeros((3, grid.n_r), dtype=np.complex128)
-        ab[0, 1:] = coef * upper[:-1]
-        ab[1, :] = 1.0 + coef * diag
-        ab[2, :-1] = coef * lower[1:]
+        blocks[0, idx, 1:] = coef * upper[:-1]
+        blocks[1, idx] = 1.0 + coef * diag
+        blocks[2, idx, :-1] = coef * lower[1:]
         coef = -1j * h / (4 * k_n)
-        bands.append((ab, 1.0 + coef * diag, coef * upper[:-1], coef * lower[1:]))
+        rhs_diag[idx] = 1.0 + coef * diag
+        rhs_upper[idx] = coef * upper[:-1]
+        rhs_lower[idx] = coef * lower[1:]
 
     def diffract(amps):
-        out = np.empty_like(amps)
-        for idx, (ab, rhs_diag, rhs_upper, rhs_lower) in enumerate(bands):
-            a = amps[idx]
-            rhs = rhs_diag * a
-            rhs[:-1] += rhs_upper * a[1:]
-            rhs[1:] += rhs_lower * a[:-1]
-            out[idx] = solve_banded((1, 1), ab, rhs)
-        return out
+        rhs = rhs_diag * amps
+        rhs[:, :-1] += rhs_upper * amps[:, 1:]
+        rhs[:, 1:] += rhs_lower * amps[:, :-1]
+        return solve_banded((1, 1), ab, rhs.ravel()).reshape(amps.shape)
 
     substeps = [("diffraction", diffract)]
     if medium.delta > 0:
@@ -451,8 +475,20 @@ def simulate_kzk_axisym(
     if src.kind != "sine":
         raise DomainError("axisymmetric harmonic solver requires a sine source")
     radius = getattr(source_profile, "radius", None)
-    if radius is not None and grid.n_r * grid.dr < 4.0 * radius:
-        raise ConfigurationError("radial domain must span at least 4x the source radius")
+    if radius is not None:
+        if grid.n_r * grid.dr < 4.0 * radius:
+            raise ConfigurationError("radial domain must span at least 4x the source radius")
+        # split-step resolution: a step must stay well inside the Rayleigh
+        # distance and the source must span several radial cells
+        z_r = rayleigh_distance(src, radius, medium)
+        if grid.dz > z_r / 8:
+            raise ValidityError(
+                f"dz={grid.dz:g} m exceeds z_R/8={z_r / 8:g} m; the march would be under-resolved"
+            )
+        if radius / grid.dr < 4:
+            raise ValidityError(
+                f"source radius spans {radius / grid.dr:.3g} radial cells; need >= 4"
+            )
     amps = np.zeros((grid.n_harm, grid.n_r), dtype=np.complex128)
     prof = np.asarray(source_profile(grid.r), dtype=np.float64)
     if prof.shape != (grid.n_r,):

@@ -171,6 +171,17 @@ def test_kzk_divergence_exits_three_with_one_log_line(tmp_path):
     assert not out.exists()
 
 
+def test_kzk_under_resolved_step_exits_four_with_one_log_line(tmp_path):
+    # dz = 0.5 is 15 Rayleigh distances; the march used to exit 0 with an
+    # axis amplitude 200x the linear reference
+    shipped = (Path(__file__).resolve().parents[1] / "configs" / "kzk.ini").read_text()
+    proc, out = _run_module(tmp_path, "kzk", shipped.replace("dz = 0.002", "dz = 0.5"))
+    assert proc.returncode == 4
+    _assert_one_error_line(proc)
+    assert "z_R/8" in proc.stderr
+    assert not out.exists()
+
+
 # === scene ===
 
 

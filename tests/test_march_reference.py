@@ -4,6 +4,10 @@ The reference below rebuilds every coefficient inside each step, writes the
 Strang and first-order sequences out separately and runs its own Westervelt
 loop. ``simulate_kzk_axisym`` and ``westervelt_harmonic_curve`` must agree
 with it bit for bit, in the final state and in every callback state.
+
+The two rewritten kernels are held to inline copies of their term-by-term
+forms: ``_quadratic_coupling`` to the O(N^2) loop over (n, m), and
+``_distort_lossless`` to ``np.interp(..., period=)``.
 """
 
 import itertools
@@ -12,6 +16,7 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_banded
 
+from nars import wavefield
 from nars.errors import DivergenceError
 from nars.wavefield import (
     AxisymGrid,
@@ -165,3 +170,118 @@ def test_kzk_divergence_names_the_nonlinearity_substep():
     grid = AxisymGrid(n_r=96, dr=0.0002, n_z=40, dz=0.002, n_harm=4)
     with pytest.raises(DivergenceError, match="in the nonlinearity substep"):
         simulate_kzk_axisym(medium, src, gaussian_profile(0.004), grid)
+
+
+def test_kzk_march_at_thirty_two_harmonics_matches_per_step_reference():
+    # the beam workload's harmonic count: the joined solve spans 32 blocks and
+    # the coupling has 31 terms per harmonic
+    medium = Medium(rho0=1000.0, c=1500.0, beta=3.5, delta=4.5e-4)
+    z_r = rayleigh_distance(KZK_SRC, KZK_RADIUS, medium)
+    grid = AxisymGrid(n_r=64, dr=2.5e-4, n_z=8, dz=z_r / 24, n_harm=32)
+    profile = gaussian_profile(KZK_RADIUS)
+    for strang in (False, True):
+        states = []
+        field = simulate_kzk_axisym(
+            medium, KZK_SRC, profile, grid, strang=strang,
+            callback=lambda z, amps: states.append(amps),
+        )
+        expect, expect_states = _reference_kzk(medium, KZK_SRC, profile, grid, strang)
+        assert np.all(field.amps[-1] != 0)  # every harmonic is reached
+        assert np.array_equal(field.amps, expect)
+        assert all(np.array_equal(got, want) for got, want in zip(states, expect_states))
+
+
+# === the rewritten kernels, bit for bit ===
+
+
+def _loop_coupling(amps):
+    """S_n summed term by term, one harmonic at a time."""
+    n_harm = amps.shape[0]
+    s = np.zeros_like(amps)
+    for n in range(1, n_harm + 1):
+        acc = np.zeros(amps.shape[1], dtype=np.complex128)
+        for m in range(1, n):
+            acc += amps[m - 1] * amps[n - m - 1]
+        for m in range(n + 1, n_harm + 1):
+            acc += 2.0 * amps[m - 1] * np.conj(amps[m - n - 1])
+        s[n - 1] = acc
+    return s
+
+
+def _interp_period_distort(p, tau, period, eps):
+    return np.interp(tau, tau - eps * p, p, period=period)
+
+
+def _wrap_side(p, tau, period, eps):
+    """Which end of y = tau - eps p leaves [0, period), if either."""
+    y = tau - eps * p
+    return "low" if y[0] < 0 else "high" if y[-1] >= period else "none"
+
+
+def _same_bits(got, want):
+    parts = (np.real, np.imag) if np.iscomplexobj(want) else (np.asarray,)
+    return np.array_equal(got, want) and all(
+        np.array_equal(np.signbit(part(got)), np.signbit(part(want))) for part in parts
+    )
+
+
+@pytest.mark.parametrize("n_harm", [2, 3, 4, 8, 32])
+def test_quadratic_coupling_matches_term_by_term_loop(n_harm):
+    rng = np.random.default_rng(n_harm)
+    shape = (n_harm, 37)
+    mag = 10.0 ** rng.uniform(-3, 5, shape)
+    amps = mag * np.exp(1j * rng.uniform(-np.pi, np.pi, shape))
+    amps[rng.random(shape) < 0.15] = 0.0
+    amps.real[rng.random(shape) < 0.1] = -0.0
+    amps.imag[rng.random(shape) < 0.1] = 0.0
+    amps[:, 0] = 0.0  # a column of exact zeros
+    got = _quadratic_coupling(amps)
+    assert _same_bits(got, _loop_coupling(amps))
+
+
+@pytest.mark.parametrize(
+    "phase, wrap",
+    [
+        (np.pi + 0.005, "none"),  # y stays in [0, period)
+        (np.pi / 2, "low"),  # y[0] < 0: the sorted order starts past index 0
+        (3 * np.pi / 2, "high"),  # y[-1] >= period
+    ],
+)
+@pytest.mark.parametrize("period", [1e-6, 1 / 3])
+def test_distort_lossless_matches_periodic_interp(phase, wrap, period):
+    rng = np.random.default_rng(7)
+    n_time = 1024
+    tau = np.arange(n_time) * (period / n_time)
+    p = np.sin(2 * np.pi * tau / period + phase) + 1e-3 * rng.standard_normal(n_time)
+    eps = 0.1 * period / (2 * np.pi)  # a tenth of the way to the shock per step
+    assert _wrap_side(p, tau, period, eps) == wrap
+    assert _same_bits(_distort_lossless(p, tau, period, eps), _interp_period_distort(p, tau, period, eps))
+
+
+@pytest.mark.parametrize(
+    "kind, phase, wrap",
+    [("sine", np.pi / 2, "low"), ("sine", 3 * np.pi / 2, "high"), ("gaussian_pulse", 0.0, "low")],
+)
+def test_westervelt_wrapping_sources_match_reference_and_periodic_interp(kind, phase, wrap, monkeypatch):
+    medium = Medium(rho0=1000.0, c=1500.0, beta=3.5, delta=4.5e-3)
+    src = SourceWaveform(p0=1e6, f0=1e6, kind=kind, phase=phase)
+    z_max = 0.5 * shock_formation_distance(medium, src)
+    grid = PlaneWaveGrid(n_time=512, n_steps=20, dz=z_max / 20, z_max=z_max)
+    zs, ratios, final = westervelt_harmonic_curve(medium, src, grid, n_max=4)
+    ref_zs, ref_ratios, ref_final = _reference_westervelt_curve(medium, src, grid, 4)
+    assert np.array_equal(zs, ref_zs)
+    assert np.array_equal(ratios, ref_ratios)
+    assert np.array_equal(final.samples, ref_final)
+
+    # the same march with every distortion step done by np.interp(period=)
+    seen = set()
+
+    def distort(p, tau, period, eps):
+        seen.add(_wrap_side(p, tau, period, eps))
+        return _interp_period_distort(p, tau, period, eps)
+
+    monkeypatch.setattr(wavefield, "_distort_lossless", distort)
+    _, interp_ratios, interp_final = westervelt_harmonic_curve(medium, src, grid, n_max=4)
+    assert wrap in seen
+    assert _same_bits(final.samples, interp_final.samples)
+    assert np.array_equal(ratios, interp_ratios)

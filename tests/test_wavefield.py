@@ -283,6 +283,25 @@ def test_kzk_rejects_narrow_domain():
         simulate_kzk_axisym(med, src, gaussian_profile(0.02), grid)  # 4x rule
 
 
+def test_kzk_rejects_step_longer_than_an_eighth_of_rayleigh_distance():
+    med, src, a, _ = kzk_case()
+    z_r = rayleigh_distance(src, a, med)
+    ok = AxisymGrid(n_r=128, dr=2e-4, n_z=2, dz=z_r / 8, n_harm=2)
+    simulate_kzk_axisym(med, src, gaussian_profile(a), ok)
+    coarse = AxisymGrid(n_r=128, dr=2e-4, n_z=2, dz=z_r / 7.9, n_harm=2)
+    with pytest.raises(ValidityError, match="z_R/8"):
+        simulate_kzk_axisym(med, src, gaussian_profile(a), coarse)
+
+
+def test_kzk_rejects_source_narrower_than_four_radial_cells():
+    med, src, a, _ = kzk_case()
+    ok = AxisymGrid(n_r=64, dr=a / 5, n_z=2, dz=1e-3, n_harm=2)
+    simulate_kzk_axisym(med, src, gaussian_profile(a), ok)
+    coarse = AxisymGrid(n_r=64, dr=a / 3.9, n_z=2, dz=1e-3, n_harm=2)
+    with pytest.raises(ValidityError, match="radial cells"):
+        simulate_kzk_axisym(med, src, gaussian_profile(a), coarse)
+
+
 def test_kzk_rejects_bad_profile():
     med, src, a, grid = kzk_case()
 
