@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import io
-from .errors import ConfigurationError
+from .errors import ConfigurationError, DomainError
 from .frontend import FilterBankSpec, circular_array
 from .rl import RewardWeights
 from .scene import NOISE_KINDS, RoomSpec, ScenarioConfig
@@ -306,6 +306,18 @@ class RlParams:
     aec_taps: int
 
 
+def _build_reward_weights(conf: Conf) -> RewardWeights:
+    """``[rl] w_*``; RewardWeights' simplex error names the keys."""
+    try:
+        return RewardWeights(
+            quality=conf.get_float("rl", "w_quality", 0.8),
+            latency=conf.get_float("rl", "w_latency", 0.1),
+            energy=conf.get_float("rl", "w_energy", 0.1),
+        )
+    except DomainError as e:
+        raise ConfigurationError(f"{conf.path}: [rl] w_quality/w_latency/w_energy: {e}") from None
+
+
 def build_rl(conf: Conf) -> RlParams:
     params = RlParams(
         budget=conf.get_int("rl", "budget", 2048),
@@ -321,11 +333,7 @@ def build_rl(conf: Conf) -> RlParams:
         clip_eps=conf.get_float("rl", "clip_eps", 0.2),
         init_log_std=conf.get_float("rl", "init_log_std", -0.7),
         chunk_seconds=conf.get_float("rl", "chunk_seconds", 0.2),
-        weights=RewardWeights(
-            quality=conf.get_float("rl", "w_quality", 0.8),
-            latency=conf.get_float("rl", "w_latency", 0.1),
-            energy=conf.get_float("rl", "w_energy", 0.1),
-        ),
+        weights=_build_reward_weights(conf),
         init_steer_offset_deg=conf.get_float("rl", "init_steer_offset_deg", 30.0),
         init_mu=conf.get_float("rl", "init_mu", 0.0),
         m_bands=conf.get_int("rl", "m_bands", 64),
@@ -336,6 +344,18 @@ def build_rl(conf: Conf) -> RlParams:
     m = params.m_bands
     conf.check(m >= 8 and m % 8 == 0, "rl", "m_bands", "must be a positive multiple of 8")
     conf.check(params.chunk_seconds > 0, "rl", "chunk_seconds", "must be positive")
-    for key in ("aec_taps", "minibatch", "episodes_per_update", "hidden", "v_hidden"):
+    for key in (
+        "aec_taps", "minibatch", "episodes_per_update", "hidden", "v_hidden", "epochs", "horizon"
+    ):
         conf.check(getattr(params, key) >= 1, "rl", key, "must be at least 1")
+    # the same rules that train_tuning_policy, PolicyParams and make_aec apply
+    conf.check(
+        params.budget >= max(1000, params.horizon), "rl", "budget",
+        "must be at least 1000 and at least one episode (horizon)",
+    )
+    conf.check(0.0 < params.clip_eps < 1.0, "rl", "clip_eps", "must lie in (0, 1)")
+    conf.check(params.lr > 0, "rl", "lr", "must be positive")
+    for key in ("gamma", "lam"):
+        conf.check(0.0 <= getattr(params, key) <= 1.0, "rl", key, "must lie in [0, 1]")
+    conf.check(0.0 <= params.init_mu <= 2.0, "rl", "init_mu", "must lie in [0, 2]")
     return params

@@ -11,13 +11,21 @@ action-dependent front end on the next audio chunk and scores it. That is
 ``frontend.enhance`` (DAS, analysis, AEC, band gains, synthesis), the same
 chain that ``nars frontend`` runs.
 
-All gradients are computed by hand in numpy; a finite-difference check of
-the full objective is part of the acceptance gate.
+Each piece of the PPO math has one home. ``_forward`` evaluates both networks
+and keeps the intermediates that the backward pass reads; ``_log_prob`` is the
+Gaussian log-density; ``_clipped_surrogate`` is min(rA, clip(r, 1±eps)A),
+which ``ppo_surrogate`` wraps with input checks for outside callers. Sampling,
+``policy_mean_std`` and ``objective_and_grad`` all go through them, and a
+rollout step evaluates the policy once for its action, log-probability and
+value. All gradients are computed by hand in numpy; a finite-difference check
+of the full objective is part of the acceptance gate.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -72,36 +80,30 @@ class PolicyParams:
             raise DomainError("theta length does not match the declared layout")
 
 
+def _block_shapes(obs_dim: int, act_dim: int, hidden: int, v_hidden: int) -> dict:
+    """Shape of each theta block, in packing order."""
+    return {
+        "W1": (hidden, obs_dim),
+        "b1": (hidden,),
+        "W2": (act_dim, hidden),
+        "b2": (act_dim,),
+        "log_std": (act_dim,),
+        "Wv1": (v_hidden, obs_dim),
+        "bv1": (v_hidden,),
+        "Wv2": (1, v_hidden),
+        "bv2": (1,),
+    }
+
+
 def theta_size(obs_dim: int, act_dim: int, hidden: int, v_hidden: int) -> int:
-    return (
-        hidden * obs_dim + hidden
-        + act_dim * hidden + act_dim
-        + act_dim
-        + v_hidden * obs_dim + v_hidden
-        + v_hidden + 1
-    )
-
-
-_BLOCKS = ("W1", "b1", "W2", "b2", "log_std", "Wv1", "bv1", "Wv2", "bv2")
+    return sum(map(math.prod, _block_shapes(obs_dim, act_dim, hidden, v_hidden).values()))
 
 
 def _unpack(p: PolicyParams) -> dict[str, np.ndarray]:
-    shapes = {
-        "W1": (p.hidden, p.obs_dim),
-        "b1": (p.hidden,),
-        "W2": (p.act_dim, p.hidden),
-        "b2": (p.act_dim,),
-        "log_std": (p.act_dim,),
-        "Wv1": (p.v_hidden, p.obs_dim),
-        "bv1": (p.v_hidden,),
-        "Wv2": (1, p.v_hidden),
-        "bv2": (1,),
-    }
-    out = {}
-    i = 0
-    for name in _BLOCKS:
-        size = int(np.prod(shapes[name]))
-        out[name] = p.theta[i : i + size].reshape(shapes[name])
+    out, i = {}, 0
+    for name, shape in _block_shapes(p.obs_dim, p.act_dim, p.hidden, p.v_hidden).items():
+        size = math.prod(shape)
+        out[name] = p.theta[i : i + size].reshape(shape)
         i += size
     return out
 
@@ -137,37 +139,63 @@ def init_policy(
     return p
 
 
-def policy_mean_std(p: PolicyParams, obs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Squashed mean in (-1, 1)^act_dim and the state-independent std."""
+class _Forward(NamedTuple):
+    """One evaluation of both networks, with what the backward pass reads."""
+
+    blocks: dict[str, np.ndarray]
+    obs: np.ndarray  # (N, obs_dim)
+    h1: np.ndarray  # (N, hidden) policy hidden layer
+    mean: np.ndarray  # (N, act_dim) squashed mean
+    log_std: np.ndarray  # (act_dim,)
+    std: np.ndarray  # (act_dim,)
+    hv: np.ndarray  # (N, v_hidden) value hidden layer
+    v: np.ndarray  # (N,) value estimates
+
+
+def _forward(p: PolicyParams, obs: np.ndarray) -> _Forward:
     b = _unpack(p)
     obs = np.atleast_2d(np.asarray(obs, dtype=np.float64))
     h1 = np.tanh(obs @ b["W1"].T + b["b1"])
     mean = np.tanh(h1 @ b["W2"].T + b["b2"])
-    std = np.exp(b["log_std"])
-    return mean, np.broadcast_to(std, mean.shape)
+    hv = np.tanh(obs @ b["Wv1"].T + b["bv1"])
+    v = (hv @ b["Wv2"].T + b["bv2"])[:, 0]
+    return _Forward(b, obs, h1, mean, b["log_std"], np.exp(b["log_std"]), hv, v)
 
 
-def log_prob(p: PolicyParams, obs: np.ndarray, act: np.ndarray) -> np.ndarray:
-    mean, std = policy_mean_std(p, obs)
-    act = np.atleast_2d(np.asarray(act, dtype=np.float64))
-    z = (act - mean) / std
-    return np.sum(-0.5 * z**2 - np.log(std) - 0.5 * _LOG_2PI, axis=1)
+def _log_prob(f: _Forward, act: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Standardized actions z and the diagonal-Gaussian log-density of each row.
+
+    Subtracts log_std itself rather than log(std): log(exp(x)) != x for about
+    a quarter of values, and this is the form the gradient differentiates.
+    """
+    z = (act - f.mean) / f.std
+    return z, np.sum(-0.5 * z**2 - f.log_std - 0.5 * _LOG_2PI, axis=1)
+
+
+def _sample(f: _Forward, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    raw = f.mean + f.std * rng.standard_normal(f.mean.shape)
+    return raw, _log_prob(f, raw)[1]
+
+
+def policy_mean_std(p: PolicyParams, obs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Squashed mean in (-1, 1)^act_dim and the state-independent std."""
+    f = _forward(p, obs)
+    return f.mean, np.broadcast_to(f.std, f.mean.shape)
 
 
 def sample_actions(p: PolicyParams, obs: np.ndarray, rng: np.random.Generator):
-    mean, std = policy_mean_std(p, obs)
-    raw = mean + std * rng.standard_normal(mean.shape)
-    return raw, log_prob(p, obs, raw)
-
-
-def value(p: PolicyParams, obs: np.ndarray) -> np.ndarray:
-    b = _unpack(p)
-    obs = np.atleast_2d(np.asarray(obs, dtype=np.float64))
-    hv = np.tanh(obs @ b["Wv1"].T + b["bv1"])
-    return (hv @ b["Wv2"].T + b["bv2"])[:, 0]
+    """Raw Gaussian actions at each observation row and their log-probabilities."""
+    return _sample(_forward(p, obs), rng)
 
 
 # === PPO pieces ===
+
+
+def _clipped_surrogate(ratio, advantage, clip_eps: float):
+    """min(r A, clip(r, 1-eps, 1+eps) A) and the mask of rows where r A is the min."""
+    unclipped = ratio * advantage
+    clipped = np.clip(ratio, 1.0 - clip_eps, 1.0 + clip_eps) * advantage
+    return np.minimum(unclipped, clipped), unclipped <= clipped
 
 
 def ppo_surrogate(ratio, advantage, clip_eps: float):
@@ -178,8 +206,7 @@ def ppo_surrogate(ratio, advantage, clip_eps: float):
         raise DomainError("clip_eps must lie in (0, 1)")
     if np.any(ratio <= 0):
         raise DomainError("probability ratios must be positive")
-    clipped = np.clip(ratio, 1.0 - clip_eps, 1.0 + clip_eps)
-    out = np.minimum(ratio * advantage, clipped * advantage)
+    out = _clipped_surrogate(ratio, advantage, clip_eps)[0]
     return float(out) if out.ndim == 0 else out
 
 
@@ -233,61 +260,46 @@ def objective_and_grad(
     Gradient ascent direction; verified against central finite differences
     in the acceptance gate.
     """
-    b = _unpack(p)
-    obs = np.asarray(obs, dtype=np.float64)
-    act = np.asarray(act, dtype=np.float64)
-    N = obs.shape[0]
-
-    z1 = obs @ b["W1"].T + b["b1"]
-    h1 = np.tanh(z1)
-    z2 = h1 @ b["W2"].T + b["b2"]
-    mean = np.tanh(z2)
-    std = np.exp(b["log_std"])
-    zn = (act - mean) / std
-    logp = np.sum(-0.5 * zn**2 - b["log_std"] - 0.5 * _LOG_2PI, axis=1)
+    f = _forward(p, obs)
+    N = f.obs.shape[0]
+    zn, logp = _log_prob(f, np.asarray(act, dtype=np.float64))
     ratio = np.exp(logp - old_logp)
-    clipped = np.clip(ratio, 1.0 - p.clip_eps, 1.0 + p.clip_eps)
-    surr_unclipped = ratio * adv
-    surr = np.minimum(surr_unclipped, clipped * adv)
+    surr, flows = _clipped_surrogate(ratio, adv, p.clip_eps)
     j_pg = float(np.mean(surr))
+    v_err = f.v - ret
+    value_loss = float(np.mean(v_err**2))
+    j = j_pg - VF_COEF * value_loss
 
-    zv1 = obs @ b["Wv1"].T + b["bv1"]
-    hv = np.tanh(zv1)
-    v = (hv @ b["Wv2"].T + b["bv2"])[:, 0]
-    v_err = v - ret
-    j = j_pg - VF_COEF * float(np.mean(v_err**2))
-
-    # backward pass
-    grad = {name: np.zeros_like(arr) for name, arr in b.items()}
-    flows = (surr_unclipped <= clipped * adv).astype(np.float64)  # min picks the ratio branch
+    # backward pass; flows marks the rows where min() took the ratio branch
+    grad = {}
     g_logp = flows * ratio * adv / N
-    d_mean = g_logp[:, None] * zn / std
+    d_mean = g_logp[:, None] * zn / f.std
     grad["log_std"] = np.sum(g_logp[:, None] * (zn**2 - 1.0), axis=0)
-    d_z2 = d_mean * (1.0 - mean**2)
-    grad["W2"] = d_z2.T @ h1
+    d_z2 = d_mean * (1.0 - f.mean**2)
+    grad["W2"] = d_z2.T @ f.h1
     grad["b2"] = d_z2.sum(axis=0)
-    d_h1 = d_z2 @ b["W2"]
-    d_z1 = d_h1 * (1.0 - h1**2)
-    grad["W1"] = d_z1.T @ obs
+    d_h1 = d_z2 @ f.blocks["W2"]
+    d_z1 = d_h1 * (1.0 - f.h1**2)
+    grad["W1"] = d_z1.T @ f.obs
     grad["b1"] = d_z1.sum(axis=0)
 
     d_v = -VF_COEF * 2.0 * v_err / N
-    grad["Wv2"] = (d_v[:, None] * hv).sum(axis=0)[None, :]
+    grad["Wv2"] = (d_v[:, None] * f.hv).sum(axis=0)[None, :]
     grad["bv2"] = np.array([d_v.sum()])
-    d_hv = d_v[:, None] * b["Wv2"][0][None, :]
-    d_zv1 = d_hv * (1.0 - hv**2)
-    grad["Wv1"] = d_zv1.T @ obs
+    d_hv = d_v[:, None] * f.blocks["Wv2"][0][None, :]
+    d_zv1 = d_hv * (1.0 - f.hv**2)
+    grad["Wv1"] = d_zv1.T @ f.obs
     grad["bv1"] = d_zv1.sum(axis=0)
 
-    flat = np.concatenate([grad[name].ravel() for name in _BLOCKS])
+    flat = np.concatenate([grad[name].ravel() for name in f.blocks])
     if not np.all(np.isfinite(flat)):
-        bad = [name for name in _BLOCKS if not np.all(np.isfinite(grad[name]))]
+        bad = [name for name in f.blocks if not np.all(np.isfinite(grad[name]))]
         raise NumericalError(f"non-finite gradient in {', '.join(bad)}")
     diag = {
         "mean_ratio": float(np.mean(ratio)),
         "clip_fraction": float(np.mean(np.abs(ratio - 1.0) > p.clip_eps)),
         "surrogate": j_pg,
-        "value_loss": float(np.mean(v_err**2)),
+        "value_loss": value_loss,
     }
     return j, flat, diag
 
@@ -485,20 +497,8 @@ class EnvState:
 
     def vector(self) -> np.ndarray:
         az = np.radians(self.steer_deg)
-        return np.concatenate(
-            [
-                self.band_log_powers,
-                [
-                    self.mu,
-                    self.trim_lo_db / 12.0,
-                    self.trim_hi_db / 12.0,
-                    np.sin(az),
-                    np.cos(az),
-                    self.srp_confidence,
-                    self.srp_offset,
-                ],
-            ]
-        )
+        scalars = [self.mu, self.trim_lo_db / 12.0, self.trim_hi_db / 12.0, np.sin(az), np.cos(az)]
+        return np.concatenate([self.band_log_powers, scalars, [self.srp_confidence, self.srp_offset]])
 
 
 OBS_DIM = 8 + 7
@@ -692,13 +692,14 @@ def _rollout(env: TuningEnv, p: PolicyParams, rng: np.random.Generator) -> Traje
     state = env.reset()
     for _ in range(env.horizon):
         o = state.vector()
-        raw, logp = sample_actions(p, o[None, :], rng)
+        f = _forward(p, o[None, :])
+        raw, logp = _sample(f, rng)
         state, reward, done = env.step(clipped_action(raw[0]))
         obs_l.append(o)
         act_l.append(raw[0])
         logp_l.append(logp[0])
         rew_l.append(reward)
-        val_l.append(value(p, o[None, :])[0])
+        val_l.append(f.v[0])
         done_l.append(done)
         if done:
             break
@@ -744,7 +745,6 @@ def train_tuning_policy(
     rollout_rng, shuffle_rng = (np.random.default_rng(k) for k in ss.spawn(2))
     rows: list[dict] = []
     steps = 0
-    episode = 0
     env_idx = 0
     while steps < budget:
         trajs = []
@@ -760,11 +760,10 @@ def train_tuning_policy(
         for t in trajs:
             rows.append(
                 {
-                    "episode": episode,
+                    "episode": len(rows),
                     "mean_reward": f"{float(np.mean(t.rewards)):.6f}",
                     "clip_fraction": f"{diag['clip_fraction']:.6f}",
                     "mean_ratio": f"{diag['mean_ratio']:.6f}",
                 }
             )
-            episode += 1
     return policy, rows

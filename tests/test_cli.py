@@ -435,6 +435,15 @@ def test_bad_config_value_exits_one_with_one_log_line(tmp_path, command, key, cf
         ("episodes_per_update", "0"),
         ("hidden", "0"),
         ("v_hidden", "0"),
+        ("epochs", "0"),
+        ("horizon", "0"),
+        ("budget", "10"),
+        ("lr", "-1"),
+        ("clip_eps", "1.5"),
+        ("gamma", "1.5"),
+        ("lam", "-0.1"),
+        ("init_mu", "3"),
+        ("w_quality", "0.5"),
     ],
 )
 def test_bad_rl_value_exits_one_before_any_output(tmp_path, key, value):

@@ -22,7 +22,6 @@ from nars.rl import (
     clipped_action,
     compute_gae,
     init_policy,
-    log_prob,
     objective_and_grad,
     policy_mean_std,
     ppo_surrogate,
@@ -183,11 +182,12 @@ def test_policy_mean_bounded():
     assert np.all(std > 0)
 
 
-def test_sampled_logp_matches_log_prob():
+def test_sampled_logp_matches_scipy_normal_logpdf():
     p = init_policy(3, 2, hidden=4, v_hidden=3, seed=0)
     obs = np.random.default_rng(2).standard_normal((16, 3))
     raw, logp = sample_actions(p, obs, np.random.default_rng(3))
-    assert logp == pytest.approx(log_prob(p, obs, raw), abs=1e-12)
+    mean, std = policy_mean_std(p, obs)
+    assert logp == pytest.approx(stats.norm.logpdf(raw, mean, std).sum(axis=1), abs=1e-12)
 
 
 def test_ratio_is_one_after_rollout():
@@ -234,6 +234,20 @@ def policy_block_split(p):
     """Index where the value-head parameters begin in the flat theta."""
     n_pol = p.hidden * p.obs_dim + p.hidden + p.act_dim * p.hidden + 2 * p.act_dim
     return n_pol
+
+
+def test_unchanged_policy_ratio_is_exactly_one_per_row():
+    p = init_policy(3, 2, hidden=4, v_hidden=3, seed=0)
+    split = policy_block_split(p)
+    log_std = np.array([-0.6, 0.3])
+    # log(exp(x)) != x here, so a log-probability through log(std) would drift
+    assert np.all(np.log(np.exp(log_std)) != log_std)
+    p.theta[split - 2 : split] = log_std
+    rng = np.random.default_rng(13)
+    for o in rng.standard_normal((48, 1, 3)):
+        raw, logp = sample_actions(p, o, rng)
+        _, _, diag = objective_and_grad(p, o, raw, logp, np.ones(1), np.zeros(1))
+        assert diag["mean_ratio"] == 1.0
 
 
 def test_zero_advantages_touch_only_the_value_head():
