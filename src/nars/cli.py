@@ -4,7 +4,10 @@ Seven subcommands share one shape: parse and validate the config up front,
 compute, then publish an atomic artifact directory containing the outputs
 plus ``resolved.ini``, a fully-materialized config (defaults included) whose
 re-run reproduces the artifacts bit for bit. Timing columns (rtf) are the
-one documented exception. Summaries go to stdout as ``key=value`` lines;
+one documented exception. The directory replaces ``--out`` whole, so no
+file of an earlier run survives; an ``--out`` that is a file, or a
+directory that is not empty and holds no ``resolved.ini``, is refused
+before any compute. Summaries go to stdout as ``key=value`` lines;
 diagnostics go to the log (NARS_LOG=error|info|debug, stderr).
 
 ``frontend`` and ``bench`` run the front-end chain ``frontend.enhance``,
@@ -306,7 +309,7 @@ def cmd_train(args) -> None:
     conf = cfg.load_config(args.config)
     seed = cfg.effective_seed(conf, args.seed)
     scenario = cfg.build_scenario(conf, seed)
-    rl = cfg.build_rl(conf)
+    rl = cfg.build_rl(conf, scenario)
     conf.finish()
 
     policy = init_policy(
@@ -449,10 +452,24 @@ def _setup_logging() -> None:
     )
 
 
+def _check_out(out: str) -> None:
+    """A clean run replaces ``--out`` whole, so it must be new, empty or an earlier run's."""
+    if not os.path.exists(out):
+        return
+    if not os.path.isdir(out):
+        raise ConfigurationError(f"--out {out} exists and is not a directory")
+    if os.listdir(out) and not os.path.isfile(os.path.join(out, "resolved.ini")):
+        raise ConfigurationError(
+            f"--out {out} is not empty and holds no resolved.ini of an earlier run; "
+            "refusing to replace it"
+        )
+
+
 def main(argv=None) -> int:
     try:
         _setup_logging()
         args = _build_parser().parse_args(argv)
+        _check_out(args.out)
         _COMMANDS[args.command](args)
     except NarsError as e:
         log.error("%s", e)

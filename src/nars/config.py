@@ -318,7 +318,8 @@ def _build_reward_weights(conf: Conf) -> RewardWeights:
         raise ConfigurationError(f"{conf.path}: [rl] w_quality/w_latency/w_energy: {e}") from None
 
 
-def build_rl(conf: Conf) -> RlParams:
+def build_rl(conf: Conf, scenario: ScenarioConfig) -> RlParams:
+    """``[rl]``, checked against the ``scenario`` that training renders."""
     params = RlParams(
         budget=conf.get_int("rl", "budget", 2048),
         horizon=conf.get_int("rl", "horizon", 16),
@@ -343,7 +344,16 @@ def build_rl(conf: Conf) -> RlParams:
     # which FilterBankSpec accepts for every positive multiple of 8
     m = params.m_bands
     conf.check(m >= 8 and m % 8 == 0, "rl", "m_bands", "must be a positive multiple of 8")
-    conf.check(params.chunk_seconds > 0, "rl", "chunk_seconds", "must be positive")
+    # TuningEnv cuts the scene into chunks of this many samples
+    fs = scenario.room.fs
+    chunk = round(params.chunk_seconds * fs)
+    conf.check(chunk >= 1, "rl", "chunk_seconds", "must hold at least one sample at [room] fs")
+    conf.check(
+        chunk <= round(scenario.duration * fs), "rl", "chunk_seconds",
+        f"must not exceed [scene] duration ({scenario.duration!r} s)",
+    )
+    # raw actions are clipped to [-1, 1], so a std above e only saturates them
+    conf.check(-5.0 <= params.init_log_std <= 1.0, "rl", "init_log_std", "must lie in [-5, 1]")
     for key in (
         "aec_taps", "minibatch", "episodes_per_update", "hidden", "v_hidden", "epochs", "horizon"
     ):

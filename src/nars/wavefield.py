@@ -23,6 +23,10 @@ ramp. Diffraction stacks the per-harmonic tridiagonal systems into one
 block-diagonal system and makes one banded solve per substep. Its limit is
 10 p0 max(1, max|profile|).
 
+The solvers import their scipy pieces (``solve_banded``, the Bessel
+``jv`` of ``fubini_harmonics``) on first use, so importing this module
+loads no scipy.
+
 Amplitude convention for the harmonic field: p(r, z, tau) =
 Re{ sum_n A_n(r, z) exp(i n w tau) }, so |A_n| is directly the measured
 amplitude of harmonic n in Pa.
@@ -33,8 +37,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_banded
-from scipy.special import jv
 
 from .errors import (
     ConfigurationError,
@@ -184,6 +186,8 @@ def fubini_harmonics(n: int, sigma: float) -> float:
         raise ValidityError("pre-shock series is valid only up to sigma = 1")
     if sigma == 0:
         return 1.0 if n == 1 else 0.0
+    from scipy.special import jv
+
     x = n * sigma
     return float(2.0 * jv(n, x) / x)
 
@@ -396,6 +400,16 @@ def _quadratic_coupling(amps: np.ndarray) -> np.ndarray:
     for d in range(1, n_harm):
         s[: n_harm - d] += two[d:] * conj[d - 1]
     return s
+
+
+def solve_banded(l_and_u, ab, b):
+    """``scipy.linalg.solve_banded``, imported on the first call.
+
+    scipy.linalg takes about 0.3 s to import, so only a KZK march pays it.
+    """
+    from scipy.linalg import solve_banded as solve
+
+    return solve(l_and_u, ab, b)
 
 
 def _kzk_substeps(medium: Medium, src: SourceWaveform, grid: AxisymGrid, strang: bool) -> list:

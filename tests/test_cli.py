@@ -368,14 +368,18 @@ def _run_module(tmp_path, command, cfg_text):
     cfg = tmp_path / f"{command}.ini"
     cfg.write_text(cfg_text)
     out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "nars.cli", command, "--config", str(cfg), "--out", str(out)],
+        capture_output=True, text=True, env=_subprocess_env(), timeout=120,
+    )
+    return proc, out
+
+
+def _subprocess_env() -> dict:
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, NARS_LOG="error")
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-m", "nars.cli", command, "--config", str(cfg), "--out", str(out)],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
-    return proc, out
+    return env
 
 
 def _assert_one_error_line(proc):
@@ -444,6 +448,10 @@ def test_bad_config_value_exits_one_with_one_log_line(tmp_path, command, key, cf
         ("lam", "-0.1"),
         ("init_mu", "3"),
         ("w_quality", "0.5"),
+        ("chunk_seconds", "1e-5"),
+        ("init_log_std", "20"),
+        ("init_log_std", "1000"),
+        ("init_log_std", "-6"),
     ],
 )
 def test_bad_rl_value_exits_one_before_any_output(tmp_path, key, value):
@@ -478,3 +486,85 @@ def test_readme_commands_parse_and_name_existing_configs():
         except SystemExit:
             pytest.fail(f"README command does not parse: {line}")
         assert (root / args.config).is_file(), line
+
+
+def test_chunk_longer_than_the_scene_names_both_keys(tmp_path):
+    proc, out = _run_module(tmp_path, "train", TRAIN_CFG + "chunk_seconds = 1.0\n")
+    assert proc.returncode == 1, proc.stderr
+    _assert_one_error_line(proc)
+    assert "[rl] chunk_seconds" in proc.stderr and "[scene] duration" in proc.stderr
+    assert not out.exists()
+
+
+# === artifact directories ===
+
+
+def test_rerun_into_the_same_out_leaves_only_its_own_artifacts(tmp_path):
+    code, out = run_cli(tmp_path, "scene", SCENE_CFG)
+    assert code == 0 and (out / "far_end.wav").exists()
+    no_echo = "\n".join(l for l in SCENE_CFG.splitlines() if not l.startswith("echo_"))
+    assert run_cli(tmp_path, "scene", no_echo)[0] == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "clean_ref.wav", "metrics.csv", "mics.wav", "resolved.ini"
+    ]
+    assert "echo_pos" not in (out / "resolved.ini").read_text()
+
+
+@pytest.mark.parametrize("kind", ["directory", "file"])
+def test_out_that_is_no_earlier_run_is_refused_and_left_alone(tmp_path, kind):
+    out = tmp_path / "out_scene"
+    if kind == "directory":
+        out.mkdir()
+        (out / "notes.txt").write_text("not a nars run")
+    else:
+        out.write_text("not a directory")
+    assert run_cli(tmp_path, "scene", SCENE_CFG)[0] == 1
+    if kind == "directory":
+        assert [p.name for p in out.iterdir()] == ["notes.txt"]
+    else:
+        assert out.read_text() == "not a directory"
+
+
+# === import path ===
+
+SCIPY_LOADED = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+
+
+def _python(code: str, cwd) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env=_subprocess_env(), cwd=cwd, timeout=120,
+    )
+
+
+def test_import_nars_cli_loads_no_scipy(tmp_path):
+    proc = _python(f"import sys\nimport nars.cli\nprint({SCIPY_LOADED})", tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("command", ["scene", "frontend", "localize", "train", "bench"])
+def test_audio_commands_run_without_loading_scipy(tmp_path, command):
+    root = Path(__file__).resolve().parents[1]
+    texts = {
+        "scene": (root / "configs" / "scene.ini").read_text(),  # has an echo path
+        "frontend": FRONTEND_CFG,
+        "localize": LOCALIZE_CFG,
+        "train": TRAIN_CFG,
+        "bench": BENCH_CFG,
+    }
+    (tmp_path / "run.ini").write_text(texts[command])
+    proc = _python(
+        "import sys\nfrom nars import cli\n"
+        f"code = cli.main([{command!r}, '--config', 'run.ini', '--out', 'out'])\n"
+        f"print(code, {SCIPY_LOADED})",
+        tmp_path,
+    )
+    assert proc.stdout.splitlines()[-1] == "0 []", proc.stderr
+    wavs = sorted(p.name for p in (tmp_path / "out").rglob("*.wav"))
+    expect = {
+        "scene": ["clean_ref.wav", "far_end.wav", "mics.wav"],
+        "frontend": ["enhanced.wav"],
+        "bench": ["far_000.wav", "scene_000.wav"],
+    }
+    assert wavs == expect.get(command, [])

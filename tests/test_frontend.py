@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import i0
 
 import nars.frontend
 from nars.dsp import _kaiser_cont, delay_signal, frac_delay_kernel, frac_delay_kernels, kernel_offsets
@@ -507,6 +508,19 @@ def test_batched_kernels_equal_scalar_kernels_bit_for_bit():
         assert row.tobytes() == _scalar_kernel(frac).tobytes()
         assert frac_delay_kernel(frac).tobytes() == row.tobytes()
     assert frac_delay_kernels(fracs.reshape(4, -1)).shape == (4, len(fracs) // 4, 8)
+
+
+def test_kaiser_window_matches_scipy_bessel():
+    # oracle: scipy's I0 of the square root; against 40-digit values the series
+    # errs by up to 4.0e-16 relative and scipy by up to 9.2e-16
+    h = 4.5
+    t = np.linspace(-h, h, 4001)
+    inside = np.abs(t) < h
+    expect = np.where(inside, i0(8.0 * np.sqrt(np.clip(1 - (t / h) ** 2, 0, None))), 0.0) / i0(8.0)
+    got = _kaiser_cont(t, h)
+    assert np.all(got[~inside] == 0.0)
+    assert _kaiser_cont(np.zeros(1), h)[0] == 1.0
+    np.testing.assert_allclose(got, expect, rtol=2e-15, atol=0.0)
 
 
 def test_frac_delay_kernel_dc_gain():

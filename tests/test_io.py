@@ -1,9 +1,11 @@
 import os
+import struct
 
 import numpy as np
 import pytest
 from scipy.io import wavfile
 
+from nars import cli
 from nars.errors import ConfigurationError, DataError
 from nars.io import (
     ArtifactSet,
@@ -16,6 +18,7 @@ from nars.io import (
     write_policy_vector,
     write_wav,
 )
+from nars.scene import scene_rng
 from nars.wavefield import HarmonicField
 
 
@@ -49,6 +52,112 @@ def test_read_wav_decodes_integer_pcm(tmp_path, dtype, full_scale):
     fs, y = read_wav(path)
     assert fs == 8000.0
     assert y == pytest.approx(x, abs=1.0 / full_scale)
+
+
+def scipy_read(path):
+    """scipy's reader with ``read_wav``'s scaling and (n_ch, n) layout."""
+    rate, data = wavfile.read(path)
+    scale = {np.dtype(np.int16): 32767.0, np.dtype(np.int32): 2147483647.0}.get(data.dtype, 1.0)
+    out = data.astype(np.float64) / scale
+    return float(rate), out.T if out.ndim == 2 else out
+
+
+@pytest.mark.parametrize("shape", [(1,), (1001,), (2, 999), (8, 1001)])
+def test_write_wav_bytes_equal_scipy_float32_writer(tmp_path, shape):
+    x = np.random.default_rng(5).standard_normal(shape) * 0.3
+    ours, theirs = tmp_path / "ours.wav", tmp_path / "scipy.wav"
+    write_wav(ours, 16000.0, x)
+    wavfile.write(theirs, 16000, (x.T if x.ndim == 2 else x).astype(np.float32))
+    assert ours.read_bytes() == theirs.read_bytes()
+    fs, y = read_wav(ours)
+    fs_ref, y_ref = scipy_read(ours)
+    assert fs == fs_ref == 16000.0
+    assert y.shape == y_ref.shape == shape
+    assert np.array_equal(y, y_ref)
+
+
+@pytest.mark.parametrize("dtype", [np.int16, np.int32, np.float32])
+@pytest.mark.parametrize("n_ch", [1, 3])
+def test_read_wav_matches_scipy_reader(tmp_path, dtype, n_ch):
+    path = tmp_path / "x.wav"
+    x = np.random.default_rng(6).uniform(-0.9, 0.9, (257, n_ch)).squeeze()
+    if dtype != np.float32:
+        x = np.round(x * np.iinfo(dtype).max)
+    wavfile.write(path, 22050, x.astype(dtype))
+    fs, y = read_wav(path)
+    fs_ref, y_ref = scipy_read(path)
+    assert fs == fs_ref
+    assert np.array_equal(y, y_ref)
+
+
+def test_read_wav_skips_unknown_chunks_and_reads_extensible_format(tmp_path):
+    path = tmp_path / "ext.wav"
+    x = np.arange(-6, 6, dtype=np.int16).reshape(4, 3)  # 4 frames of 3 channels
+    guid = bytes.fromhex("0100 0000 0000 1000 8000 00aa 0038 9b71")  # SUBTYPE_PCM
+    fmt = struct.pack("<HHIIHHHHI", 0xFFFE, 3, 8000, 48000, 6, 16, 22, 16, 0) + guid
+    chunks = b"fmt " + struct.pack("<I", len(fmt)) + fmt
+    chunks += b"LIST" + struct.pack("<I", 3) + b"abc\x00"  # odd size, one pad byte
+    chunks += b"data" + struct.pack("<I", x.nbytes) + x.tobytes()
+    path.write_bytes(b"RIFF" + struct.pack("<I", 4 + len(chunks)) + b"WAVE" + chunks)
+    fs, y = read_wav(path)
+    assert fs == 8000.0
+    assert np.array_equal(y, x.T / 32767.0)
+    assert np.array_equal(y, scipy_read(path)[1])
+
+
+def _wav_bytes(tmp_path, data, fs=8000):
+    path = tmp_path / "src.wav"
+    wavfile.write(path, fs, data)
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda tp: _wav_bytes(tp, np.zeros(100, np.float32))[:-3],  # data cut mid-chunk
+        lambda tp: _wav_bytes(tp, np.zeros(100, np.float32))[:30],  # fmt cut short
+        lambda tp: _wav_bytes(tp, np.zeros(100, np.float32))[:58],  # header without its samples
+        lambda tp: b"RIFX" + _wav_bytes(tp, np.zeros(100, np.float32))[4:],  # wrong magic
+        lambda tp: b"RIFF\x04\x00\x00\x00WAVE",  # no chunks at all
+        lambda tp: _wav_bytes(tp, np.full(100, 128, np.uint8)),  # 8-bit PCM
+        lambda tp: _wav_bytes(tp, np.zeros(100, np.float64)),  # 64-bit float
+        lambda tp: _pcm24(_wav_bytes(tp, np.zeros(100, np.int16))),  # 24-bit PCM
+    ],
+    ids=["truncated-data", "truncated-fmt", "no-samples", "wrong-magic", "no-chunks",
+         "pcm8", "float64", "pcm24"],
+)
+def test_read_wav_rejects_other_formats_and_truncated_files_with_data_error(tmp_path, make):
+    path = tmp_path / "bad.wav"
+    path.write_bytes(make(tmp_path))
+    with pytest.raises(DataError):
+        read_wav(path)
+
+
+def _pcm24(raw: bytes) -> bytes:
+    """A 16-bit PCM file's header relabelled 24-bit, with 3-byte frames."""
+    fmt = bytearray(raw)
+    struct.pack_into("<IHH", fmt, 28, 8000 * 3, 3, 24)  # bytes/s, block align, bits
+    (size,) = struct.unpack_from("<I", fmt, 40)
+    body = bytes(size // 2 * 3)
+    return bytes(fmt[:40]) + struct.pack("<I", len(body)) + body
+
+
+def test_bench_reads_back_its_own_corpus(tmp_path, monkeypatch):
+    monkeypatch.setenv("NARS_LOG", "error")
+    cfg = tmp_path / "bench.ini"
+    cfg.write_text("[run]\nseed = 5\n[bench]\ndurations = 0.5, 1\nfs = 16000\nn_mics = 3\n")
+    out = tmp_path / "out"
+    assert cli.main(["bench", "--config", str(cfg), "--out", str(out)]) == 0
+    for i, d in enumerate((0.5, 1.0)):
+        rng = scene_rng(5, i)  # the draws cmd_bench makes for scene i
+        mics = rng.standard_normal((3, int(d * 16000))) * 0.1
+        far = rng.standard_normal(int(d * 16000)) * 0.1
+        for name, x in ((f"scene_{i:03d}.wav", mics), (f"far_{i:03d}.wav", far)):
+            path = out / "corpus" / name
+            fs, y = read_wav(path)
+            assert fs == 16000.0
+            assert np.array_equal(y, x.astype(np.float32))
+            assert np.array_equal(y, scipy_read(path)[1])
 
 
 def test_wav_bad_shape_and_rate(tmp_path):
@@ -227,11 +336,14 @@ def test_artifact_set_rejects_escapes(tmp_path):
 
 def test_artifact_set_overwrites_previous_run(tmp_path):
     out = tmp_path / "out"
-    for text in ("first", "second"):
+    for text, names in (("first", ("a.txt", "b.txt")), ("second", ("a.txt",))):
         with ArtifactSet(out) as art:
-            with open(art.path("a.txt"), "w") as fh:
-                fh.write(text)
+            for name in names:
+                with open(art.path(name), "w") as fh:
+                    fh.write(text)
     assert (out / "a.txt").read_text() == "second"
+    assert [p.name for p in out.iterdir()] == ["a.txt"]  # b.txt was the first run's
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]  # no stage left beside it
 
 
 def test_artifact_set_skips_undeclared_names(tmp_path):
