@@ -18,7 +18,7 @@ import numpy as np
 
 from . import io
 from .errors import ConfigurationError, DomainError
-from .frontend import FilterBankSpec, circular_array
+from .frontend import PROTOTYPE_TAPS_PER_BAND, FilterBankSpec, circular_array
 from .rl import RewardWeights
 from .scene import NOISE_KINDS, RoomSpec, ScenarioConfig
 from .wavefield import Medium, SourceWaveform
@@ -344,10 +344,16 @@ def build_rl(conf: Conf, scenario: ScenarioConfig) -> RlParams:
     # which FilterBankSpec accepts for every positive multiple of 8
     m = params.m_bands
     conf.check(m >= 8 and m % 8 == 0, "rl", "m_bands", "must be a positive multiple of 8")
-    # TuningEnv cuts the scene into chunks of this many samples
+    # TuningEnv cuts the scene into chunks of this many samples, and analyses
+    # each chunk with a bank whose prototype spans 8 * m_bands samples
     fs = scenario.room.fs
     chunk = round(params.chunk_seconds * fs)
-    conf.check(chunk >= 1, "rl", "chunk_seconds", "must hold at least one sample at [room] fs")
+    span = PROTOTYPE_TAPS_PER_BAND * m
+    conf.check(
+        chunk >= span, "rl", "chunk_seconds",
+        f"must hold at least the filter-bank prototype span at [room] fs "
+        f"({PROTOTYPE_TAPS_PER_BAND} * [rl] m_bands = {span} samples)",
+    )
     conf.check(
         chunk <= round(scenario.duration * fs), "rl", "chunk_seconds",
         f"must not exceed [scene] duration ({scenario.duration!r} s)",
@@ -367,5 +373,6 @@ def build_rl(conf: Conf, scenario: ScenarioConfig) -> RlParams:
     conf.check(params.lr > 0, "rl", "lr", "must be positive")
     for key in ("gamma", "lam"):
         conf.check(0.0 <= getattr(params, key) <= 1.0, "rl", key, "must lie in [0, 1]")
-    conf.check(0.0 <= params.init_mu <= 2.0, "rl", "init_mu", "must lie in [0, 2]")
+    # TuningEnv.step clips mu to [0, 1]
+    conf.check(0.0 <= params.init_mu <= 1.0, "rl", "init_mu", "must lie in [0, 1]")
     return params

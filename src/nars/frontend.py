@@ -31,6 +31,8 @@ from .errors import ConfigurationError, DataError, DomainError, FramingError, No
 
 # === filter bank ===
 
+PROTOTYPE_TAPS_PER_BAND = 8  # the prototype spans P = 8 * m_bands samples
+
 
 def _design_prototype(m_bands: int, hop: int, taps_per_band: int) -> np.ndarray:
     n = m_bands * taps_per_band
@@ -94,7 +96,7 @@ class FilterBankSpec:
             raise ConfigurationError("hop must divide m_bands")
         if self.fs <= 0:
             raise ConfigurationError("fs must be positive")
-        prototype = _design_prototype(self.m_bands, self.hop, 8)
+        prototype = _design_prototype(self.m_bands, self.hop, PROTOTYPE_TAPS_PER_BAND)
         object.__setattr__(self, "prototype", prototype)
         object.__setattr__(self, "dual", _dual_window(prototype, self.m_bands, self.hop))
 
@@ -105,14 +107,26 @@ class FilterBankSpec:
 
 @dataclass
 class SubbandState:
-    """Analysis output: complex frames, shape (m_bands, n_frames)."""
+    """Analysis output: complex frames, shape (m_bands, n_frames).
+
+    ``bands`` may be a transposed view of a C-ordered (n_frames, m_bands)
+    array, as ``fb_analyze`` and ``aec_process`` return it: each frame is
+    then contiguous in memory.
+    """
 
     bands: np.ndarray
     n_samples: int
 
 
 def fb_analyze(spec: FilterBankSpec, x: np.ndarray) -> SubbandState:
-    """Split a mono stream into M decimated complex subband signals."""
+    """Split a mono stream into M decimated complex subband signals.
+
+    Frame k folds the reversed window x[kL - j], j = 0..P-1, times the
+    prototype into M bins: bin i sums the P/M products at j = i, i + M, ...
+    in ascending j, starting from zero, as ``sum(axis=1)`` over a
+    (P/M, M) reshape does. One (n_frames, M) accumulator takes the segments
+    in turn, so no (n_frames, P) product is built.
+    """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
         raise FramingError("analysis expects a mono sample stream")
@@ -123,29 +137,42 @@ def fb_analyze(spec: FilterBankSpec, x: np.ndarray) -> SubbandState:
     xp = np.zeros(P - 1 + n_frames * L + P)
     xp[P - 1 : P - 1 + len(x)] = x
     # frame k holds x[kL - j] for j = 0..P-1, i.e. a reversed window ending at kL
-    windows = np.lib.stride_tricks.sliding_window_view(xp, P)[:: L][:n_frames]
-    frames = windows[:, ::-1] * spec.prototype[None, :]
-    folded = frames.reshape(n_frames, P // M, M).sum(axis=1)
+    reversed_windows = np.lib.stride_tricks.sliding_window_view(xp, P)[::L][:n_frames, ::-1]
+    folded = np.zeros((n_frames, M))
+    segment = np.empty((n_frames, M))
+    for s in range(0, P, M):
+        np.multiply(reversed_windows[:, s : s + M], spec.prototype[s : s + M], out=segment)
+        folded += segment
+    del xp, reversed_windows, segment  # free them before the FFT's two complex arrays
     bands = M * np.fft.ifft(folded, axis=1).T
     return SubbandState(bands=bands, n_samples=len(x))
 
 
 def fb_synthesize(spec: FilterBankSpec, state: SubbandState) -> np.ndarray:
-    """Rebuild the time signal from subband frames (scaled adjoint of analysis)."""
+    """Rebuild the time signal from subband frames (scaled adjoint of analysis).
+
+    Frame k adds the real part of its tiled spectrum times the dual window,
+    reversed, at samples kL .. kL + P - 1. The overlap-add runs as P/L
+    strided block adds over a (n_frames + P/L, L) view of the output, in
+    descending block offset b, so each sample sums its frames in ascending
+    k, starting from zero: the order of a frame-by-frame loop.
+    """
     P, M, L = spec.n_taps, spec.m_bands, spec.hop
     bands = state.bands
     if bands.shape[0] != M:
         raise ConfigurationError("band count does not match the bank")
     n_frames = bands.shape[1]
-    reps = P // M
-    chunks = np.tile(np.fft.fft(bands.T, axis=1) / M, (1, reps)) * spec.dual[None, :]
-    acc = np.zeros(P - 1 + n_frames * L + P, dtype=np.complex128)
-    for k in range(n_frames):
-        # same reversed-window geometry as analysis
-        start = k * L
-        acc[start : start + P] += chunks[k, ::-1]
-    out = M * acc[P - 1 : P - 1 + state.n_samples].real
-    return out
+    # reversed tiled spectrum: column i of the reversed frame is bin M-1 - (i mod M)
+    spec_rev = (np.fft.fft(bands.T, axis=1) / M).real[:, ::-1].copy()
+    dual_rev = spec.dual[::-1]
+    acc = np.zeros(P - 1 + n_frames * L + P)
+    rows = acc[: (n_frames + P // L) * L].reshape(-1, L)
+    block = np.empty((n_frames, L))
+    for b in range(P // L - 1, -1, -1):
+        c0 = b * L % M
+        np.multiply(spec_rev[:, c0 : c0 + L], dual_rev[b * L : (b + 1) * L], out=block)
+        rows[b : b + n_frames] += block
+    return M * acc[P - 1 : P - 1 + state.n_samples]
 
 
 # === per-band NLMS echo canceller ===
@@ -172,6 +199,9 @@ def make_aec(m_bands: int, n_taps: int, mu: float = 0.5) -> SubbandAecState:
     )
 
 
+_AEC_BLOCK = 256  # frames whose far-end history is laid out at once; bounds its memory
+
+
 def aec_process(
     state: SubbandAecState, far: SubbandState, mic: SubbandState
 ) -> tuple[SubbandState, SubbandAecState]:
@@ -181,6 +211,11 @@ def aec_process(
     normalized update W += mu * conj(far_hist) * error / (||far_hist||^2 +
     AEC_EPS_REG). Returns the echo-reduced subbands and the updated state; the
     input state is not mutated.
+
+    The history does not depend on the weights, so it is laid out, newest tap
+    first, for blocks of at most 256 frames, with its conjugate, its norm and
+    mu times its conjugate. Each product, sum and quotient is the one the
+    per-frame recursion evaluates, over the taps in the same order.
     """
     if far.bands.shape[0] != mic.bands.shape[0] or far.bands.shape[0] != state.weights.shape[0]:
         raise ConfigurationError("far, mic, and state band counts must match")
@@ -191,19 +226,35 @@ def aec_process(
     w = state.weights.copy()
     hist = state.far_hist.copy()
     mu = state.mu
+    n_bands, n_taps = hist.shape
     n_frames = mic.bands.shape[1]
-    out = np.empty_like(mic.bands)
-    for k in range(n_frames):
-        hist[:, 1:] = hist[:, :-1]
-        hist[:, 0] = far.bands[:, k]
-        est = np.einsum("bt,bt->b", w, hist)
-        err = mic.bands[:, k] - est
-        out[:, k] = err
+    out = np.empty((n_frames, n_bands), dtype=mic.bands.dtype)
+    mic_frames = mic.bands.T
+    est = np.empty(n_bands, dtype=w.dtype)
+    step = np.empty_like(est)
+    update = np.empty_like(w)
+    # the n_taps - 1 newest past columns, oldest first, ahead of each block
+    tail = hist[:, : n_taps - 1][:, ::-1]
+    for k0 in range(0, n_frames, _AEC_BLOCK):
+        k1 = min(k0 + _AEC_BLOCK, n_frames)
+        padded = np.concatenate((tail, far.bands[:, k0:k1]), axis=1)
+        tail = padded[:, padded.shape[1] - (n_taps - 1) :]
+        windows = np.lib.stride_tricks.sliding_window_view(padded, n_taps, axis=1)
+        h = np.ascontiguousarray(windows[:, :, ::-1].transpose(1, 0, 2))  # (frames, bands, taps)
         if mu != 0.0:
-            norm = np.einsum("bt,bt->b", hist, np.conj(hist)).real + AEC_EPS_REG
-            w += mu * np.conj(hist) * (err / norm)[:, None]
+            conj_h = np.conj(h)
+            norm = np.einsum("kbt,kbt->kb", h, conj_h).real + AEC_EPS_REG
+            mu_conj_h = mu * conj_h
+        for j in range(k1 - k0):
+            np.einsum("bt,bt->b", w, h[j], out=est)
+            err = np.subtract(mic_frames[k0 + j], est, out=out[k0 + j])
+            if mu != 0.0:
+                np.divide(err, norm[j], out=step)
+                np.multiply(mu_conj_h[j], step[:, None], out=update)
+                w += update
+        hist = h[-1].copy()
     new_state = SubbandAecState(weights=w, far_hist=hist, mu=mu)
-    return SubbandState(bands=out, n_samples=mic.n_samples), new_state
+    return SubbandState(bands=out.T, n_samples=mic.n_samples), new_state
 
 
 def erle_db(mic: SubbandState, residual: SubbandState, tail_frames: int | None = None) -> float:

@@ -554,18 +554,22 @@ class TuningEnv:
             raise DomainError("horizon must be at least one step")
         if m_bands < 8 or m_bands % 8:
             raise DomainError("m_bands must be a positive multiple of 8 (8 band groups)")
+        if not 0.0 <= init_mu <= 1.0:
+            raise DomainError("init_mu must lie in [0, 1], the range step clips mu to")
         self.scenario = scenario
         self.weights = weights
         self.horizon = horizon
         fs = scenario.room.fs
-        self.rendered: RenderedScene = render_scene(scenario)
+        self.bank = FilterBankSpec(m_bands=m_bands, hop=m_bands // 2, fs=fs)
         self.chunk = int(round(chunk_seconds * fs))
+        if self.chunk < self.bank.n_taps:
+            raise DomainError("chunk shorter than the filter-bank prototype span")
+        self.rendered: RenderedScene = render_scene(scenario)
         n = self.rendered.mics.shape[1]
         if self.chunk > n:
             raise DomainError("chunk longer than the rendered scene")
         self.n_chunks = n // self.chunk
         self.geom = scenario_geometry(scenario)
-        self.bank = FilterBankSpec(m_bands=m_bands, hop=m_bands // 2, fs=fs)
         self.aec_taps = aec_taps
         self.init_steer = (self.rendered.true_azimuth_deg + init_steer_offset_deg) % 360.0
         self.init_mu = init_mu

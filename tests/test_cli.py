@@ -449,6 +449,8 @@ def test_bad_config_value_exits_one_with_one_log_line(tmp_path, command, key, cf
         ("init_mu", "3"),
         ("w_quality", "0.5"),
         ("chunk_seconds", "1e-5"),
+        ("chunk_seconds", "0.0001"),
+        ("init_mu", "1.5"),
         ("init_log_std", "20"),
         ("init_log_std", "1000"),
         ("init_log_std", "-6"),

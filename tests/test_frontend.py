@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -130,6 +131,25 @@ def test_synthesize_band_mismatch():
         fb_synthesize(other, state)
 
 
+def _traced_peak(fn, *args):
+    """Peak bytes that ``fn(*args)`` allocates, its result included."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_bank_memory_stays_within_a_few_copies_of_the_bands():
+    # 10 s of audio: a whole-file (n_frames, P) product would be 8x the complex
+    # bands in analysis and 16x in synthesis
+    x = np.random.default_rng(4).standard_normal(int(10 * FS))
+    state = fb_analyze(BANK, x)
+    assert _traced_peak(fb_synthesize, BANK, state) <= 2 * state.bands.nbytes
+    assert _traced_peak(fb_analyze, BANK, x) <= 4 * state.bands.nbytes
+
+
 # === subband AEC ===
 
 
@@ -172,7 +192,7 @@ def test_aec_does_not_mutate_input_state():
 
 def test_aec_streaming_matches_batch():
     far, mic = synthetic_states(n_frames=300)
-    res_a, _ = aec_process(make_aec(16, 4, mu=0.5), far, mic)
+    res_a, state_a = aec_process(make_aec(16, 4, mu=0.5), far, mic)
     state = make_aec(16, 4, mu=0.5)
     chunks = []
     for lo in range(0, 300, 75):
@@ -180,7 +200,8 @@ def test_aec_streaming_matches_batch():
         m = SubbandState(bands=mic.bands[:, lo : lo + 75], n_samples=0)
         out, state = aec_process(state, f, m)
         chunks.append(out.bands)
-    assert np.allclose(np.concatenate(chunks, axis=1), res_a.bands, atol=1e-12)
+    assert np.array_equal(np.concatenate(chunks, axis=1), res_a.bands)
+    assert np.array_equal(state.weights, state_a.weights)
 
 
 def test_aec_validation():

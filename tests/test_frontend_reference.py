@@ -1,0 +1,203 @@
+"""The filter bank and the echo canceller against inline copies of their frame loops.
+
+The references below build the whole (n_frames, P) analysis product and sum
+it with ``sum(axis=1)``, overlap-add one synthesized frame at a time into a
+complex accumulator, and run the NLMS recursion with a shifted history and
+one ``einsum`` per frame. ``fb_analyze``, ``fb_synthesize`` and
+``aec_process`` must agree with them bit for bit: outputs, their memory
+layout, and the returned weights and far-end history.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+
+from nars.frontend import (
+    AEC_EPS_REG,
+    FilterBankSpec,
+    SubbandAecState,
+    SubbandState,
+    aec_process,
+    apply_spectral_mask,
+    beamform_das,
+    circular_array,
+    das_weights,
+    enhance,
+    fb_analyze,
+    fb_synthesize,
+    make_aec,
+    scenario_geometry,
+)
+from nars.scene import RoomSpec, ScenarioConfig, render_scene
+
+FS = 16000.0
+BANKS = [(64, 32), (16, 8), (128, 32), (32, 8)]
+TAPS = [1, 2, 4, 16]
+MUS = [0.0, 0.5, 1.7]
+
+
+def _reference_analyze(spec, x):
+    x = np.asarray(x, dtype=np.float64)
+    P, M, L = spec.n_taps, spec.m_bands, spec.hop
+    n_frames = (len(x) + P - 2) // L + 1
+    xp = np.zeros(P - 1 + n_frames * L + P)
+    xp[P - 1 : P - 1 + len(x)] = x
+    windows = np.lib.stride_tricks.sliding_window_view(xp, P)[::L][:n_frames]
+    frames = windows[:, ::-1] * spec.prototype[None, :]
+    folded = frames.reshape(n_frames, P // M, M).sum(axis=1)
+    bands = M * np.fft.ifft(folded, axis=1).T
+    return SubbandState(bands=bands, n_samples=len(x))
+
+
+def _reference_synthesize(spec, state):
+    P, M, L = spec.n_taps, spec.m_bands, spec.hop
+    bands = state.bands
+    n_frames = bands.shape[1]
+    chunks = np.tile(np.fft.fft(bands.T, axis=1) / M, (1, P // M)) * spec.dual[None, :]
+    acc = np.zeros(P - 1 + n_frames * L + P, dtype=np.complex128)
+    for k in range(n_frames):
+        acc[k * L : k * L + P] += chunks[k, ::-1]
+    return M * acc[P - 1 : P - 1 + state.n_samples].real
+
+
+def _reference_aec(state, far, mic):
+    w = state.weights.copy()
+    hist = state.far_hist.copy()
+    mu = state.mu
+    out = np.empty_like(mic.bands)
+    for k in range(mic.bands.shape[1]):
+        hist[:, 1:] = hist[:, :-1]
+        hist[:, 0] = far.bands[:, k]
+        est = np.einsum("bt,bt->b", w, hist)
+        err = mic.bands[:, k] - est
+        out[:, k] = err
+        if mu != 0.0:
+            norm = np.einsum("bt,bt->b", hist, np.conj(hist)).real + AEC_EPS_REG
+            w += mu * np.conj(hist) * (err / norm)[:, None]
+    return SubbandState(bands=out, n_samples=mic.n_samples), SubbandAecState(w, hist, mu)
+
+
+def _identical(got, want):
+    """Same shape, dtype, memory order and bytes, so signed zeros count too."""
+    return (
+        got.shape == want.shape
+        and got.dtype == want.dtype
+        and (got.flags.c_contiguous, got.flags.f_contiguous)
+        == (want.flags.c_contiguous, want.flags.f_contiguous)
+        and got.tobytes(order="A") == want.tobytes(order="A")
+    )
+
+
+def _random_state(rng, m_bands, n_taps, mu):
+    def cplx():
+        return rng.standard_normal((m_bands, n_taps)) + 1j * rng.standard_normal((m_bands, n_taps))
+
+    return SubbandAecState(weights=0.1 * cplx(), far_hist=cplx(), mu=mu)
+
+
+def _lengths(spec):
+    return [spec.n_taps, spec.n_taps + 1, 3000, 3201, 16000]
+
+
+@pytest.mark.parametrize("m_bands, hop", BANKS)
+def test_bank_matches_the_frame_loops(m_bands, hop):
+    spec = FilterBankSpec(m_bands=m_bands, hop=hop, fs=FS)
+    rng = np.random.default_rng(m_bands + hop)
+    for n in _lengths(spec):
+        x = rng.standard_normal(n)
+        got, want = fb_analyze(spec, x), _reference_analyze(spec, x)
+        assert _identical(got.bands, want.bands), (n, "analysis")
+        assert got.n_samples == want.n_samples
+        assert _identical(fb_synthesize(spec, got), _reference_synthesize(spec, want)), (n, "synthesis")
+        # a C-ordered (m_bands, n_frames) state takes the same path
+        c_state = SubbandState(bands=np.ascontiguousarray(want.bands), n_samples=n)
+        assert _identical(fb_synthesize(spec, c_state), _reference_synthesize(spec, c_state)), n
+
+
+@pytest.mark.parametrize("n_taps", TAPS)
+@pytest.mark.parametrize("m_bands, hop", BANKS)
+def test_aec_matches_the_frame_loop(m_bands, hop, n_taps):
+    spec = FilterBankSpec(m_bands=m_bands, hop=hop, fs=FS)
+    rng = np.random.default_rng(100 * m_bands + n_taps)
+    for n, mu in itertools.product(_lengths(spec), MUS):
+        far = fb_analyze(spec, rng.standard_normal(n))
+        mic = fb_analyze(spec, rng.standard_normal(n))
+        state = _random_state(rng, m_bands, n_taps, mu)
+        kept = (state.weights.copy(), state.far_hist.copy())
+        got, got_state = aec_process(state, far, mic)
+        want, want_state = _reference_aec(state, far, mic)
+        assert _identical(got.bands, want.bands), (n, mu)
+        assert _identical(got_state.weights, want_state.weights), (n, mu)
+        assert _identical(got_state.far_hist, want_state.far_hist), (n, mu)
+        assert got.n_samples == want.n_samples and got_state.mu == mu
+        assert np.array_equal(state.weights, kept[0]) and np.array_equal(state.far_hist, kept[1])
+
+
+@pytest.mark.parametrize("n_taps", TAPS)
+def test_aec_chunks_shorter_than_the_history_match_the_frame_loop(n_taps):
+    """Calls of 0, 1, 2 and 3 frames carry the history through the returned state.
+
+    The subbands are frame-major in memory, as ``fb_analyze`` lays them out.
+    """
+    rng = np.random.default_rng(n_taps)
+    far_all = (rng.standard_normal((6, 8)) + 1j * rng.standard_normal((6, 8))).T
+    mic_all = (rng.standard_normal((6, 8)) + 1j * rng.standard_normal((6, 8))).T
+    got_state = want_state = _random_state(rng, 8, n_taps, 0.5)
+    lo = 0
+    for size in (0, 1, 2, 3):
+        far = SubbandState(bands=far_all[:, lo : lo + size], n_samples=0)
+        mic = SubbandState(bands=mic_all[:, lo : lo + size], n_samples=0)
+        got, got_state = aec_process(got_state, far, mic)
+        want, want_state = _reference_aec(want_state, far, mic)
+        assert _identical(got.bands, want.bands), size
+        assert _identical(got_state.weights, want_state.weights), size
+        assert _identical(got_state.far_hist, want_state.far_hist), size
+        lo += size
+
+
+def test_aec_with_no_frames_returns_copies_of_the_state():
+    rng = np.random.default_rng(7)
+    state = _random_state(rng, 16, 4, 0.5)
+    empty = SubbandState(bands=np.zeros((16, 0), dtype=np.complex128), n_samples=0)
+    out, new = aec_process(state, empty, empty)
+    assert out.bands.shape == (16, 0)
+    assert np.array_equal(new.weights, state.weights) and new.weights is not state.weights
+    assert np.array_equal(new.far_hist, state.far_hist) and new.far_hist is not state.far_hist
+
+
+@pytest.fixture(scope="module")
+def echo_scene():
+    """0.25 s of an 8-mic, 5 cm circle with an echo path."""
+    mics = circular_array(8, 0.05, center=(3.0, 2.5, 1.2)).positions.tolist()
+    scenario = ScenarioConfig(
+        room=RoomSpec(dims=(6.0, 5.0, 3.0), reflection=0.4, max_order=1, fs=FS),
+        source_pos=(1.5, 3.5, 1.5),
+        mic_positions=tuple(map(tuple, mics)),
+        noise_kind="white",
+        snr_db=10.0,
+        seed=11,
+        duration=0.25,
+        echo_pos=(5.0, 1.0, 1.3),
+    )
+    return scenario_geometry(scenario), render_scene(scenario)
+
+
+@pytest.mark.parametrize("with_far, with_gains", [(False, False), (False, True), (True, False), (True, True)])
+def test_enhance_matches_the_reference_chain(echo_scene, with_far, with_gains):
+    geom, r = echo_scene
+    spec = FilterBankSpec(m_bands=64, hop=32, fs=FS)
+    far_sub = fb_analyze(spec, r.far_end) if with_far else None
+    gains = np.linspace(0.1, 1.0, spec.m_bands) if with_gains else None
+    mic_sub, out_sub, y = enhance(geom, spec, r.mics, 40.0, far_sub, mu=0.5, aec_taps=4, band_gains=gains)
+
+    want_mic = _reference_analyze(spec, beamform_das(geom, das_weights(geom, 40.0), r.mics))
+    want_out = want_mic
+    if with_far:
+        far_ref = _reference_analyze(spec, r.far_end)
+        want_out, _ = _reference_aec(make_aec(spec.m_bands, 4, mu=0.5), far_ref, want_mic)
+    if with_gains:
+        want_out = apply_spectral_mask(want_out, np.broadcast_to(gains[:, None], want_out.bands.shape))
+    assert _identical(mic_sub.bands, want_mic.bands)
+    assert _identical(out_sub.bands, want_out.bands)
+    assert _identical(y, _reference_synthesize(spec, want_out))

@@ -419,6 +419,24 @@ def test_latency_only_reward_is_nonpositive_and_action_free():
     assert r1 == r2  # modeled compute cost does not depend on the action
 
 
+@pytest.mark.parametrize(
+    "kwargs, match",
+    [
+        (dict(chunk_seconds=0.0001), "prototype span"),
+        (dict(chunk_seconds=511 / 16000), "prototype span"),  # m_bands 64 spans 512 samples
+        (dict(init_mu=1.5), "init_mu"),
+        (dict(init_mu=-0.1), "init_mu"),
+    ],
+)
+def test_env_rejects_bad_settings_before_rendering(monkeypatch, kwargs, match):
+    def no_render(*args, **kw):
+        raise AssertionError("rendered before the settings were checked")
+
+    monkeypatch.setattr(nars.rl, "render_scene", no_render)
+    with pytest.raises(DomainError, match=match):
+        TuningEnv(tuning_scenario(), **kwargs)
+
+
 def test_rewards_stay_in_documented_range(env):
     rng = np.random.default_rng(9)
     env.reset()
