@@ -5,6 +5,10 @@ cancellation, delay-and-sum beamforming with fractional steering delays,
 steered-response-power localization, spectral masking and per-band gains.
 ``enhance`` chains them (DAS -> analysis -> AEC -> band gains -> synthesis)
 for every caller: ``nars frontend``, ``nars bench`` and the tuning env.
+Analysis, the AEC, the mask and synthesis take an optional leading episode
+axis, which ``enhance`` uses to step several tuning episodes through one
+call; a lone stream is the case with no leading axis, and each row of a
+batch equals a lone-stream call on that row, bit for bit.
 
 The SRP scan does not beamform once per azimuth. A steering bank, built once
 per (geometry, grid) and cached, holds every (azimuth, mic) fractional-delay
@@ -107,11 +111,12 @@ class FilterBankSpec:
 
 @dataclass
 class SubbandState:
-    """Analysis output: complex frames, shape (m_bands, n_frames).
+    """Analysis output: complex frames, shape (m_bands, n_frames), or
+    (E, m_bands, n_frames) for E streams analysed together.
 
-    ``bands`` may be a transposed view of a C-ordered (n_frames, m_bands)
-    array, as ``fb_analyze`` and ``aec_process`` return it: each frame is
-    then contiguous in memory.
+    ``bands`` may be a transposed view of a C-ordered (..., n_frames,
+    m_bands) array, as ``fb_analyze`` and ``aec_process`` return it: each
+    frame is then contiguous in memory.
     """
 
     bands: np.ndarray
@@ -119,33 +124,42 @@ class SubbandState:
 
 
 def fb_analyze(spec: FilterBankSpec, x: np.ndarray) -> SubbandState:
-    """Split a mono stream into M decimated complex subband signals.
+    """Split a mono stream, or each row of a stack of streams, into M complex subbands.
 
     Frame k folds the reversed window x[kL - j], j = 0..P-1, times the
     prototype into M bins: bin i sums the P/M products at j = i, i + M, ...
     in ascending j, starting from zero, as ``sum(axis=1)`` over a
     (P/M, M) reshape does. One (n_frames, M) accumulator takes the segments
-    in turn, so no (n_frames, P) product is built.
+    in turn, so no (n_frames, P) product is built. An (E, n) stack gives
+    (E, M, n_frames) bands whose every row equals the analysis of that row
+    alone, bit for bit: each step is elementwise or an FFT along the row.
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise FramingError("analysis expects a mono sample stream")
-    if len(x) < spec.n_taps:
+    if x.ndim not in (1, 2):
+        raise FramingError("analysis expects a sample stream or an (episodes, samples) stack")
+    n = x.shape[-1]
+    if n < spec.n_taps:
         raise FramingError("stream shorter than one prototype span")
     P, M, L = spec.n_taps, spec.m_bands, spec.hop
-    n_frames = (len(x) + P - 2) // L + 1
-    xp = np.zeros(P - 1 + n_frames * L + P)
-    xp[P - 1 : P - 1 + len(x)] = x
+    lead = x.shape[:-1]
+    n_frames = (n + P - 2) // L + 1
+    xp = np.zeros(lead + (P - 1 + n_frames * L + P,))
+    xp[..., P - 1 : P - 1 + n] = x
     # frame k holds x[kL - j] for j = 0..P-1, i.e. a reversed window ending at kL
-    reversed_windows = np.lib.stride_tricks.sliding_window_view(xp, P)[::L][:n_frames, ::-1]
-    folded = np.zeros((n_frames, M))
-    segment = np.empty((n_frames, M))
+    windows = np.lib.stride_tricks.sliding_window_view(xp, P, axis=-1)
+    reversed_windows = windows[..., ::L, :][..., :n_frames, ::-1]
+    folded = np.zeros(lead + (n_frames, M))
+    segment = np.empty_like(folded)
     for s in range(0, P, M):
-        np.multiply(reversed_windows[:, s : s + M], spec.prototype[s : s + M], out=segment)
+        np.multiply(reversed_windows[..., s : s + M], spec.prototype[s : s + M], out=segment)
         folded += segment
-    del xp, reversed_windows, segment  # free them before the FFT's two complex arrays
-    bands = M * np.fft.ifft(folded, axis=1).T
-    return SubbandState(bands=bands, n_samples=len(x))
+    del xp, windows, reversed_windows, segment  # free them before the complex bands
+    # the FFT casts a real input to complex anyway; cast once, transform in place
+    bands = folded.astype(np.complex128)
+    del folded
+    np.fft.ifft(bands, axis=-1, out=bands)
+    bands *= M
+    return SubbandState(bands=np.swapaxes(bands, -1, -2), n_samples=n)
 
 
 def fb_synthesize(spec: FilterBankSpec, state: SubbandState) -> np.ndarray:
@@ -153,26 +167,31 @@ def fb_synthesize(spec: FilterBankSpec, state: SubbandState) -> np.ndarray:
 
     Frame k adds the real part of its tiled spectrum times the dual window,
     reversed, at samples kL .. kL + P - 1. The overlap-add runs as P/L
-    strided block adds over a (n_frames + P/L, L) view of the output, in
+    strided block adds over an (n_frames + 2P/L, L) view of the output, in
     descending block offset b, so each sample sums its frames in ascending
-    k, starting from zero: the order of a frame-by-frame loop.
+    k, starting from zero: the order of a frame-by-frame loop. Bands of
+    shape (E, M, n_frames) give (E, n_samples), each row bit for bit the
+    synthesis of that row alone.
     """
     P, M, L = spec.n_taps, spec.m_bands, spec.hop
     bands = state.bands
-    if bands.shape[0] != M:
+    if bands.shape[-2] != M:
         raise ConfigurationError("band count does not match the bank")
-    n_frames = bands.shape[1]
+    lead, n_frames = bands.shape[:-2], bands.shape[-1]
     # reversed tiled spectrum: column i of the reversed frame is bin M-1 - (i mod M)
-    spec_rev = (np.fft.fft(bands.T, axis=1) / M).real[:, ::-1].copy()
+    spectra = np.fft.fft(np.swapaxes(bands, -1, -2), axis=-1)
+    spectra /= M
+    spec_rev = spectra.real[..., ::-1].copy()
+    del spectra
     dual_rev = spec.dual[::-1]
-    acc = np.zeros(P - 1 + n_frames * L + P)
-    rows = acc[: (n_frames + P // L) * L].reshape(-1, L)
-    block = np.empty((n_frames, L))
+    rows = np.zeros(lead + (n_frames + 2 * P // L, L))  # every sample a frame reaches
+    block = np.empty(lead + (n_frames, L))
     for b in range(P // L - 1, -1, -1):
         c0 = b * L % M
-        np.multiply(spec_rev[:, c0 : c0 + L], dual_rev[b * L : (b + 1) * L], out=block)
-        rows[b : b + n_frames] += block
-    return M * acc[P - 1 : P - 1 + state.n_samples]
+        np.multiply(spec_rev[..., c0 : c0 + L], dual_rev[b * L : (b + 1) * L], out=block)
+        rows[..., b : b + n_frames, :] += block
+    acc = rows.reshape(lead + (-1,))
+    return M * acc[..., P - 1 : P - 1 + state.n_samples]
 
 
 # === per-band NLMS echo canceller ===
@@ -182,18 +201,27 @@ AEC_EPS_REG = 1e-6  # regularizes the NLMS step against a silent far end
 
 @dataclass
 class SubbandAecState:
-    weights: np.ndarray  # (m_bands, n_taps) complex
+    """Canceller state, for one stream or for E rows that share one far end.
+
+    ``weights`` is (m_bands, n_taps), or (E, m_bands, n_taps) with ``mu``
+    then a scalar or one step size per row; ``far_hist`` is always
+    (m_bands, n_taps), since every row hears the same far end.
+    """
+
+    weights: np.ndarray  # complex
     far_hist: np.ndarray  # (m_bands, n_taps) complex, newest first
-    mu: float
+    mu: float | np.ndarray
 
     def __post_init__(self):
-        if not 0.0 <= self.mu <= 2.0:
+        mu = np.asarray(self.mu)
+        if not np.all((mu >= 0.0) & (mu <= 2.0)):
             raise DomainError("step size mu must lie in [0, 2]")
 
 
-def make_aec(m_bands: int, n_taps: int, mu: float = 0.5) -> SubbandAecState:
+def make_aec(m_bands: int, n_taps: int, mu: float | np.ndarray = 0.5) -> SubbandAecState:
+    """A zeroed canceller; an array of step sizes gives one row of weights per entry."""
     return SubbandAecState(
-        weights=np.zeros((m_bands, n_taps), dtype=np.complex128),
+        weights=np.zeros(np.shape(mu) + (m_bands, n_taps), dtype=np.complex128),
         far_hist=np.zeros((m_bands, n_taps), dtype=np.complex128),
         mu=mu,
     )
@@ -213,24 +241,45 @@ def aec_process(
     input state is not mutated.
 
     The history does not depend on the weights, so it is laid out, newest tap
-    first, for blocks of at most 256 frames, with its conjugate, its norm and
-    mu times its conjugate. Each product, sum and quotient is the one the
-    per-frame recursion evaluates, over the taps in the same order.
+    first, for blocks of at most 256 frames, with its conjugate and its norm,
+    and, for a scalar ``mu``, mu times its conjugate. Each product, sum and
+    quotient is the one the per-frame recursion evaluates, over the taps in
+    the same order.
+
+    Mic bands of shape (E, M, n_frames) run E cancellers in lockstep against
+    the one far end: the history is laid out once for all rows, and each
+    frame makes the same few calls over (E, M, n_taps) weights. With one
+    step size per row, a frame multiplies mu into the conjugate history
+    before it scales by the step, the order of the scalar path's
+    precomputed product. Every row equals a call on that row alone, bit for
+    bit; while any row adapts, a row whose mu is 0 adds zeros, which leaves
+    each weight's value as it was.
     """
-    if far.bands.shape[0] != mic.bands.shape[0] or far.bands.shape[0] != state.weights.shape[0]:
+    n_bands, n_taps = state.far_hist.shape
+    lead = mic.bands.shape[:-2]
+    if far.bands.ndim != 2:
+        raise FramingError("the far end must be one stream of subbands")
+    if far.bands.shape[0] != n_bands or mic.bands.shape[-2] != n_bands or state.weights.shape[-2] != n_bands:
         raise ConfigurationError("far, mic, and state band counts must match")
-    if far.bands.shape[1] != mic.bands.shape[1]:
+    if state.weights.shape[:-2] != lead or np.shape(state.mu) not in ((), lead):
+        raise ConfigurationError("mic, weight and step-size rows must match")
+    if far.bands.shape[1] != mic.bands.shape[-1]:
         raise FramingError("far-end and mic frames are not aligned")
     if not (np.all(np.isfinite(far.bands)) and np.all(np.isfinite(mic.bands))):
         raise DataError("non-finite subband samples")
     w = state.weights.copy()
     hist = state.far_hist.copy()
     mu = state.mu
-    n_bands, n_taps = hist.shape
-    n_frames = mic.bands.shape[1]
-    out = np.empty((n_frames, n_bands), dtype=mic.bands.dtype)
-    mic_frames = mic.bands.T
-    est = np.empty(n_bands, dtype=w.dtype)
+    row_mu = np.ndim(mu) > 0
+    adapt = bool(np.any(np.asarray(mu) != 0.0))
+    # complex operands, as the ufuncs would cast them, so no frame casts again
+    mu_c = np.asarray(mu, dtype=np.complex128)[..., None, None]
+    n_frames = far.bands.shape[1]
+    out = np.empty(lead + (n_frames, n_bands), dtype=mic.bands.dtype)
+    out_frames = out.swapaxes(0, -2)  # (n_frames, ..., n_bands) views
+    mic_frames = mic.bands.swapaxes(-1, -2).swapaxes(0, -2)
+    subscripts = "ebt,bt->eb" if lead else "bt,bt->b"
+    est = np.empty(lead + (n_bands,), dtype=w.dtype)
     step = np.empty_like(est)
     update = np.empty_like(w)
     # the n_taps - 1 newest past columns, oldest first, ahead of each block
@@ -241,20 +290,22 @@ def aec_process(
         tail = padded[:, padded.shape[1] - (n_taps - 1) :]
         windows = np.lib.stride_tricks.sliding_window_view(padded, n_taps, axis=1)
         h = np.ascontiguousarray(windows[:, :, ::-1].transpose(1, 0, 2))  # (frames, bands, taps)
-        if mu != 0.0:
+        if adapt:
             conj_h = np.conj(h)
-            norm = np.einsum("kbt,kbt->kb", h, conj_h).real + AEC_EPS_REG
-            mu_conj_h = mu * conj_h
+            norm = (np.einsum("kbt,kbt->kb", h, conj_h).real + AEC_EPS_REG).astype(np.complex128)
+            if not row_mu:
+                mu_conj_h = mu_c * conj_h
         for j in range(k1 - k0):
-            np.einsum("bt,bt->b", w, h[j], out=est)
-            err = np.subtract(mic_frames[k0 + j], est, out=out[k0 + j])
-            if mu != 0.0:
+            np.einsum(subscripts, w, h[j], out=est)
+            err = np.subtract(mic_frames[k0 + j], est, out=out_frames[k0 + j])
+            if adapt:
                 np.divide(err, norm[j], out=step)
-                np.multiply(mu_conj_h[j], step[:, None], out=update)
+                scaled = np.multiply(mu_c, conj_h[j], out=update) if row_mu else mu_conj_h[j]
+                np.multiply(scaled, step[..., None], out=update)
                 w += update
         hist = h[-1].copy()
     new_state = SubbandAecState(weights=w, far_hist=hist, mu=mu)
-    return SubbandState(bands=out.T, n_samples=mic.n_samples), new_state
+    return SubbandState(bands=np.swapaxes(out, -1, -2), n_samples=mic.n_samples), new_state
 
 
 def erle_db(mic: SubbandState, residual: SubbandState, tail_frames: int | None = None) -> float:
@@ -538,10 +589,10 @@ def enhance(
     geom: MicArrayGeometry,
     spec: FilterBankSpec,
     mics: np.ndarray,
-    steer_deg: float,
+    steer_deg: float | np.ndarray,
     far_sub: SubbandState | None = None,
     *,
-    mu: float,
+    mu: float | np.ndarray,
     aec_taps: int,
     band_gains: np.ndarray | None = None,
 ) -> tuple[SubbandState, SubbandState, np.ndarray]:
@@ -552,13 +603,20 @@ def enhance(
     over every frame) only when given. Returns the beamformed subbands
     before the AEC, the subbands after the last stage, and the synthesized
     samples, as many as ``mics`` has columns.
+
+    An (E,) array of steering angles runs E settings of the chain on the
+    same ``mics`` and far end in lockstep: ``mu`` is then one step size per
+    row and ``band_gains`` (E, m_bands), and every output gains that leading
+    axis. Each row equals the chain run on its own settings, bit for bit.
+    The DAS runs once per row, since each row has its own steering.
     """
-    y = beamform_das(geom, das_weights(geom, steer_deg), mics)
+    rows = [beamform_das(geom, das_weights(geom, az), mics) for az in np.ravel(steer_deg)]
+    y = np.stack(rows) if np.ndim(steer_deg) else rows[0]
     mic_sub = fb_analyze(spec, y)
     out_sub = mic_sub
     if far_sub is not None:
         out_sub, _ = aec_process(make_aec(spec.m_bands, aec_taps, mu=mu), far_sub, mic_sub)
     if band_gains is not None:
-        mask = np.broadcast_to(np.asarray(band_gains)[:, None], out_sub.bands.shape)
+        mask = np.broadcast_to(np.asarray(band_gains)[..., None], out_sub.bands.shape)
         out_sub = apply_spectral_mask(out_sub, mask)
     return mic_sub, out_sub, fb_synthesize(spec, out_sub)

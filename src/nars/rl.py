@@ -5,11 +5,19 @@ separate value perceptron) trained with clipped-surrogate updates over GAE
 advantages, plus a tabular Q-learner for the discrete routing toy. The
 environment wraps a rendered scene: actions are bounded deltas on the AEC
 step size, two band-gain trims, and the beam steering. Work that no action
-changes (the SRP scan, the far-end analysis, the raw-mic SI-SNR baseline) is
-done once per chunk when the env is built; each step runs only the
-action-dependent front end on the next audio chunk and scores it. That is
-``frontend.enhance`` (DAS, analysis, AEC, band gains, synthesis), the same
-chain that ``nars frontend`` runs.
+changes (the SRP scan, the far-end analysis, the raw-mic SI-SNR baseline,
+and the reset observation) is done once when the env is built; each step
+runs only the action-dependent front end on the next audio chunk and scores
+it. That is ``frontend.enhance`` (DAS, analysis, AEC, band gains,
+synthesis), the same chain that ``nars frontend`` runs.
+
+Training steps the episodes of each PPO update in lockstep, as PPO's N
+actors collect one batch (Schulman et al. 2017, Algorithm 1): every episode
+starts at chunk 0 and advances with the others, so one ``TuningEnv.step``
+and one ``enhance`` call with a leading episode axis serve them all. The
+action noise of an update is drawn at once in episode order, and the policy
+is evaluated row by row, so each episode gets the bits it would get if the
+episodes ran one after another.
 
 Each piece of the PPO math has one home. ``_forward`` evaluates both networks
 and keeps the intermediates that the backward pass reads; ``_log_prob`` is the
@@ -23,7 +31,10 @@ of the full objective is part of the acceptance gate.
 
 from __future__ import annotations
 
+import logging
 import math
+import time
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
@@ -42,6 +53,8 @@ from .frontend import (
     srp_localize,
 )
 from .scene import ScenarioConfig, RenderedScene, render_scene, si_snr
+
+log = logging.getLogger(__name__)
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 VF_COEF = 0.5  # weight of the value loss in the PPO objective
@@ -172,8 +185,9 @@ def _log_prob(f: _Forward, act: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return z, np.sum(-0.5 * z**2 - f.log_std - 0.5 * _LOG_2PI, axis=1)
 
 
-def _sample(f: _Forward, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    raw = f.mean + f.std * rng.standard_normal(f.mean.shape)
+def _sample(f: _Forward, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Raw actions mean + std * z for standard-normal draws z, and their log-densities."""
+    raw = f.mean + f.std * z
     return raw, _log_prob(f, raw)[1]
 
 
@@ -185,7 +199,8 @@ def policy_mean_std(p: PolicyParams, obs: np.ndarray) -> tuple[np.ndarray, np.nd
 
 def sample_actions(p: PolicyParams, obs: np.ndarray, rng: np.random.Generator):
     """Raw Gaussian actions at each observation row and their log-probabilities."""
-    return _sample(_forward(p, obs), rng)
+    f = _forward(p, obs)
+    return _sample(f, rng.standard_normal(f.mean.shape))
 
 
 # === PPO pieces ===
@@ -342,18 +357,21 @@ def ppo_update(
     s = np.zeros_like(theta)
     t_step = 0
     n = obs.shape[0]
-    for _ in range(epochs):
-        order = rng.permutation(n)
-        for lo in range(0, n, minibatch):
-            sel = order[lo : lo + minibatch]
-            _, g, _ = objective_and_grad(new, obs[sel], act[sel], logp[sel], adv[sel], ret[sel])
-            t_step += 1
-            m = 0.9 * m + 0.1 * g
-            s = 0.999 * s + 0.001 * g**2
-            m_hat = m / (1.0 - 0.9**t_step)
-            s_hat = s / (1.0 - 0.999**t_step)
-            theta += p.lr * m_hat / (np.sqrt(s_hat) + 1e-8)
-    _, _, diag = objective_and_grad(new, obs, act, logp, adv, ret)
+    # a diverging update ends in objective_and_grad's NumericalError, which
+    # names the blocks; numpy's overflow warnings on the way add nothing
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for _ in range(epochs):
+            order = rng.permutation(n)
+            for lo in range(0, n, minibatch):
+                sel = order[lo : lo + minibatch]
+                _, g, _ = objective_and_grad(new, obs[sel], act[sel], logp[sel], adv[sel], ret[sel])
+                t_step += 1
+                m = 0.9 * m + 0.1 * g
+                s = 0.999 * s + 0.001 * g**2
+                m_hat = m / (1.0 - 0.9**t_step)
+                s_hat = s / (1.0 - 0.999**t_step)
+                theta += p.lr * m_hat / (np.sqrt(s_hat) + 1e-8)
+        _, _, diag = objective_and_grad(new, obs, act, logp, adv, ret)
     return new, diag
 
 
@@ -527,12 +545,24 @@ class TuningEnv:
     episode visits chunks 0 .. min(horizon, n_chunks) - 1. For each of those
     the constructor computes, once, what no action changes: the SRP scan
     (azimuth and confidence) on the chunk's leading <= 2048 samples, the
-    far-end subband analysis, and the SI-SNR of the raw reference mic. Each
+    far-end subband analysis, and the SI-SNR of the raw reference mic. It
+    also computes the reset observation once: every episode starts from
+    ``init_mu``, zero trims and the initial steering on chunk 0, so
+    ``reset`` only restores those settings and returns a copy of it. Each
     step applies the action's deltas, runs ``enhance`` (beamformer ->
     analysis -> subband AEC -> band gains -> synthesis) on the current chunk,
     and scores the result. Every quantity is a deterministic function of the
     scenario seed and the action sequence; the latency term in the reward is
     a modeled compute cost of the deployed front end, not a wall clock.
+
+    ``step`` takes one ``Action``, or a sequence of E actions that steps E
+    episodes in lockstep. All episodes start alike and advance through the
+    same chunks together, so one ``enhance`` call with a leading episode axis
+    serves them all. A lockstep step returns a list of E states, an (E,)
+    array of rewards and the shared done flag; ``mu``, the trims and
+    ``steer`` are then (E,) arrays instead of floats. Each episode gets the
+    bits it would get stepped alone. The first step after ``reset`` fixes
+    whether the episode runs alone or how many run in lockstep.
 
     A visited chunk whose SRP window is all zero raises NoSourceError from
     the constructor, not from the first step that would visit it.
@@ -581,6 +611,8 @@ class TuningEnv:
         self.noise_ref = float(np.mean(self.noise_band_var)) or 1.0
         self._modeled_rtf = self._latency_proxy()
         self._chunks = [self._chunk_inputs(k) for k in range(min(horizon, self.n_chunks))]
+        self._restart()
+        (self._initial,), _ = self._process()
         self.reset()
 
     def _chunk_inputs(self, k: int) -> _ChunkInputs:
@@ -607,21 +639,25 @@ class TuningEnv:
         )
         return float(ops / (n * _OPS_BUDGET_PER_SAMPLE))
 
-    def reset(self) -> EnvState:
+    def _restart(self) -> None:
         self.mu = float(self.init_mu)
         self.trim_lo = 0.0
         self.trim_hi = 0.0
         self.steer = float(self.init_steer)
         self.step_count = 0
         self.chunk_idx = 0
-        self.state = self._process()[0]
+
+    def reset(self) -> EnvState:
+        """Start an episode, or E lockstep episodes, all from the same state."""
+        self._restart()
+        self.state = replace(self._initial, band_log_powers=self._initial.band_log_powers.copy())
         return self.state
 
-    def _band_gains(self) -> np.ndarray:
+    def _band_gains(self, trim_lo: float, trim_hi: float) -> np.ndarray:
         m = self.bank.m_bands
         trims = np.empty(m)
-        trims[: m // 2] = 10.0 ** (self.trim_lo / 20.0)
-        trims[m // 2 :] = 10.0 ** (self.trim_hi / 20.0)
+        trims[: m // 2] = 10.0 ** (trim_lo / 20.0)
+        trims[m // 2 :] = 10.0 ** (trim_hi / 20.0)
         profile = BandGainProfile(
             noise_var=self.noise_band_var,
             state_feat=0.0,
@@ -632,90 +668,144 @@ class TuningEnv:
         )
         return band_gain(profile)
 
-    def _process(self) -> tuple[EnvState, float]:
+    def _process(self) -> tuple[list[EnvState], list[float]]:
+        """States and quality scores of the current settings, one per episode."""
         c = self._chunks[self.chunk_idx]
+        # Python floats, so each episode's scalar arithmetic is the lone episode's
+        settings = (self.mu, self.trim_lo, self.trim_hi, self.steer)
+        mus, los, his, steers = (np.ravel(v).tolist() for v in settings)
+        gains = [np.clip(self._band_gains(lo, hi), 0.0, 1.0) for lo, hi in zip(los, his)]
         _, out_sub, enhanced = enhance(
             self.geom,
             self.bank,
             c.mics,
-            self.steer,
+            np.array(steers),
             c.far_sub,
-            mu=self.mu,
+            mu=np.array(mus),
             aec_taps=self.aec_taps,
-            band_gains=np.clip(self._band_gains(), 0.0, 1.0),
+            band_gains=np.stack(gains),
         )
 
-        quality_raw = si_snr(c.ref, enhanced) - c.base_si_snr
-        q_hat = (np.clip(quality_raw, -10.0, 30.0) + 10.0) / 40.0
-        offset = float(((c.srp_az - self.steer + 180.0) % 360.0 - 180.0) / 180.0)
+        states, q_hats = [], []
+        for e, (mu, lo, hi, steer) in enumerate(zip(mus, los, his, steers)):
+            quality_raw = si_snr(c.ref, enhanced[e]) - c.base_si_snr
+            q_hats.append(float((np.clip(quality_raw, -10.0, 30.0) + 10.0) / 40.0))
+            offset = float(((c.srp_az - steer + 180.0) % 360.0 - 180.0) / 180.0)
 
-        powers = np.abs(out_sub.bands) ** 2
-        groups = powers.reshape(8, -1, powers.shape[1]).mean(axis=(1, 2))
-        logp = np.clip((np.log10(groups + 1e-300) + 12.0) / 12.0, -1.0, 2.0)
-        state = EnvState(
-            band_log_powers=logp,
-            mu=self.mu,
-            trim_lo_db=self.trim_lo,
-            trim_hi_db=self.trim_hi,
-            steer_deg=self.steer,
-            srp_confidence=c.srp_confidence,
-            srp_offset=offset,
-        )
-        return state, float(q_hat)
+            powers = np.abs(out_sub.bands[e]) ** 2
+            groups = powers.reshape(8, -1, powers.shape[1]).mean(axis=(1, 2))
+            logp = np.clip((np.log10(groups + 1e-300) + 12.0) / 12.0, -1.0, 2.0)
+            states.append(
+                EnvState(
+                    band_log_powers=logp,
+                    mu=mu,
+                    trim_lo_db=lo,
+                    trim_hi_db=hi,
+                    steer_deg=steer,
+                    srp_confidence=c.srp_confidence,
+                    srp_offset=offset,
+                )
+            )
+        return states, q_hats
 
-    def step(self, action: Action) -> tuple[EnvState, float, bool]:
+    def step(
+        self, action: Action | Sequence[Action]
+    ) -> tuple[EnvState, float, bool] | tuple[list[EnvState], np.ndarray, bool]:
+        """Apply one Action, or a sequence of E Actions to E lockstep episodes.
+
+        One Action returns (state, reward, done); E actions return (list of
+        E states, (E,) rewards, done).
+        """
+        lockstep = not isinstance(action, Action)
+        actions = list(action) if lockstep else [action]
+        if not actions or not all(isinstance(a, Action) for a in actions):
+            raise DomainError("step takes an Action or a non-empty sequence of Actions")
         if self.step_count >= self.horizon:
             raise DomainError("episode is done; reset the env")
-        d = action.deltas
-        self.mu = float(np.clip(self.mu + d[0], 0.0, 1.0))
-        self.trim_lo = float(np.clip(self.trim_lo + d[1], -12.0, 12.0))
-        self.trim_hi = float(np.clip(self.trim_hi + d[2], -12.0, 12.0))
-        self.steer = float((self.steer + d[3]) % 360.0)
-        self.state, q_hat = self._process()
-        latency = min(self._modeled_rtf, 1.0)
-        energy = min(float(np.linalg.norm(d / ACTION_BOUNDS) / np.sqrt(len(d))), 1.0)
-        reward = (
-            self.weights.quality * q_hat
-            - self.weights.latency * latency
-            - self.weights.energy * energy
+        rows = (len(actions),) if lockstep else ()
+        if self.step_count and np.shape(self.mu) != rows:
+            raise DomainError("an episode keeps the number of lockstep rows it started with")
+        d = np.stack([a.deltas for a in actions])
+        settings = (
+            np.clip(self.mu + d[:, 0], 0.0, 1.0),
+            np.clip(self.trim_lo + d[:, 1], -12.0, 12.0),
+            np.clip(self.trim_hi + d[:, 2], -12.0, 12.0),
+            (self.steer + d[:, 3]) % 360.0,
         )
+        if not lockstep:
+            settings = tuple(float(v[0]) for v in settings)
+        self.mu, self.trim_lo, self.trim_hi, self.steer = settings
+        states, q_hats = self._process()
+        latency = min(self._modeled_rtf, 1.0)
+        rewards = []
+        for deltas, q_hat in zip(d, q_hats):
+            energy = min(float(np.linalg.norm(deltas / ACTION_BOUNDS) / np.sqrt(len(deltas))), 1.0)
+            rewards.append(
+                self.weights.quality * q_hat
+                - self.weights.latency * latency
+                - self.weights.energy * energy
+            )
         self.step_count += 1
         self.chunk_idx = (self.chunk_idx + 1) % self.n_chunks
-        return self.state, float(reward), self.step_count >= self.horizon
+        done = self.step_count >= self.horizon
+        if lockstep:
+            self.state = states
+            return states, np.array(rewards), done
+        self.state = states[0]
+        return states[0], float(rewards[0]), done
 
 
 # === training loop ===
+
+_LOCKSTEP_EPISODES = 8  # at most this many episodes step together, which bounds a step's memory
 
 
 def clipped_action(raw: np.ndarray) -> Action:
     return Action(deltas=np.clip(raw, -1.0, 1.0) * ACTION_BOUNDS)
 
 
-def _rollout(env: TuningEnv, p: PolicyParams, rng: np.random.Generator) -> Trajectory:
-    obs_l, act_l, logp_l, rew_l, val_l, done_l = [], [], [], [], [], []
-    state = env.reset()
-    for _ in range(env.horizon):
-        o = state.vector()
-        f = _forward(p, o[None, :])
-        raw, logp = _sample(f, rng)
-        state, reward, done = env.step(clipped_action(raw[0]))
-        obs_l.append(o)
-        act_l.append(raw[0])
-        logp_l.append(logp[0])
-        rew_l.append(reward)
-        val_l.append(f.v[0])
-        done_l.append(done)
-        if done:
-            break
-    return Trajectory(
-        obs=np.asarray(obs_l),
-        actions=np.asarray(act_l),
-        logps=np.asarray(logp_l),
-        rewards=np.asarray(rew_l),
-        values=np.asarray(val_l),
-        dones=np.asarray(done_l, dtype=bool),
-        bootstrap_value=0.0,
-    )
+def _rollouts(env: TuningEnv, p: PolicyParams, noise: np.ndarray) -> list[Trajectory]:
+    """One episode of env per row of noise, all stepped in lockstep.
+
+    ``noise`` (E, env.horizon, act_dim) holds each episode's standard-normal
+    action draws. The policy runs row by row: a batched (E, obs_dim) product
+    can differ from E row products in the last bits.
+    """
+    n_ep, horizon = noise.shape[:2]
+    obs = np.empty((n_ep, horizon, p.obs_dim))
+    act = np.empty((n_ep, horizon, p.act_dim))
+    logps, rewards, values = (np.empty((n_ep, horizon)) for _ in range(3))
+    dones = np.zeros(horizon, dtype=bool)
+    states = [env.reset()] * n_ep
+    for k in range(horizon):
+        actions = []
+        for e, state in enumerate(states):
+            obs[e, k] = state.vector()
+            f = _forward(p, obs[e, k][None, :])
+            raw, logp = _sample(f, noise[e, k])
+            act[e, k], logps[e, k], values[e, k] = raw[0], logp[0], f.v[0]
+            actions.append(clipped_action(raw[0]))
+        states, rewards[:, k], dones[k] = env.step(actions)
+    return [
+        Trajectory(obs[e], act[e], logps[e], rewards[e], values[e], dones.copy(), 0.0)
+        for e in range(n_ep)
+    ]
+
+
+def _collect(envs: list[TuningEnv], p: PolicyParams, noise: np.ndarray, first: int) -> list[Trajectory]:
+    """The episodes of one update, in order; episode i runs on envs[(first + i) % len(envs)].
+
+    The episodes that share an env step together, at most _LOCKSTEP_EPISODES
+    at a time, each with its own row of noise.
+    """
+    trajs: list = [None] * len(noise)
+    for j, env in enumerate(envs):
+        mine = [i for i in range(len(noise)) if (first + i) % len(envs) == j]
+        for lo in range(0, len(mine), _LOCKSTEP_EPISODES):
+            group = mine[lo : lo + _LOCKSTEP_EPISODES]
+            for i, t in zip(group, _rollouts(env, p, noise[group])):
+                trajs[i] = t
+    return trajs
 
 
 def train_tuning_policy(
@@ -736,6 +826,10 @@ def train_tuning_policy(
 
     The root seed feeds named substreams (rollout, minibatch shuffle) so a
     rerun with the same seed reproduces the learning curve bit for bit.
+    Each update draws its episodes' action noise at once, episode by
+    episode, and steps the episodes in lockstep; episode i of the run uses
+    scenario i mod len(scenarios). The seconds spent in rollouts and in PPO
+    updates go to the debug log.
     """
     if not scenarios:
         raise DomainError("need at least one scenario")
@@ -749,18 +843,18 @@ def train_tuning_policy(
     rollout_rng, shuffle_rng = (np.random.default_rng(k) for k in ss.spawn(2))
     rows: list[dict] = []
     steps = 0
-    env_idx = 0
+    rollout_s = update_s = 0.0
     while steps < budget:
-        trajs = []
-        for _ in range(episodes_per_update):
-            env = envs[env_idx % len(envs)]
-            env_idx += 1
-            t = _rollout(env, policy, rollout_rng)
-            trajs.append(t)
-            steps += len(t)
+        t0 = time.perf_counter()
+        noise = rollout_rng.standard_normal((episodes_per_update, horizon, policy.act_dim))
+        trajs = _collect(envs, policy, noise, len(rows))
+        steps += sum(map(len, trajs))
+        t1 = time.perf_counter()
         policy, diag = ppo_update(
             policy, trajs, epochs=epochs, minibatch=minibatch, rng=shuffle_rng
         )
+        rollout_s += t1 - t0
+        update_s += time.perf_counter() - t1
         for t in trajs:
             rows.append(
                 {
@@ -770,4 +864,5 @@ def train_tuning_policy(
                     "mean_ratio": f"{diag['mean_ratio']:.6f}",
                 }
             )
+    log.debug("train: %d episodes; rollouts %.3f s, PPO updates %.3f s", len(rows), rollout_s, update_s)
     return policy, rows

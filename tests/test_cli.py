@@ -288,6 +288,24 @@ def test_train_writes_curve_and_loadable_policy(tmp_path):
     assert theta.shape == (theta_size(15, 4, 24, 16),)
 
 
+def test_train_that_diverges_exits_three_with_one_log_line(tmp_path):
+    # lr 1e300 throws the first Adam step to ~1e300; the next gradient is not finite
+    proc, out = _run_module(tmp_path, "train", TRAIN_CFG + "lr = 1e300\n")
+    assert proc.returncode == 3
+    _assert_one_error_line(proc)
+    assert "non-finite gradient" in proc.stderr
+    assert not out.exists()
+
+
+def test_train_logs_its_stage_times_at_debug(tmp_path):
+    proc, out = _run_module(tmp_path, "train", TRAIN_CFG, log="debug")
+    assert proc.returncode == 0, proc.stderr
+    stages = [l for l in proc.stderr.splitlines() if "rollouts" in l]
+    assert len(stages) == 1, proc.stderr
+    assert re.fullmatch(r"DEBUG nars\.rl: train: 64 episodes; rollouts \d+\.\d{3} s, PPO updates \d+\.\d{3} s", stages[0])
+    assert "rollouts" not in (out / "curve.csv").read_text()  # wall-clock time stays out of artifacts
+
+
 # === bench ===
 
 
@@ -363,21 +381,21 @@ def test_invalid_log_level_exits_one(tmp_path, monkeypatch):
     assert code == 1
 
 
-def _run_module(tmp_path, command, cfg_text):
+def _run_module(tmp_path, command, cfg_text, log="error"):
     """``python -m nars.cli`` in a fresh process, so stderr holds every log line."""
     cfg = tmp_path / f"{command}.ini"
     cfg.write_text(cfg_text)
     out = tmp_path / "out"
     proc = subprocess.run(
         [sys.executable, "-m", "nars.cli", command, "--config", str(cfg), "--out", str(out)],
-        capture_output=True, text=True, env=_subprocess_env(), timeout=120,
+        capture_output=True, text=True, env=_subprocess_env(log), timeout=120,
     )
     return proc, out
 
 
-def _subprocess_env() -> dict:
+def _subprocess_env(log="error") -> dict:
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, NARS_LOG="error")
+    env = dict(os.environ, NARS_LOG=log)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     return env
 

@@ -118,10 +118,15 @@ def test_bank_band_centers():
 
 
 def test_analyze_input_validation():
+    # a 2-D input is a stack of streams, one per row; more axes are refused
     with pytest.raises(FramingError):
-        fb_analyze(BANK, np.zeros((2, 4000)))
+        fb_analyze(BANK, np.zeros((2, 2, 4000)))
+    with pytest.raises(FramingError):
+        fb_analyze(BANK, np.zeros(()))
     with pytest.raises(FramingError):
         fb_analyze(BANK, np.zeros(16))
+    with pytest.raises(FramingError):
+        fb_analyze(BANK, np.zeros((3, 16)))
 
 
 def test_synthesize_band_mismatch():

@@ -5,7 +5,9 @@ it with ``sum(axis=1)``, overlap-add one synthesized frame at a time into a
 complex accumulator, and run the NLMS recursion with a shifted history and
 one ``einsum`` per frame. ``fb_analyze``, ``fb_synthesize`` and
 ``aec_process`` must agree with them bit for bit: outputs, their memory
-layout, and the returned weights and far-end history.
+layout, and the returned weights and far-end history. Called with a leading
+episode axis, each of them and ``enhance`` must give every row the bits of a
+lone-stream call on that row.
 """
 
 import itertools
@@ -13,6 +15,7 @@ import itertools
 import numpy as np
 import pytest
 
+from nars.errors import ConfigurationError, DomainError, FramingError
 from nars.frontend import (
     AEC_EPS_REG,
     FilterBankSpec,
@@ -201,3 +204,87 @@ def test_enhance_matches_the_reference_chain(echo_scene, with_far, with_gains):
     assert _identical(mic_sub.bands, want_mic.bands)
     assert _identical(out_sub.bands, want_out.bands)
     assert _identical(y, _reference_synthesize(spec, want_out))
+
+
+# === a leading episode axis: each row equals a lone-stream call ===
+
+ROW_MUS = [np.array([0.0, 0.5, 1.7]), np.zeros(3), np.array([0.3])]
+
+
+@pytest.mark.parametrize("m_bands, hop", BANKS)
+def test_batched_bank_matches_one_stream_per_row(m_bands, hop):
+    spec = FilterBankSpec(m_bands=m_bands, hop=hop, fs=FS)
+    rng = np.random.default_rng(m_bands - hop)
+    for n in _lengths(spec):
+        x = rng.standard_normal((3, n))
+        got = fb_analyze(spec, x)
+        assert got.bands.shape == (3, m_bands, (n + spec.n_taps - 2) // hop + 1)
+        assert got.n_samples == n
+        y = fb_synthesize(spec, got)
+        assert y.shape == (3, n)
+        for e in range(3):
+            want = fb_analyze(spec, x[e])
+            assert _identical(got.bands[e], want.bands), (n, e, "analysis")
+            assert _identical(y[e], fb_synthesize(spec, want)), (n, e, "synthesis")
+
+
+@pytest.mark.parametrize("n_taps", TAPS)
+def test_batched_aec_matches_one_stream_per_row(n_taps):
+    """Per-row weights and step sizes, mu 0 among them, against one shared far end."""
+    spec = FilterBankSpec(m_bands=64, hop=32, fs=FS)
+    rng = np.random.default_rng(200 + n_taps)
+    for n, mus in itertools.product([spec.n_taps, 3201, 16000], ROW_MUS):
+        rows = len(mus)
+        far = fb_analyze(spec, rng.standard_normal(n))
+        mic = fb_analyze(spec, rng.standard_normal((rows, n)))
+        shared = _random_state(rng, 64, n_taps, 0.0)
+        weights = 0.1 * (rng.standard_normal((rows, 64, n_taps)) + 1j * rng.standard_normal((rows, 64, n_taps)))
+        state = SubbandAecState(weights=weights, far_hist=shared.far_hist, mu=mus)
+        got, got_state = aec_process(state, far, mic)
+        assert got.bands.shape == mic.bands.shape and got_state.far_hist.shape == (64, n_taps)
+        for e in range(rows):
+            one = SubbandAecState(weights=weights[e], far_hist=shared.far_hist, mu=float(mus[e]))
+            want, want_state = aec_process(one, far, SubbandState(bands=mic.bands[e], n_samples=n))
+            assert _identical(got.bands[e], want.bands), (n, mus, e)
+            assert _identical(got_state.weights[e], want_state.weights), (n, mus, e)
+            assert _identical(got_state.far_hist, want_state.far_hist), (n, mus, e)
+        fresh = aec_process(make_aec(64, n_taps, mu=mus), far, mic)[0]
+        for e in range(rows):
+            want = aec_process(make_aec(64, n_taps, mu=float(mus[e])), far, SubbandState(mic.bands[e], n))[0]
+            assert _identical(fresh.bands[e], want.bands), (n, mus, e, "fresh")
+
+
+def test_batched_aec_rejects_mismatched_rows():
+    spec = FilterBankSpec(m_bands=16, hop=8, fs=FS)
+    rng = np.random.default_rng(3)
+    far = fb_analyze(spec, rng.standard_normal(800))
+    mic = fb_analyze(spec, rng.standard_normal((3, 800)))
+    with pytest.raises(ConfigurationError):
+        aec_process(make_aec(16, 4, mu=np.full(2, 0.5)), far, mic)  # 2 weight rows for 3 mic rows
+    with pytest.raises(ConfigurationError):
+        aec_process(make_aec(16, 4, mu=0.5), far, mic)  # one lone-stream state for 3 rows
+    with pytest.raises(FramingError):
+        aec_process(make_aec(16, 4, mu=np.full(3, 0.5)), mic, mic)  # the far end is one stream
+    with pytest.raises(DomainError):
+        make_aec(16, 4, mu=np.array([0.5, 2.5]))
+
+
+@pytest.mark.parametrize("with_far, with_gains", [(False, False), (False, True), (True, False), (True, True)])
+def test_batched_enhance_matches_one_call_per_row(echo_scene, with_far, with_gains):
+    geom, r = echo_scene
+    spec = FilterBankSpec(m_bands=64, hop=32, fs=FS)
+    far_sub = fb_analyze(spec, r.far_end) if with_far else None
+    steers = np.array([40.0, 123.5, 300.25])
+    mus = np.array([0.5, 0.0, 1.0])
+    gains = np.stack([np.linspace(0.1, 1.0, 64), np.full(64, 0.7), np.linspace(1.0, 0.05, 64)])
+    got = enhance(
+        geom, spec, r.mics, steers, far_sub, mu=mus, aec_taps=4, band_gains=gains if with_gains else None
+    )
+    for e in range(3):
+        want = enhance(
+            geom, spec, r.mics, float(steers[e]), far_sub,
+            mu=float(mus[e]), aec_taps=4, band_gains=gains[e] if with_gains else None,
+        )
+        assert _identical(got[0].bands[e], want[0].bands), e
+        assert _identical(got[1].bands[e], want[1].bands), e
+        assert _identical(got[2][e], want[2]), e

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from dataclasses import replace
@@ -519,3 +521,61 @@ def test_train_budget_floor():
         train_tuning_policy([tuning_scenario()], p, 512)
     with pytest.raises(DomainError):
         train_tuning_policy([], p, 2048)
+
+
+# === lockstep stepping ===
+
+
+def test_lockstep_step_keeps_single_episode_types_and_checks_its_rows():
+    e = TuningEnv(tuning_scenario(duration=0.3), chunk_seconds=0.1, horizon=3)
+    state, reward, done = e.step(zero_action())
+    assert isinstance(state, nars.rl.EnvState) and type(reward) is float and done is False
+    assert type(e.mu) is float and type(e.steer) is float
+    e.reset()
+    moves = [Action(deltas=np.array([0.1 * k, 0.0, 0.0, 5.0 * k])) for k in range(3)]
+    states, rewards, done = e.step(moves)
+    assert len(states) == 3 and rewards.shape == (3,) and done is False
+    assert e.mu.shape == (3,) and e.steer.shape == (3,)
+    for rows in (moves[:2], moves[0]):
+        with pytest.raises(DomainError):
+            e.step(rows)  # an episode keeps the rows it started with
+    with pytest.raises(DomainError):
+        e.step([])
+    assert e.step_count == 1
+
+
+def test_reset_restores_the_precomputed_observation(monkeypatch):
+    e = TuningEnv(tuning_scenario(), chunk_seconds=0.2, horizon=2)
+    first = e.reset().vector()
+    e.step(Action(deltas=np.array([0.2, 3.0, -3.0, 40.0])))
+
+    def no_enhance(*args, **kwargs):
+        raise AssertionError("reset ran the front end")
+
+    monkeypatch.setattr(nars.rl, "enhance", no_enhance)
+    state = e.reset()
+    assert np.array_equal(state.vector(), first)
+    assert (e.mu, e.trim_lo, e.trim_hi, e.steer, e.step_count, e.chunk_idx) == (
+        e.init_mu, 0.0, 0.0, e.init_steer, 0, 0
+    )
+    state.band_log_powers[:] = 0.0  # a caller's edit does not reach the next reset
+    assert np.array_equal(e.reset().vector(), first)
+
+
+def test_lockstep_memory_stays_bounded_in_episodes_per_update():
+    """64 episodes of one update peak within 1.2x of one lockstep group's peak."""
+    env = TuningEnv(tuning_scenario(echo_pos=(5.0, 1.0, 1.3)), chunk_seconds=0.2, horizon=4)
+    p = init_policy(OBS_DIM, ACT_DIM, hidden=8, v_hidden=8, seed=0, init_log_std=0.0)
+
+    def peak(n_ep):
+        noise = np.random.default_rng(0).standard_normal((n_ep, env.horizon, ACT_DIM))
+        nars.rl._collect([env], p, noise, 0)  # warm any lazy numpy state first
+        tracemalloc.start()
+        try:
+            nars.rl._collect([env], p, noise, 0)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    group, many = peak(nars.rl._LOCKSTEP_EPISODES), peak(64)
+    assert many <= 1.2 * group, (group, many)
