@@ -41,7 +41,7 @@ from .frontend import (
     scenario_geometry,
     srp_localize,
 )
-from .rl import ACT_DIM, OBS_DIM, init_policy, train_tuning_policy
+from .rl import train_tuning_policy
 from .scene import (
     NOISE_KINDS,
     Metrics,
@@ -309,39 +309,10 @@ def cmd_train(args) -> None:
     conf = cfg.load_config(args.config)
     seed = cfg.effective_seed(conf, args.seed)
     scenario = cfg.build_scenario(conf, seed)
-    rl = cfg.build_rl(conf, scenario)
+    policy, train = cfg.build_rl(conf, scenario, seed)
     conf.finish()
 
-    policy = init_policy(
-        OBS_DIM,
-        ACT_DIM,
-        hidden=rl.hidden,
-        v_hidden=rl.v_hidden,
-        seed=seed,
-        clip_eps=rl.clip_eps,
-        lr=rl.lr,
-        gamma=rl.gamma,
-        lam=rl.lam,
-        init_log_std=rl.init_log_std,
-    )
-    trained, curve = train_tuning_policy(
-        [scenario],
-        policy,
-        rl.budget,
-        seed=seed,
-        weights=rl.weights,
-        horizon=rl.horizon,
-        chunk_seconds=rl.chunk_seconds,
-        episodes_per_update=rl.episodes_per_update,
-        epochs=rl.epochs,
-        minibatch=rl.minibatch,
-        env_kwargs=dict(
-            init_steer_offset_deg=rl.init_steer_offset_deg,
-            init_mu=rl.init_mu,
-            m_bands=rl.m_bands,
-            aec_taps=rl.aec_taps,
-        ),
-    )
+    trained, curve = train_tuning_policy([scenario], policy, seed=seed, **train)
     with _artifacts(args.out, conf) as art:
         io.write_csv(
             art.path("curve.csv"),

@@ -19,7 +19,7 @@ import numpy as np
 from . import io
 from .errors import ConfigurationError, DomainError
 from .frontend import PROTOTYPE_TAPS_PER_BAND, FilterBankSpec, circular_array
-from .rl import RewardWeights
+from .rl import ACT_DIM, OBS_DIM, PolicyParams, RewardWeights, init_policy
 from .scene import NOISE_KINDS, RoomSpec, ScenarioConfig
 from .wavefield import Medium, SourceWaveform
 
@@ -284,28 +284,6 @@ def build_frontend(conf: Conf, fs: float) -> FrontendParams:
     return params
 
 
-@dataclass(frozen=True)
-class RlParams:
-    budget: int
-    horizon: int
-    episodes_per_update: int
-    epochs: int
-    minibatch: int
-    hidden: int
-    v_hidden: int
-    lr: float
-    gamma: float
-    lam: float
-    clip_eps: float
-    init_log_std: float
-    chunk_seconds: float
-    weights: RewardWeights
-    init_steer_offset_deg: float
-    init_mu: float
-    m_bands: int
-    aec_taps: int
-
-
 def _build_reward_weights(conf: Conf) -> RewardWeights:
     """``[rl] w_*``; RewardWeights' simplex error names the keys."""
     try:
@@ -318,9 +296,13 @@ def _build_reward_weights(conf: Conf) -> RewardWeights:
         raise ConfigurationError(f"{conf.path}: [rl] w_quality/w_latency/w_energy: {e}") from None
 
 
-def build_rl(conf: Conf, scenario: ScenarioConfig) -> RlParams:
-    """``[rl]``, checked against the ``scenario`` that training renders."""
-    params = RlParams(
+def build_rl(conf: Conf, scenario: ScenarioConfig, seed: int) -> tuple[PolicyParams, dict]:
+    """``[rl]``, checked against the ``scenario`` that training renders.
+
+    Returns the initial policy, seeded with ``seed``, and the keywords of
+    ``train_tuning_policy`` after its scenarios and policy.
+    """
+    rl = dict(
         budget=conf.get_int("rl", "budget", 2048),
         horizon=conf.get_int("rl", "horizon", 16),
         episodes_per_update=conf.get_int("rl", "episodes_per_update", 4),
@@ -342,12 +324,12 @@ def build_rl(conf: Conf, scenario: ScenarioConfig) -> RlParams:
     )
     # the env groups the bands into 8 state features and uses hop = m_bands / 2,
     # which FilterBankSpec accepts for every positive multiple of 8
-    m = params.m_bands
+    m = rl["m_bands"]
     conf.check(m >= 8 and m % 8 == 0, "rl", "m_bands", "must be a positive multiple of 8")
     # TuningEnv cuts the scene into chunks of this many samples, and analyses
     # each chunk with a bank whose prototype spans 8 * m_bands samples
     fs = scenario.room.fs
-    chunk = round(params.chunk_seconds * fs)
+    chunk = round(rl["chunk_seconds"] * fs)
     span = PROTOTYPE_TAPS_PER_BAND * m
     conf.check(
         chunk >= span, "rl", "chunk_seconds",
@@ -359,20 +341,25 @@ def build_rl(conf: Conf, scenario: ScenarioConfig) -> RlParams:
         f"must not exceed [scene] duration ({scenario.duration!r} s)",
     )
     # raw actions are clipped to [-1, 1], so a std above e only saturates them
-    conf.check(-5.0 <= params.init_log_std <= 1.0, "rl", "init_log_std", "must lie in [-5, 1]")
+    conf.check(-5.0 <= rl["init_log_std"] <= 1.0, "rl", "init_log_std", "must lie in [-5, 1]")
     for key in (
         "aec_taps", "minibatch", "episodes_per_update", "hidden", "v_hidden", "epochs", "horizon"
     ):
-        conf.check(getattr(params, key) >= 1, "rl", key, "must be at least 1")
+        conf.check(rl[key] >= 1, "rl", key, "must be at least 1")
     # the same rules that train_tuning_policy, PolicyParams and make_aec apply
     conf.check(
-        params.budget >= max(1000, params.horizon), "rl", "budget",
+        rl["budget"] >= max(1000, rl["horizon"]), "rl", "budget",
         "must be at least 1000 and at least one episode (horizon)",
     )
-    conf.check(0.0 < params.clip_eps < 1.0, "rl", "clip_eps", "must lie in (0, 1)")
-    conf.check(params.lr > 0, "rl", "lr", "must be positive")
+    conf.check(0.0 < rl["clip_eps"] < 1.0, "rl", "clip_eps", "must lie in (0, 1)")
+    conf.check(rl["lr"] > 0, "rl", "lr", "must be positive")
     for key in ("gamma", "lam"):
-        conf.check(0.0 <= getattr(params, key) <= 1.0, "rl", key, "must lie in [0, 1]")
+        conf.check(0.0 <= rl[key] <= 1.0, "rl", key, "must lie in [0, 1]")
     # TuningEnv.step clips mu to [0, 1]
-    conf.check(0.0 <= params.init_mu <= 1.0, "rl", "init_mu", "must lie in [0, 1]")
-    return params
+    conf.check(0.0 <= rl["init_mu"] <= 1.0, "rl", "init_mu", "must lie in [0, 1]")
+
+    net = ("hidden", "v_hidden", "lr", "gamma", "lam", "clip_eps", "init_log_std")
+    policy = init_policy(OBS_DIM, ACT_DIM, seed=seed, **{key: rl.pop(key) for key in net})
+    env = ("init_steer_offset_deg", "init_mu", "m_bands", "aec_taps")
+    rl["env_kwargs"] = {key: rl.pop(key) for key in env}
+    return policy, rl

@@ -47,24 +47,24 @@ def kernel_offsets(taps: int = FRAC_DELAY_TAPS) -> np.ndarray:
     return np.arange(taps) - (taps // 2 - 1)
 
 
-def frac_delay_kernels(frac, taps: int = FRAC_DELAY_TAPS) -> np.ndarray:
+def frac_delay_kernels(frac) -> np.ndarray:
     """Interpolation kernels for delays of ``frac`` in [0, 1) samples.
 
     ``frac`` may be a scalar or an array; the result has shape
-    ``np.shape(frac) + (taps,)``, one kernel per fraction, each row
+    ``np.shape(frac) + (FRAC_DELAY_TAPS,)``, one kernel per fraction, each row
     bit-identical to a scalar call. Taps sit at ``kernel_offsets`` relative
     to the integer part of the delay. For frac == 0 the kernel collapses to a
     unit impulse, so integer delays are exact.
     """
-    t = kernel_offsets(taps) - np.asarray(frac, dtype=np.float64)[..., None]
-    kernel = np.sinc(t) * _kaiser_cont(t, taps / 2 + 0.5)
+    t = kernel_offsets() - np.asarray(frac, dtype=np.float64)[..., None]
+    kernel = np.sinc(t) * _kaiser_cont(t, FRAC_DELAY_TAPS / 2 + 0.5)
     # unit DC gain keeps broadband level flat
     return kernel / kernel.sum(axis=-1, keepdims=True)
 
 
-def frac_delay_kernel(frac: float, taps: int = FRAC_DELAY_TAPS) -> np.ndarray:
+def frac_delay_kernel(frac: float) -> np.ndarray:
     """The kernel for one fraction: ``frac_delay_kernels`` of a scalar."""
-    return frac_delay_kernels(float(frac), taps)
+    return frac_delay_kernels(float(frac))
 
 
 def shift_add(x: np.ndarray, n_int: int, kernel: np.ndarray) -> np.ndarray:
@@ -86,7 +86,7 @@ def shift_add(x: np.ndarray, n_int: int, kernel: np.ndarray) -> np.ndarray:
     return out
 
 
-def delay_signal(x: np.ndarray, delay_samples: float, taps: int = FRAC_DELAY_TAPS) -> np.ndarray:
+def delay_signal(x: np.ndarray, delay_samples: float) -> np.ndarray:
     """Delay ``x`` by a (possibly negative, fractional) number of samples.
 
     Output has the same length; samples shifted in from outside the frame
@@ -94,4 +94,4 @@ def delay_signal(x: np.ndarray, delay_samples: float, taps: int = FRAC_DELAY_TAP
     """
     x = np.asarray(x, dtype=np.float64)
     n_int = int(np.floor(delay_samples))
-    return shift_add(x, n_int, frac_delay_kernel(delay_samples - n_int, taps))
+    return shift_add(x, n_int, frac_delay_kernel(delay_samples - n_int))

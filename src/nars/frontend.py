@@ -278,7 +278,6 @@ def aec_process(
     out = np.empty(lead + (n_frames, n_bands), dtype=mic.bands.dtype)
     out_frames = out.swapaxes(0, -2)  # (n_frames, ..., n_bands) views
     mic_frames = mic.bands.swapaxes(-1, -2).swapaxes(0, -2)
-    subscripts = "ebt,bt->eb" if lead else "bt,bt->b"
     est = np.empty(lead + (n_bands,), dtype=w.dtype)
     step = np.empty_like(est)
     update = np.empty_like(w)
@@ -296,7 +295,7 @@ def aec_process(
             if not row_mu:
                 mu_conj_h = mu_c * conj_h
         for j in range(k1 - k0):
-            np.einsum(subscripts, w, h[j], out=est)
+            np.einsum("...bt,bt->...b", w, h[j], out=est)
             err = np.subtract(mic_frames[k0 + j], est, out=out_frames[k0 + j])
             if adapt:
                 np.divide(err, norm[j], out=step)

@@ -11,13 +11,14 @@ runs only the action-dependent front end on the next audio chunk and scores
 it. That is ``frontend.enhance`` (DAS, analysis, AEC, band gains,
 synthesis), the same chain that ``nars frontend`` runs.
 
-Training steps the episodes of each PPO update in lockstep, as PPO's N
-actors collect one batch (Schulman et al. 2017, Algorithm 1): every episode
-starts at chunk 0 and advances with the others, so one ``TuningEnv.step``
-and one ``enhance`` call with a leading episode axis serve them all. The
-action noise of an update is drawn at once in episode order, and the policy
-is evaluated row by row, so each episode gets the bits it would get if the
-episodes ran one after another.
+The tuning path has one batch convention, the front end's: an optional
+leading episode axis. An ``Action`` whose deltas are (4,) steps one episode;
+(E, 4) deltas step E episodes in lockstep, as PPO's N actors collect one
+batch (Schulman et al. 2017, Algorithm 1). Every episode starts at chunk 0
+and advances with the others, so one ``TuningEnv.step`` and one ``enhance``
+call serve them all. The action noise of an update is drawn at once in
+episode order, and the policy is evaluated row by row, so each episode gets
+the bits it would get if the episodes ran one after another.
 
 Each piece of the PPO math has one home. ``_forward`` evaluates both networks
 and keeps the intermediates that the backward pass reads; ``_log_prob`` is the
@@ -34,7 +35,6 @@ from __future__ import annotations
 import logging
 import math
 import time
-from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
@@ -491,14 +491,18 @@ ACTION_BOUNDS = np.array([0.25, 3.0, 3.0, 45.0])  # d_mu, d_trim_lo_db, d_trim_h
 
 @dataclass
 class Action:
-    """Bounded parameter deltas: (aec mu, low/high band trims dB, steering deg)."""
+    """Bounded parameter deltas: (aec mu, low/high band trims dB, steering deg).
+
+    ``deltas`` of shape (4,) act on one episode; (E, 4) act on E lockstep
+    episodes, one row each, as the front end's optional leading axis.
+    """
 
     deltas: np.ndarray
 
     def __post_init__(self):
         self.deltas = np.asarray(self.deltas, dtype=np.float64)
-        if self.deltas.shape != ACTION_BOUNDS.shape:
-            raise DomainError(f"action needs {len(ACTION_BOUNDS)} deltas")
+        if self.deltas.shape[-1:] != ACTION_BOUNDS.shape or self.deltas.ndim > 2 or self.deltas.size == 0:
+            raise DomainError(f"action needs {len(ACTION_BOUNDS)} deltas, or one row of them per episode")
         if np.any(np.abs(self.deltas) > ACTION_BOUNDS * (1 + 1e-12)):
             raise DomainError("action deltas exceed the documented bounds")
 
@@ -555,14 +559,14 @@ class TuningEnv:
     scenario seed and the action sequence; the latency term in the reward is
     a modeled compute cost of the deployed front end, not a wall clock.
 
-    ``step`` takes one ``Action``, or a sequence of E actions that steps E
-    episodes in lockstep. All episodes start alike and advance through the
-    same chunks together, so one ``enhance`` call with a leading episode axis
-    serves them all. A lockstep step returns a list of E states, an (E,)
-    array of rewards and the shared done flag; ``mu``, the trims and
-    ``steer`` are then (E,) arrays instead of floats. Each episode gets the
-    bits it would get stepped alone. The first step after ``reset`` fixes
-    whether the episode runs alone or how many run in lockstep.
+    ``step`` takes one ``Action``. Deltas of shape (4,) step one episode and
+    return (state, reward, done); deltas of shape (E, 4) step E episodes in
+    lockstep and return a list of E states, an (E,) array of rewards and the
+    shared done flag. All episodes start alike and advance through the same
+    chunks together, so one ``enhance`` call with a leading episode axis
+    serves them all, and each episode gets the bits it would get stepped
+    alone. ``mu``, the trims and ``steer`` carry the deltas' row axis, and
+    an episode keeps the row count of its first step.
 
     A visited chunk whose SRP window is all zero raises NoSourceError from
     the constructor, not from the first step that would visit it.
@@ -650,8 +654,7 @@ class TuningEnv:
     def reset(self) -> EnvState:
         """Start an episode, or E lockstep episodes, all from the same state."""
         self._restart()
-        self.state = replace(self._initial, band_log_powers=self._initial.band_log_powers.copy())
-        return self.state
+        return replace(self._initial, band_log_powers=self._initial.band_log_powers.copy())
 
     def _band_gains(self, trim_lo: float, trim_hi: float) -> np.ndarray:
         m = self.bank.m_bands
@@ -708,37 +711,27 @@ class TuningEnv:
             )
         return states, q_hats
 
-    def step(
-        self, action: Action | Sequence[Action]
-    ) -> tuple[EnvState, float, bool] | tuple[list[EnvState], np.ndarray, bool]:
-        """Apply one Action, or a sequence of E Actions to E lockstep episodes.
+    def step(self, action: Action) -> tuple[EnvState, float, bool] | tuple[list[EnvState], np.ndarray, bool]:
+        """Apply an Action's deltas to the episode, or row e to lockstep episode e.
 
-        One Action returns (state, reward, done); E actions return (list of
-        E states, (E,) rewards, done).
+        Deltas of shape (4,) return (state, reward, done); (E, 4) return (list
+        of E states, (E,) rewards, done).
         """
-        lockstep = not isinstance(action, Action)
-        actions = list(action) if lockstep else [action]
-        if not actions or not all(isinstance(a, Action) for a in actions):
-            raise DomainError("step takes an Action or a non-empty sequence of Actions")
+        if not isinstance(action, Action):
+            raise DomainError("step takes an Action")
         if self.step_count >= self.horizon:
             raise DomainError("episode is done; reset the env")
-        rows = (len(actions),) if lockstep else ()
-        if self.step_count and np.shape(self.mu) != rows:
+        d = action.deltas
+        if self.step_count and np.shape(self.mu) != d.shape[:-1]:
             raise DomainError("an episode keeps the number of lockstep rows it started with")
-        d = np.stack([a.deltas for a in actions])
-        settings = (
-            np.clip(self.mu + d[:, 0], 0.0, 1.0),
-            np.clip(self.trim_lo + d[:, 1], -12.0, 12.0),
-            np.clip(self.trim_hi + d[:, 2], -12.0, 12.0),
-            (self.steer + d[:, 3]) % 360.0,
-        )
-        if not lockstep:
-            settings = tuple(float(v[0]) for v in settings)
-        self.mu, self.trim_lo, self.trim_hi, self.steer = settings
+        self.mu = np.clip(self.mu + d[..., 0], 0.0, 1.0)
+        self.trim_lo = np.clip(self.trim_lo + d[..., 1], -12.0, 12.0)
+        self.trim_hi = np.clip(self.trim_hi + d[..., 2], -12.0, 12.0)
+        self.steer = (self.steer + d[..., 3]) % 360.0
         states, q_hats = self._process()
         latency = min(self._modeled_rtf, 1.0)
         rewards = []
-        for deltas, q_hat in zip(d, q_hats):
+        for deltas, q_hat in zip(d.reshape(-1, ACT_DIM), q_hats):
             energy = min(float(np.linalg.norm(deltas / ACTION_BOUNDS) / np.sqrt(len(deltas))), 1.0)
             rewards.append(
                 self.weights.quality * q_hat
@@ -748,11 +741,9 @@ class TuningEnv:
         self.step_count += 1
         self.chunk_idx = (self.chunk_idx + 1) % self.n_chunks
         done = self.step_count >= self.horizon
-        if lockstep:
-            self.state = states
-            return states, np.array(rewards), done
-        self.state = states[0]
-        return states[0], float(rewards[0]), done
+        if d.ndim == 1:
+            return states[0], float(rewards[0]), done
+        return states, np.array(rewards), done
 
 
 # === training loop ===
@@ -778,14 +769,12 @@ def _rollouts(env: TuningEnv, p: PolicyParams, noise: np.ndarray) -> list[Trajec
     dones = np.zeros(horizon, dtype=bool)
     states = [env.reset()] * n_ep
     for k in range(horizon):
-        actions = []
         for e, state in enumerate(states):
             obs[e, k] = state.vector()
             f = _forward(p, obs[e, k][None, :])
             raw, logp = _sample(f, noise[e, k])
             act[e, k], logps[e, k], values[e, k] = raw[0], logp[0], f.v[0]
-            actions.append(clipped_action(raw[0]))
-        states, rewards[:, k], dones[k] = env.step(actions)
+        states, rewards[:, k], dones[k] = env.step(clipped_action(act[:, k]))
     return [
         Trajectory(obs[e], act[e], logps[e], rewards[e], values[e], dones.copy(), 0.0)
         for e in range(n_ep)

@@ -21,7 +21,8 @@ splitting, over dz/2 first and last), exact absorption when delta > 0,
 explicit quadratic harmonic coupling when beta > 0, and the absorbing edge
 ramp. Diffraction stacks the per-harmonic tridiagonal systems into one
 block-diagonal system and makes one banded solve per substep. Its limit is
-10 p0 max(1, max|profile|).
+10 p0 max(1, max|profile|). A march whose spectrum ends piled up at the top
+harmonic, a harmonic series truncated past the shock, is a validity error.
 
 The solvers import their scipy pieces (``solve_banded``, the Bessel
 ``jv`` of ``fubini_harmonics``) on first use, so importing this module
@@ -484,7 +485,9 @@ def simulate_kzk_axisym(
     fundamental at z=0 (scaled by src.p0). First-order splitting by default:
     diffraction, absorption, nonlinearity per dz; ``strang=True`` wraps the
     step in half-diffraction substeps. ``callback(z, amps)`` sees the state
-    at z=0 and after each step.
+    at z=0 and after each step. A march whose first left-out harmonic would
+    hold more than 1e-6 of the radially weighted energy, extrapolated from the
+    top two, raises ``ValidityError``.
     """
     if src.kind != "sine":
         raise DomainError("axisymmetric harmonic solver requires a sine source")
@@ -514,6 +517,18 @@ def simulate_kzk_axisym(
     substeps = _kzk_substeps(medium, src, grid, strang)
     limit = 10 * src.p0 * max(1.0, float(np.max(np.abs(prof))))
     amps = _march(amps, substeps, grid.n_z, grid.dz, limit, "axisymmetric", callback)
+    # A resolved spectrum decays with n; past the shock a truncated series
+    # piles up at the top harmonic instead. The share of the energy that the
+    # first harmonic left out would hold, extrapolated geometrically from the
+    # top two as E_N^2 / (E_{N-1} sum E), tells the two apart.
+    energy = np.sum(np.abs(amps) ** 2 * radial_weights(grid.n_r, grid.dr), axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dropped = energy[-1] ** 2 / (energy[-2] * energy.sum())
+    if dropped > 1e-6:
+        raise ValidityError(
+            f"the harmonic series is truncated: harmonic {grid.n_harm + 1}, left out, would "
+            f"hold about {dropped:.3g} of the energy (limit 1e-6); raise n_harm"
+        )
     return HarmonicField(amps, z=grid.n_z * grid.dz)
 
 

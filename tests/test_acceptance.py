@@ -30,6 +30,7 @@ from nars.frontend import (
     steering_delays,
 )
 from nars.rl import (
+    Action,
     ChainRoutingMdp,
     PolicyParams,
     RewardWeights,
@@ -410,8 +411,19 @@ def random_episode(env, rng):
     return float(np.mean(rewards))
 
 
+def fixed_episode(env, steer_to_srp):
+    """Zero action, or steering to the last step's SRP estimate and nothing else."""
+    state = env.reset()
+    rewards = []
+    for _ in range(env.horizon):
+        d_steer = np.clip(180.0 * state.srp_offset, -45.0, 45.0) if steer_to_srp else 0.0
+        state, r, _ = env.step(Action(deltas=np.array([0.0, 0.0, 0.0, d_steer])))
+        rewards.append(r)
+    return float(np.mean(rewards))
+
+
 def test_criterion_10_tuning_loop_beats_random(capsys):
-    trained_scores, random_scores = [], []
+    trained_scores, random_scores, zero_scores, srp_scores = [], [], [], []
     policy0 = curve0 = None
     for seed in range(5):
         policy, rows = train_once(seed)
@@ -421,9 +433,19 @@ def test_criterion_10_tuning_loop_beats_random(capsys):
         trained_scores += [greedy_episode(env, policy) for _ in range(2)]
         rng = np.random.default_rng(1000 + seed)
         random_scores += [random_episode(env, rng) for _ in range(8)]
+        zero_scores.append(fixed_episode(env, steer_to_srp=False))
+        srp_scores.append(fixed_episode(env, steer_to_srp=True))
 
     ratio = float(np.median(trained_scores) / np.median(random_scores))
     assert ratio >= 1.2
+    # fixed baselines, reported but not gated
+    medians = ", ".join(
+        f"{name} {np.median(scores):.3f}"
+        for name, scores in (
+            ("trained", trained_scores), ("random", random_scores),
+            ("zero action", zero_scores), ("SRP steer", srp_scores),
+        )
+    )
 
     # the curve rounds to 6 digits, so a last-bit change in the weights can leave it equal
     policy_again, rows_again = train_once(0)
@@ -433,6 +455,7 @@ def test_criterion_10_tuning_loop_beats_random(capsys):
     report(
         capsys, 10,
         f"trained/random median reward ratio {ratio:.2f} over 5 seeds; "
+        f"median reward {medians}; "
         "seed 0 learning curve and trained weights reproduced exactly",
     )
 

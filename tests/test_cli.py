@@ -12,6 +12,7 @@ import pytest
 from nars import cli, errors
 from nars.io import read_field_dump, read_policy_vector, read_wav
 from nars.rl import theta_size
+from nars.wavefield import radial_weights
 
 WAVE_CFG = """\
 [medium]
@@ -180,6 +181,49 @@ def test_kzk_under_resolved_step_exits_four_with_one_log_line(tmp_path):
     _assert_one_error_line(proc)
     assert "z_R/8" in proc.stderr
     assert not out.exists()
+
+
+# a Gaussian source (a = 4 mm, 1 MHz) marched to 3 Rayleigh distances in
+# steps of z_R/32, past the plane-wave shock distance at p0 = 3e6
+KZK_SHOCK_CFG = """\
+[medium]
+rho0 = 1000
+c = 1500
+beta = 3.5
+delta = 4.5e-6
+
+[source]
+p0 = 3e6
+f0 = 1e6
+
+[kzk]
+n_r = 200
+dr = 0.0001
+n_z = 96
+dz = 0.0010471975511965976
+n_harm = 8
+source_radius = 0.004
+"""
+
+
+@pytest.mark.parametrize("n_harm", [8, 32])
+def test_kzk_truncated_spectrum_exits_four_with_one_log_line(tmp_path, n_harm):
+    # the march used to exit 0 with 4.2e-3 (8 harmonics) or 2.8e-4 (32) of its
+    # energy in the top harmonic, 1.2 and 1.1 times the energy of the one below
+    cfg_text = KZK_SHOCK_CFG.replace("n_harm = 8", f"n_harm = {n_harm}")
+    proc, out = _run_module(tmp_path, "kzk", cfg_text)
+    assert proc.returncode == 4
+    _assert_one_error_line(proc)
+    assert "truncated" in proc.stderr
+    assert not out.exists()
+
+
+def test_kzk_below_the_shock_passes_the_truncation_gate(tmp_path):
+    code, out = run_cli(tmp_path, "kzk", KZK_SHOCK_CFG.replace("p0 = 3e6", "p0 = 1e6"))
+    assert code == 0
+    field = read_field_dump(out / "field.nfd")
+    energy = np.sum(np.abs(field.amps) ** 2 * radial_weights(200, 1e-4), axis=1)
+    assert energy[-1] ** 2 < 1e-6 * energy[-2] * energy.sum()
 
 
 # === scene ===

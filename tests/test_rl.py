@@ -530,18 +530,40 @@ def test_lockstep_step_keeps_single_episode_types_and_checks_its_rows():
     e = TuningEnv(tuning_scenario(duration=0.3), chunk_seconds=0.1, horizon=3)
     state, reward, done = e.step(zero_action())
     assert isinstance(state, nars.rl.EnvState) and type(reward) is float and done is False
-    assert type(e.mu) is float and type(e.steer) is float
+    assert np.shape(e.mu) == () and np.shape(e.steer) == ()
     e.reset()
-    moves = [Action(deltas=np.array([0.1 * k, 0.0, 0.0, 5.0 * k])) for k in range(3)]
+    moves = Action(deltas=np.array([[0.1 * k, 0.0, 0.0, 5.0 * k] for k in range(3)]))
     states, rewards, done = e.step(moves)
     assert len(states) == 3 and rewards.shape == (3,) and done is False
     assert e.mu.shape == (3,) and e.steer.shape == (3,)
-    for rows in (moves[:2], moves[0]):
+    for rows in (moves.deltas[:2], moves.deltas[0], moves.deltas[:1]):
         with pytest.raises(DomainError):
-            e.step(rows)  # an episode keeps the rows it started with
+            e.step(Action(deltas=rows))  # an episode keeps the rows it started with
     with pytest.raises(DomainError):
-        e.step([])
+        e.step([Action(deltas=row) for row in moves.deltas])  # rows go on the deltas
     assert e.step_count == 1
+
+
+def test_one_row_action_steps_with_the_bits_of_a_lone_action():
+    e = TuningEnv(
+        tuning_scenario(duration=0.3, echo_pos=(5.0, 1.0, 1.3)), chunk_seconds=0.1, horizon=3
+    )
+    moves = np.random.default_rng(5).uniform(-1.0, 1.0, (e.horizon, ACT_DIM)) * ACTION_BOUNDS
+    moves[:, 0] = np.abs(moves[:, 0])  # a positive step size, so the AEC adapts
+    e.reset()
+    lone = [e.step(Action(deltas=d))[:2] for d in moves]
+    e.reset()
+    rows = [e.step(Action(deltas=d[None, :]))[:2] for d in moves]
+    for (state, reward), (states, rewards) in zip(lone, rows):
+        assert len(states) == 1 and rewards.shape == (1,)
+        assert state.vector().tobytes() == states[0].vector().tobytes()
+        assert np.float64(reward).tobytes() == rewards[0].tobytes()
+
+
+@pytest.mark.parametrize("shape", [(0, 4), (2, 3, 4), (1, 1, 4), (), (3,), (2, 5)])
+def test_action_takes_four_deltas_or_one_row_of_them_per_episode(shape):
+    with pytest.raises(DomainError):
+        Action(deltas=np.zeros(shape))
 
 
 def test_reset_restores_the_precomputed_observation(monkeypatch):
