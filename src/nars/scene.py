@@ -92,46 +92,62 @@ def _axis_images(pos: float, length: float, max_order: int):
     return out
 
 
-def image_source_rir(room: RoomSpec, src: tuple, mic: tuple) -> np.ndarray:
+def image_source_rir(room: RoomSpec, src: tuple, mic) -> np.ndarray:
     """FIR room response by the image-source method.
 
     Each image contributes reflection^bounces / (4 pi d) at delay d/c,
-    spread over the shared 8-tap fractional-delay kernel. Source and mic
+    spread over the shared 8-tap fractional-delay kernel. Source and mics
     must lie strictly inside the room.
+
+    ``mic`` is one ``(3,)`` position, giving an ``(n,)`` response, or an
+    ``(M, 3)`` stack, giving ``(M, n_max)``: the images are listed once for
+    the source, and row m holds mic m's response, bit-identical to a lone
+    call, then zeros past its own length.
     """
     src = np.asarray(src, dtype=np.float64)
-    mic = np.asarray(mic, dtype=np.float64)
-    for p, name in ((src, "source"), (mic, "microphone")):
-        if not np.all((p > 0) & (p < np.asarray(room.dims))):
+    mics = np.asarray(mic, dtype=np.float64)
+    if src.shape != (3,) or mics.ndim not in (1, 2) or mics.shape[-1] != 3 or mics.size == 0:
+        raise DomainError("source must be a (3,) position and mic a (3,) position or an (M, 3) stack")
+    lone = mics.ndim == 1
+    mics = mics.reshape(-1, 3)
+    dims = np.asarray(room.dims)
+    for p, name in ((src, "source"), (mics, "microphone")):
+        if not np.all((p > 0) & (p < dims)):
             raise DomainError(f"{name} position must lie strictly inside the room")
-    if float(np.linalg.norm(src - mic)) < 1e-9:
+    gap = src - mics
+    if np.any(np.sqrt(np.vecdot(gap, gap)) < 1e-9):
         raise DomainError("microphone coincides with the source")
 
     axes = [_axis_images(src[k], room.dims[k], room.max_order) for k in range(3)]
-    images = []
+    images, bounces = [], []
     for x, bx in axes[0]:
         for y, by in axes[1]:
             if bx + by > room.max_order:
                 continue
             for z, bz in axes[2]:
                 b = bx + by + bz
-                if b > room.max_order:
-                    continue
-                d = float(np.linalg.norm(np.array([x, y, z]) - mic))
-                images.append((d, b))
+                if b <= room.max_order:
+                    images.append((x, y, z))
+                    bounces.append(b)
 
-    dist = np.array([d for d, _ in images])
-    n = int(np.ceil(dist.max() * room.fs / room.c)) + FRAC_DELAY_TAPS + 1
+    diff = np.array(images)[None, :, :] - mics[:, None, :]
+    # (M, images); np.vecdot runs the dot product np.linalg.norm does, so
+    # each distance keeps its bits (einsum or a sum of squares would not)
+    dist = np.sqrt(np.vecdot(diff, diff))
+    n = np.ceil(dist.max(axis=1) * room.fs / room.c).astype(np.int64) + FRAC_DELAY_TAPS + 1
+    n_max = int(n.max())
     # Python-float powers: numpy's array power rounds differently (0.4**2)
-    amp = np.array([room.reflection**b for _, b in images]) / (4 * np.pi * dist)
+    amp = np.array([room.reflection**b for b in bounces]) / (4 * np.pi * dist)
     delay = dist * room.fs / room.c
     n_int = np.floor(delay)
     kernels = frac_delay_kernels(delay - n_int)
-    idx = n_int.astype(np.int64)[:, None] + kernel_offsets()
-    ok = (idx >= 0) & (idx < n)
-    rir = np.zeros(n)
-    np.add.at(rir, idx[ok], (amp[:, None] * kernels)[ok])  # image by image, in order
-    return rir
+    idx = n_int.astype(np.int64)[..., None] + kernel_offsets()
+    ok = (idx >= 0) & (idx < n[:, None, None])
+    flat = idx + (n_max * np.arange(len(mics)))[:, None, None]
+    rir = np.zeros(len(mics) * n_max)
+    np.add.at(rir, flat[ok], (amp[..., None] * kernels)[ok])  # mic by mic, image by image, in order
+    rir = rir.reshape(len(mics), n_max)
+    return rir[0] if lone else rir
 
 
 def direct_path_delay_samples(room: RoomSpec, src: tuple, mic: tuple) -> float:
@@ -142,10 +158,10 @@ def direct_path_delay_samples(room: RoomSpec, src: tuple, mic: tuple) -> float:
 # === noise surrogates ===
 
 
-def _shape_white(white: np.ndarray, fs: float, mag) -> np.ndarray:
+def _shape_white(white: np.ndarray, mag: np.ndarray) -> np.ndarray:
+    """Unit-RMS ``white`` with its spectrum scaled by ``mag`` (one per rfft bin)."""
     spec = np.fft.rfft(white)
-    f = np.fft.rfftfreq(len(white), 1.0 / fs)
-    spec *= mag(f)
+    spec *= mag
     out = np.fft.irfft(spec, n=len(white))
     rms = np.sqrt(np.mean(out**2))
     return out / rms
@@ -206,15 +222,16 @@ def synth_noise(kind: str, duration: float, fs: float, seed) -> np.ndarray:
     if kind == "white":
         out = rng.standard_normal(n)
         return out / np.sqrt(np.mean(out**2))
+    mag = _SHAPES[kind](np.fft.rfftfreq(n, 1.0 / fs))
     if kind == "babble_surrogate":
         t = np.arange(n) / fs
         acc = np.zeros(n)
         for _ in range(8):
-            voice = _shape_white(rng.standard_normal(n), fs, _SHAPES[kind])
+            voice = _shape_white(rng.standard_normal(n), mag)
             phase = rng.uniform(0, 2 * np.pi)
             acc += voice * (1.0 + 0.5 * np.sin(2 * np.pi * 4.0 * t + phase))
         return acc / np.sqrt(np.mean(acc**2))
-    return _shape_white(rng.standard_normal(n), fs, _SHAPES[kind])
+    return _shape_white(rng.standard_normal(n), mag)
 
 
 def octave_band_power_db(x: np.ndarray, fs: float, f_lo: float = 62.5) -> tuple[np.ndarray, np.ndarray]:
@@ -301,17 +318,36 @@ class RenderedScene:
     true_azimuth_deg: float
 
 
-def _convolve_rir(signal: np.ndarray, rir: np.ndarray, n: int) -> np.ndarray:
-    return np.convolve(signal, rir)[:n]
+def _convolve_rirs(signal: np.ndarray, rirs: np.ndarray, n: int) -> np.ndarray:
+    """``(M, n)``: ``signal`` (at least n samples) convolved with each of the
+    ``(M, L)`` rows of ``rirs`` and cut to n samples, by blocked FFT
+    overlap-add.
+
+    The FFT size is the next power of two at or above 4 L; each block of
+    ``nfft - L + 1`` signal samples takes one forward transform for all rows
+    and one inverse transform of the stack.
+    """
+    length = rirs.shape[-1]
+    nfft = 1 << (4 * length - 1).bit_length()
+    step = nfft - length + 1
+    spectra = np.fft.rfft(rirs, nfft)
+    out = np.zeros((rirs.shape[0], n))
+    for start in range(0, n, step):
+        block = np.fft.irfft(np.fft.rfft(signal[start : start + step], nfft) * spectra, nfft)
+        stop = min(start + nfft, n)
+        out[:, start:stop] += block[:, : stop - start]
+    return out
 
 
 def render_scene(cfg: ScenarioConfig, *, clean: np.ndarray | None = None) -> RenderedScene:
     """Mic signals for a scenario: reverberant source + per-mic noise (+ echo).
 
     The clean source defaults to a speech-shaped surrogate drawn from the
-    scenario's seeded substream. Noise is mixed so the first mic sits at the
-    requested SNR. The returned clean reference is the dry source delayed to
-    the array centroid (direct path), for scale-invariant scoring.
+    scenario's seeded substream; a given ``clean`` must be a finite 1-D
+    signal at least as long as the scene. Noise is mixed so the first mic
+    sits at the requested SNR. The returned clean reference is the dry
+    source delayed to the array centroid (direct path), for scale-invariant
+    scoring.
     """
     room = cfg.room
     n = int(round(cfg.duration * room.fs))
@@ -319,21 +355,21 @@ def render_scene(cfg: ScenarioConfig, *, clean: np.ndarray | None = None) -> Ren
     kids = ss.spawn(4)
     if clean is None:
         clean = synth_noise("babble_surrogate", cfg.duration, room.fs, kids[0])
-    clean = np.asarray(clean, dtype=np.float64)[:n]
+    clean = np.asarray(clean, dtype=np.float64)
+    if clean.ndim != 1 or len(clean) < n or not np.all(np.isfinite(clean[:n])):
+        raise DomainError(f"clean signal must be a finite 1-D array of at least {n} samples")
+    clean = clean[:n]
 
-    mics = np.zeros((len(cfg.mic_positions), n))
-    for m, pos in enumerate(cfg.mic_positions):
-        rir = image_source_rir(room, cfg.source_pos, pos)
-        mics[m] = _convolve_rir(clean, rir, n)
+    mics = _convolve_rirs(clean, image_source_rir(room, cfg.source_pos, cfg.mic_positions), n)
 
     far = None
     if cfg.echo_pos is not None:
         far = synth_noise("white", cfg.duration, room.fs, kids[1])
         level = 10.0 ** (cfg.echo_level_db / 20.0)
         ref_power = np.sqrt(np.mean(mics[0] ** 2))
-        for m, pos in enumerate(cfg.mic_positions):
-            rir = image_source_rir(room, cfg.echo_pos, pos)
-            echo = _convolve_rir(far, rir, n)
+        # one row at a time: an (M, n) echo stack would add a second mic stack to the peak memory
+        for m, rir in enumerate(image_source_rir(room, cfg.echo_pos, cfg.mic_positions)):
+            echo = _convolve_rirs(far, rir[None], n)[0]
             e_rms = np.sqrt(np.mean(echo**2)) or 1.0
             mics[m] += echo * (level * ref_power / e_rms)
 

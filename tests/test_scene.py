@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from nars.scene import (
     RoomSpec,
     ScenarioConfig,
     _axis_images,
+    _convolve_rirs,
     direct_path_delay_samples,
     image_source_rir,
     measure_rtf,
@@ -160,6 +163,55 @@ def test_rir_equals_the_per_image_sum_bit_for_bit(reflection, max_order):
               for _ in range(5)]
     for src, mic in pairs:
         assert image_source_rir(room, src, mic).tobytes() == _per_image_rir(room, src, mic).tobytes()
+    # the stacked form: one call per source, each row the lone call's bytes, then zeros
+    for src, _ in pairs:
+        mics = [mic for _, mic in pairs if np.linalg.norm(np.subtract(src, mic)) > 1e-9]
+        lone = [image_source_rir(room, src, mic) for mic in mics]
+        assert len({len(r) for r in lone}) > 1
+        stack = image_source_rir(room, src, mics)
+        assert stack.shape == (len(mics), max(len(r) for r in lone))
+        for row, r in zip(stack, lone):
+            assert row[: len(r)].tobytes() == r.tobytes()
+            assert not np.any(row[len(r) :])
+
+
+def test_rir_stack_rejects_a_coincident_or_outside_mic():
+    good = (2.0, 2.0, 1.0)
+    with pytest.raises(DomainError, match="coincides"):
+        image_source_rir(ROOM, (1.0, 1.0, 1.0), [good, (1.0, 1.0, 1.0), good])
+    with pytest.raises(DomainError, match="inside"):
+        image_source_rir(ROOM, (1.0, 1.0, 1.0), [good, (1.0, 3.5, 1.0)])
+    for bad in ([], np.zeros((2, 2)), np.ones((1, 2, 3))):
+        with pytest.raises(DomainError):
+            image_source_rir(ROOM, (1.0, 1.0, 1.0), bad)
+
+
+def _conv_cases():
+    rng = np.random.default_rng(11)
+    room = RoomSpec(dims=(6.0, 5.0, 3.0), reflection=0.6, max_order=3, fs=16000.0)
+    mics = rng.uniform(0.2, 0.8, (4, 3)) * room.dims
+    rirs = image_source_rir(room, (1.5, 3.5, 1.5), mics)
+    direct = image_source_rir(RoomSpec(dims=(6.0, 5.0, 3.0), reflection=0.6, max_order=0), (1.5, 3.5, 1.5), mics)
+    length = rirs.shape[1]
+    step = (1 << (4 * length - 1).bit_length()) - length + 1
+    return [
+        pytest.param(rirs, length // 2, id="n < L"),
+        pytest.param(rirs, step, id="n = step"),
+        pytest.param(rirs, step + 1, id="n = step + 1"),
+        pytest.param(rirs, 2 * step + 17, id="three blocks"),
+        pytest.param(rirs[2:3], step + 1, id="one row"),
+        pytest.param(direct, 3000, id="max_order 0"),
+    ]
+
+
+@pytest.mark.parametrize("rirs, n", _conv_cases())
+def test_convolve_rirs_matches_direct_convolution(rirs, n):
+    signal = np.random.default_rng(n).standard_normal(n)
+    out = _convolve_rirs(signal, rirs, n)
+    assert out.shape == (len(rirs), n)
+    for row, rir in zip(out, rirs):
+        ref = np.convolve(signal, rir)[:n]
+        assert np.max(np.abs(row - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 # === noise synthesis ===
@@ -318,6 +370,29 @@ def test_render_custom_clean_signal():
     r = render_scene(small_scenario(), clean=tone)
     spec = np.abs(np.fft.rfft(r.clean_ref))
     assert np.argmax(spec) == pytest.approx(500 * n / 16000, abs=1)
+
+
+@pytest.mark.parametrize(
+    "clean",
+    [np.ones(100), np.ones((2, int(0.3 * 16000))), np.full(int(0.3 * 16000), np.nan)],
+    ids=["short", "two-d", "nan"],
+)
+def test_render_rejects_a_bad_clean_signal(clean):
+    with pytest.raises(DomainError, match="clean"):
+        render_scene(small_scenario(), clean=clean)
+
+
+def test_echo_render_peak_memory_stays_under_twice_the_mic_stack():
+    mics = tuple((2.8 + 0.05 * k, 2.5, 1.2) for k in range(8))
+    cfg = small_scenario(duration=10.0, mic_positions=mics, echo_pos=(5.0, 1.0, 1.3))
+    render_scene(small_scenario(duration=0.1, mic_positions=mics, echo_pos=(5.0, 1.0, 1.3)))  # warm caches
+    tracemalloc.start()
+    try:
+        r = render_scene(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * r.mics.nbytes
 
 
 def test_scene_rng_substreams():
