@@ -129,11 +129,12 @@ def cmd_wave(args) -> None:
     zs, ratio_rows, final = westervelt_harmonic_curve(medium, src, grid, n_max=n_harm)
 
     with _artifacts(args.out, conf) as art:
-        header = ["z"] + [f"B{n}" for n in range(1, n_harm + 1)]
+        # sigma = z / x_shock is 0 throughout a linear medium (x_shock = inf)
+        header = ["z", "sigma"] + [f"B{n}" for n in range(1, n_harm + 1)]
         io.write_csv(
             art.path("harmonics.csv"),
             header,
-            ([z] + list(row) for z, row in zip(zs, ratio_rows)),
+            ([z, z / x_shock] + list(row) for z, row in zip(zs, ratio_rows)),
         )
         t = np.arange(grid.n_time) / final.fs
         io.write_csv(art.path("waveform.csv"), ["t", "p"], zip(t, final.samples))

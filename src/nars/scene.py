@@ -372,6 +372,7 @@ def render_scene(cfg: ScenarioConfig, *, clean: np.ndarray | None = None) -> Ren
             echo = _convolve_rirs(far, rir[None], n)[0]
             e_rms = np.sqrt(np.mean(echo**2)) or 1.0
             mics[m] += echo * (level * ref_power / e_rms)
+        del echo  # the last mic's echo would otherwise live through the noise draws
 
     noise_rng = np.random.default_rng(kids[2])
     for m in range(mics.shape[0]):
@@ -379,6 +380,7 @@ def render_scene(cfg: ScenarioConfig, *, clean: np.ndarray | None = None) -> Ren
         if m == 0:
             _, gain = mix_at_snr(mics[0], noise, cfg.snr_db)
         mics[m] += gain * noise
+        del noise  # dead before the next draw, which peaks at several signal lengths
 
     centroid = np.mean(np.asarray(cfg.mic_positions, dtype=np.float64), axis=0)
     src = np.asarray(cfg.source_pos, dtype=np.float64)

@@ -20,13 +20,23 @@ substeps are Crank-Nicolson radial diffraction over dz (with Strang
 splitting, over dz/2 first and last), exact absorption when delta > 0,
 explicit quadratic harmonic coupling when beta > 0, and the absorbing edge
 ramp. Diffraction stacks the per-harmonic tridiagonal systems into one
-block-diagonal system and makes one banded solve per substep. Its limit is
-10 p0 max(1, max|profile|). A march whose spectrum ends piled up at the top
-harmonic, a harmonic series truncated past the shock, is a validity error.
+block-diagonal system, LU-factors it once per march with LAPACK ``?gttrf``
+and makes one ``?gttrs`` solve per substep through ``solve_banded``; the
+factored solve gives the bits of scipy's ``solve_banded`` (``?gtsv``) on
+the same matrix. The coupling takes the harmonics of p^2 with one
+zero-padded ``irfft``/``rfft`` pair (Lee & Hamilton 1995), in N log N
+rather than N^2. Its limit is 10 p0 max(1, max|profile|). A march whose
+spectrum ends piled up at the top harmonic, a harmonic series truncated
+past the shock, is a validity error.
 
-The solvers import their scipy pieces (``solve_banded``, the Bessel
-``jv`` of ``fubini_harmonics``) on first use, so importing this module
-loads no scipy.
+``harmonic_spectrum`` reads its few bins through a cached real DFT table
+instead of a full ``rfft``, since the Westervelt readout asks for a handful
+of harmonics at every step.
+
+The solvers import their scipy pieces (the LAPACK tridiagonal routines, the
+Bessel ``jv`` of ``fubini_harmonics``) on first use, so importing this
+module loads no scipy. No table or factorization is built before a call
+needs it.
 
 Amplitude convention for the harmonic field: p(r, z, tau) =
 Re{ sum_n A_n(r, z) exp(i n w tau) }, so |A_n| is directly the measured
@@ -35,6 +45,7 @@ amplitude of harmonic n in Pa.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,6 +56,7 @@ from .errors import (
     DivergenceError,
     DomainError,
     FramingError,
+    NumericalError,
     ValidityError,
 )
 
@@ -215,7 +227,10 @@ def harmonic_spectrum(w: TimeWaveform, f0: float, n_max: int) -> np.ndarray:
     """Amplitudes of harmonics 1..n_max of f0, unit-sine normalized.
 
     The waveform must hold an integer number of f0 cycles; harmonics must
-    stay below Nyquist.
+    stay below Nyquist. The n_max DFT bins are read through a cached table
+    of their cosines and sines (``_dft_table``), not a full ``rfft``; the
+    two agree to a few ulps. The product is an ``einsum``, which calls no
+    BLAS, so the result's bits do not depend on the BLAS thread count.
     """
     if f0 <= 0 or n_max < 1:
         raise DomainError("f0 > 0 and n_max >= 1 required")
@@ -226,9 +241,28 @@ def harmonic_spectrum(w: TimeWaveform, f0: float, n_max: int) -> np.ndarray:
         raise FramingError("waveform must span an integer number of f0 cycles")
     if n_max * cycles_int >= n // 2 + 1:
         raise FramingError("requested harmonics reach past Nyquist")
-    spec = np.fft.rfft(w.samples)
-    bins = np.arange(1, n_max + 1) * cycles_int
-    return 2.0 * np.abs(spec[bins]) / n
+    re_im = np.einsum("kt,t->k", _dft_table(n, cycles_int, n_max), w.samples)
+    return 2.0 * np.hypot(re_im[:n_max], re_im[n_max:]) / n
+
+
+@functools.lru_cache(maxsize=4)
+def _dft_table(n: int, cycles: int, n_max: int) -> np.ndarray:
+    """Read-only DFT rows of bins k = h cycles, h = 1..n_max, for n samples.
+
+    Rows 0..n_max-1 hold cos(2 pi k t / n) and rows n_max..2 n_max-1 hold
+    -sin(2 pi k t / n), so the table times the samples gives the real parts
+    and then the imaginary parts of those ``rfft`` bins. The phase k t is
+    reduced mod n in integers before it is scaled, so every angle lies in
+    [0, 2 pi) however large k t grows.
+    """
+    k = np.arange(1, n_max + 1)[:, None] * cycles
+    angle = (k * np.arange(n)) % n * (2 * np.pi / n)
+    table = np.empty((2 * n_max, n))
+    np.cos(angle, out=table[:n_max])
+    np.sin(angle, out=table[n_max:])
+    np.negative(table[n_max:], out=table[n_max:])
+    table.flags.writeable = False
+    return table
 
 
 # === the march ===
@@ -381,36 +415,71 @@ def field_energy(amps: np.ndarray, dr: float) -> float:
     return float(2 * np.pi * np.sum(np.abs(amps) ** 2 * vol[None, :]))
 
 
+def _coupling(n_harm: int, n_r: int):
+    """The map amps -> S of ``_quadratic_coupling`` for (n_harm, n_r) states.
+
+    Its FFT work arrays are allocated once, so a march reuses them at every
+    step; each call gives the bits of a fresh ``_quadratic_coupling``.
+    """
+    m = 4 * n_harm  # > 3 n_harm: products above n_harm alias to bins past it
+    spec = np.zeros((n_r, m // 2 + 1), dtype=np.complex128)
+    square = np.empty((n_r, m))
+    out = np.empty_like(spec)
+
+    def coupling(amps: np.ndarray) -> np.ndarray:
+        spec[:, 1 : n_harm + 1] = amps.T
+        np.fft.irfft(spec, n=m, out=square)
+        np.square(square, out=square)
+        np.fft.rfft(square, out=out)
+        return (m * out[:, 1 : n_harm + 1]).T
+
+    return coupling
+
+
 def _quadratic_coupling(amps: np.ndarray) -> np.ndarray:
     """Harmonic components of p^2 under the half-amplitude convention.
 
     S_n = sum_{m<n} A_m A_{n-m} + 2 sum_{m>n} A_m conj(A_{m-n}); products
     that would land above n_harm are truncated, never wrapped.
 
-    The summation order is part of the contract: each S_n starts from zero,
-    adds the first sum in ascending m and then the second in ascending m,
-    so the march stays bit-identical to a term-by-term loop. Each pass
-    below adds one term to every harmonic that has it.
+    With p = Re{sum_n A_n e^{i n theta}} sampled on M = 4 n_harm points
+    (``irfft`` of A scaled by 2/M), p^2 holds harmonics up to 2 n_harm. Those
+    above n_harm alias to bins M - k > n_harm, so bins 1..n_harm of
+    ``rfft(p^2)``, times 4/M, equal S_n: S = M rfft(irfft(A)^2). The result
+    differs from the term-by-term sum by roundoff, a few ulps of the local
+    energy sum_n |A_n|^2.
     """
-    n_harm = amps.shape[0]
-    s = np.zeros_like(amps)
-    for m in range(1, n_harm):
-        s[m:] += amps[m - 1] * amps[: n_harm - m]
-    two = 2.0 * amps
-    conj = np.conj(amps)
-    for d in range(1, n_harm):
-        s[: n_harm - d] += two[d:] * conj[d - 1]
-    return s
+    return _coupling(*amps.shape)(amps)
 
 
-def solve_banded(l_and_u, ab, b):
-    """``scipy.linalg.solve_banded``, imported on the first call.
+def _factor_tridiagonal(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray) -> tuple:
+    """LU factors, for ``solve_banded``, of the n x n tridiagonal matrix with
+    sub-diagonal ``lower``, diagonal ``diag`` and super-diagonal ``upper``.
 
-    scipy.linalg takes about 0.3 s to import, so only a KZK march pays it.
+    LAPACK ``?gttrf`` (partial pivoting) does the work; scipy.linalg is
+    imported on the first call, so only a KZK march pays its 0.3 s. Raises
+    ``NumericalError`` if LAPACK reports a singular or rejected matrix.
     """
-    from scipy.linalg import solve_banded as solve
+    from scipy.linalg import get_lapack_funcs
 
-    return solve(l_and_u, ab, b)
+    gttrf, gttrs = get_lapack_funcs(("gttrf", "gttrs"), (diag,))
+    *lu, info = gttrf(lower, diag, upper)
+    if info != 0:
+        what = "is singular" if info > 0 else "was rejected"
+        raise NumericalError(f"tridiagonal diffraction matrix {what} (LAPACK ?gttrf info={info})")
+    return (gttrs, *lu)
+
+
+def solve_banded(factors: tuple, b: np.ndarray) -> np.ndarray:
+    """Solve A x = b with the LU ``factors`` of A from ``_factor_tridiagonal`` (LAPACK ``?gttrs``).
+
+    ``b`` is overwritten. Raises ``NumericalError`` if LAPACK reports an error.
+    """
+    gttrs, *lu = factors
+    x, info = gttrs(*lu, b, overwrite_b=True)
+    if info != 0:
+        raise NumericalError(f"tridiagonal solve rejected its input (LAPACK ?gttrs info={info})")
+    return x
 
 
 def _kzk_substeps(medium: Medium, src: SourceWaveform, grid: AxisymGrid, strang: bool) -> list:
@@ -423,7 +492,8 @@ def _kzk_substeps(medium: Medium, src: SourceWaveform, grid: AxisymGrid, strang:
     # and the three bands of (I - i h/(4 k_n) L) applied to the current state.
     # The harmonics' matrices sit one after another in a single tridiagonal
     # ab; the entries that would couple neighbouring blocks stay zero, so one
-    # solve gives each harmonic its own solution to the bit.
+    # solve gives each harmonic its own solution to the bit. The matrix is
+    # the same at every step, so it is factored here, once.
     h = grid.dz / 2 if strang else grid.dz
     n_harm, n_r = grid.n_harm, grid.n_r
     ab = np.zeros((3, n_harm * n_r), dtype=np.complex128)
@@ -442,11 +512,13 @@ def _kzk_substeps(medium: Medium, src: SourceWaveform, grid: AxisymGrid, strang:
         rhs_upper[idx] = coef * upper[:-1]
         rhs_lower[idx] = coef * lower[1:]
 
+    factors = _factor_tridiagonal(ab[2, :-1], ab[1], ab[0, 1:])
+
     def diffract(amps):
         rhs = rhs_diag * amps
         rhs[:, :-1] += rhs_upper * amps[:, 1:]
         rhs[:, 1:] += rhs_lower * amps[:, :-1]
-        return solve_banded((1, 1), ab, rhs.ravel()).reshape(amps.shape)
+        return solve_banded(factors, rhs.ravel()).reshape(amps.shape)
 
     substeps = [("diffraction", diffract)]
     if medium.delta > 0:
@@ -455,7 +527,8 @@ def _kzk_substeps(medium: Medium, src: SourceWaveform, grid: AxisymGrid, strang:
     if medium.beta > 0:
         gain = 1j * n * omega * medium.beta / (4 * medium.rho0 * medium.c**3)
         gain_dz = grid.dz * gain[:, None]
-        substeps.append(("nonlinearity", lambda amps: amps + gain_dz * _quadratic_coupling(amps)))
+        coupling = _coupling(n_harm, n_r)
+        substeps.append(("nonlinearity", lambda amps: amps + gain_dz * coupling(amps)))
     if strang:
         substeps.append(substeps[0])
     # quadratic absorbing ramp over the outer 10% of the radius

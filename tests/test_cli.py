@@ -124,6 +124,8 @@ def test_wave_produces_fubini_consistent_harmonics(tmp_path):
     last = rows[-1]
     assert float(last["B2"]) == pytest.approx(0.229807, rel=2e-2)
     assert float(last["B1"]) == pytest.approx(0.969074, rel=2e-2)
+    assert float(rows[0]["sigma"]) == 0.0
+    assert float(last["sigma"]) == pytest.approx(0.5, rel=1e-12)  # sigma_end
 
 
 def test_wave_linear_medium_has_no_harmonics(tmp_path):
@@ -134,6 +136,7 @@ def test_wave_linear_medium_has_no_harmonics(tmp_path):
     assert code == 0
     rows = read_rows(out / "harmonics.csv")
     assert max(float(r["B2"]) for r in rows) < 1e-6
+    assert all(float(r["sigma"]) == 0.0 for r in rows)
 
 
 def test_wave_past_shock_is_a_validity_failure(tmp_path):

@@ -1,10 +1,11 @@
 """The benchmark's calls into ``nars`` still run and pass their own checks.
 
 ``perfbench/workloads.py`` drives ``TuningEnv``, ``train_tuning_policy``,
-``render_scene`` and the front-end stages through their public calls. An
-API change in ``src/`` would otherwise surface only when the benchmark
-runs; this test makes one op of the tiny ``tune``, ``stream`` and
-``survey`` workloads and changes nothing under ``perfbench/``.
+``render_scene``, the front-end stages and the wavefield solvers through
+their public calls. An API change in ``src/`` would otherwise surface only
+when the benchmark runs; this test makes one op of the tiny ``tune``,
+``stream``, ``survey`` and ``beam`` workloads and changes nothing under
+``perfbench/``.
 """
 
 import importlib.util
@@ -25,7 +26,7 @@ def load_workloads(monkeypatch):
     return module
 
 
-@pytest.mark.parametrize("name", ["Tune", "Stream", "Survey"])
+@pytest.mark.parametrize("name", ["Tune", "Stream", "Survey", "Beam"])
 def test_tiny_workload_op_passes_every_check(monkeypatch, name):
     workload = getattr(load_workloads(monkeypatch), name)(1, tiny=True)
     op = workload.op(0)

@@ -395,6 +395,22 @@ def test_echo_render_peak_memory_stays_under_twice_the_mic_stack():
     assert peak < 2 * r.mics.nbytes
 
 
+def test_echo_render_frees_each_signal_before_the_next_noise_draw():
+    # live at the peak: the 8-mic stack, the dry source, the far-end signal
+    # and one white-noise draw (its samples, their square and the scaled
+    # copy), 13 signal lengths; a kept echo or previous noise makes it 15
+    mics = tuple((2.8 + 0.05 * k, 2.5, 1.2) for k in range(8))
+    cfg = small_scenario(duration=10.0, mic_positions=mics, echo_pos=(5.0, 1.0, 1.3))
+    render_scene(small_scenario(duration=0.1, mic_positions=mics, echo_pos=(5.0, 1.0, 1.3)))  # warm caches
+    tracemalloc.start()
+    try:
+        r = render_scene(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 13.5 * r.mics[0].nbytes
+
+
 def test_scene_rng_substreams():
     a = scene_rng(7, 1).standard_normal(16)
     b = scene_rng(7, 1).standard_normal(16)

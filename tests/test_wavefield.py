@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nars.errors import ConfigurationError, DataError, DomainError, ValidityError
+from nars import wavefield
+from nars.errors import ConfigurationError, DataError, DomainError, NumericalError, ValidityError
 from nars.wavefield import (
     AxisymGrid,
     Medium,
@@ -326,6 +327,46 @@ def test_kzk_deterministic():
     f1 = simulate_kzk_axisym(med, src, gaussian_profile(a), grid)
     f2 = simulate_kzk_axisym(med, src, gaussian_profile(a), grid)
     assert np.array_equal(f1.amps, f2.amps)
+
+
+@pytest.mark.parametrize("strang", [False, True])
+def test_kzk_factors_once_and_solves_once_per_diffraction_substep(monkeypatch, strang):
+    calls = {"factor": 0, "solve": 0}
+    factor, solve = wavefield._factor_tridiagonal, wavefield.solve_banded
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(wavefield, "_factor_tridiagonal", counted("factor", factor))
+    monkeypatch.setattr(wavefield, "solve_banded", counted("solve", solve))
+    med, src, a, grid = kzk_case(beta=3.5, n_z=12, n_r=96, n_harm=4)
+    simulate_kzk_axisym(med, src, gaussian_profile(a), grid, strang=strang)
+    assert calls == {"factor": 1, "solve": grid.n_z * (2 if strang else 1)}
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_factor_tridiagonal_rejects_a_singular_matrix(dtype):
+    # zero diagonal and zero subdiagonal: the first column is zero
+    lower = np.zeros(5, dtype=dtype)
+    upper = np.ones(5, dtype=dtype)
+    with pytest.raises(NumericalError, match="singular") as err:
+        wavefield._factor_tridiagonal(lower, np.zeros(6, dtype=dtype), upper)
+    assert err.value.exit_code == 3
+
+
+def test_factored_solve_matches_scipy_solve_banded():
+    from scipy.linalg import solve_banded
+
+    rng = np.random.default_rng(3)
+    n = 50
+    ab = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
+    b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    factors = wavefield._factor_tridiagonal(ab[2, :-1], ab[1], ab[0, 1:])
+    assert np.array_equal(wavefield.solve_banded(factors, b.copy()), solve_banded((1, 1), ab, b))
 
 
 def test_radial_weights_integrate_area():
