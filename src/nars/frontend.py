@@ -2,20 +2,24 @@
 
 Oversampled complex-modulated DFT filter bank, per-band NLMS echo
 cancellation, delay-and-sum beamforming with fractional steering delays,
-steered-response-power localization, spectral masking and per-band gains.
+steered-response-power localization and per-band gains.
 ``enhance`` chains them (DAS -> analysis -> AEC -> band gains -> synthesis)
 for every caller: ``nars frontend``, ``nars bench`` and the tuning env.
-Analysis, the AEC, the mask and synthesis take an optional leading episode
-axis, which ``enhance`` uses to step several tuning episodes through one
-call; a lone stream is the case with no leading axis, and each row of a
-batch equals a lone-stream call on that row, bit for bit.
+Every stage of the chain takes an optional leading row axis, which
+``enhance`` uses to step several tuning episodes through one call: the DAS
+steers each row at its own azimuth in one pass, and analysis, the AEC, the
+gains and synthesis run the rows together. A lone stream is the case with no leading axis, and
+each row of a batch equals a lone-stream call on that row, bit for bit.
 
-The SRP scan does not beamform once per azimuth. A steering bank, built once
-per (geometry, grid) and cached, holds every (azimuth, mic) fractional-delay
-kernel scaled by the DAS gain as one dense matrix W over (mic, integer
-shift); the power curve is then sum_t (W X(t))^2 / n, where X(t) stacks the
-shifted copies of each mic, computed as one matrix product per short time
-block so memory does not grow with the frame length.
+DAS and SRP steer through one builder, ``_steering_matrix``: the
+fractional-delay kernel of every (steering, mic) pair placed on one axis of
+integer shifts. The DAS applies it one shift at a time over the span of the
+output that shift reaches. The SRP scan does not beamform once per azimuth:
+its steering bank, built once per (geometry, grid) and cached, is that
+matrix for every grid azimuth, scaled by the DAS gain and flattened over
+(mic, shift) into W; the power curve is then sum_t (W X(t))^2 / n, where
+X(t) stacks the shifted copies of each mic, computed as one matrix product
+per short time block so memory does not grow with the frame length.
 
 Band m of the analysis bank is the prototype modulated by exp(i 2 pi m j / M)
 and decimated by the hop L: x_m(k) = sum_j h(j) x(kL - j) exp(i 2 pi m j / M).
@@ -30,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dsp import FRAC_DELAY_TAPS, frac_delay_kernels, kernel_offsets, shift_add
+from .dsp import FRAC_DELAY_TAPS, frac_delay_kernels, kernel_offsets
 from .errors import ConfigurationError, DataError, DomainError, FramingError, NoSourceError
 
 # === filter bank ===
@@ -360,53 +364,101 @@ def scenario_geometry(scenario) -> MicArrayGeometry:
 
 @dataclass(frozen=True)
 class BeamformerWeights:
+    """Per-mic gains and steering delays for one beam, or for E beams at once.
+
+    ``delays`` is (n_mics,) for one steering or (E, n_mics) for E of them;
+    the gains, one per mic, are shared by every row.
+    """
+
     gains: np.ndarray  # per-mic real gains, sum to 1
-    delays: np.ndarray  # per-mic steering delays, seconds
+    delays: np.ndarray  # per-mic steering delays, seconds: (n_mics,) or (E, n_mics)
 
     def __post_init__(self):
         g = np.asarray(self.gains, dtype=np.float64)
         d = np.asarray(self.delays, dtype=np.float64)
         object.__setattr__(self, "gains", g)
         object.__setattr__(self, "delays", d)
-        if g.shape != d.shape or g.ndim != 1:
-            raise DomainError("gains and delays must be equal-length vectors")
+        if g.ndim != 1 or d.ndim not in (1, 2) or d.shape[-1] != g.shape[0]:
+            raise DomainError("need one gain per mic and (n_mics,) or (rows, n_mics) delays")
         if abs(g.sum() - 1.0) > 1e-6:
             raise DomainError("beamformer gains must sum to 1")
 
 
-def steering_delays(geom: MicArrayGeometry, azimuth_deg: float) -> np.ndarray:
-    """Plane-wave alignment delays (s) for a far-field source at the azimuth."""
-    az = np.radians(azimuth_deg)
-    u = np.array([np.cos(az), np.sin(az), 0.0])
-    return (geom.positions - geom.centroid) @ u / geom.c
+def steering_delays(geom: MicArrayGeometry, azimuth_deg: float | np.ndarray) -> np.ndarray:
+    """Plane-wave alignment delays (s) for a far-field source at the azimuth.
+
+    A scalar azimuth gives (n_mics,) delays; an (E,) array gives (E, n_mics),
+    each row the bits of a scalar call.
+    """
+    rel = geom.positions - geom.centroid
+
+    def one(az):
+        az = np.radians(az)
+        return rel @ np.array([np.cos(az), np.sin(az), 0.0]) / geom.c
+
+    if np.ndim(azimuth_deg):
+        return np.stack([one(az) for az in np.ravel(azimuth_deg)])
+    return one(azimuth_deg)
 
 
-def das_weights(geom: MicArrayGeometry, azimuth_deg: float) -> BeamformerWeights:
+def das_weights(geom: MicArrayGeometry, azimuth_deg: float | np.ndarray) -> BeamformerWeights:
+    """Uniform gains steered at the azimuth, or at each of an (E,) array of them."""
     return BeamformerWeights(
         gains=np.full(geom.n_mics, 1.0 / geom.n_mics),
         delays=steering_delays(geom, azimuth_deg),
     )
 
 
+def _steering_matrix(delays: np.ndarray) -> tuple[np.ndarray, int]:
+    """Fractional-delay kernels of (rows, n_mics) delays (samples) on one shift axis.
+
+    Returns w of shape (rows, n_mics, n_shifts) and ``max_shift``: w[e, m, j]
+    is the kernel tap that mic m contributes to row e at integer shift
+    ``max_shift - j``, and zero where its kernel does not reach. The shift
+    axis spans every row's kernels.
+    """
+    n_int = np.floor(delays).astype(np.int64)
+    kernels = frac_delay_kernels(delays - n_int)  # (rows, n_mics, taps)
+    shifts = n_int[..., None] + kernel_offsets()
+    max_shift = int(shifts.max())
+    n_shifts = max_shift - int(shifts.min()) + 1
+    w = np.zeros(delays.shape + (n_shifts,))
+    np.put_along_axis(w, max_shift - shifts, kernels, axis=-1)
+    return w, max_shift
+
+
 def beamform_das(geom: MicArrayGeometry, weights: BeamformerWeights, frames: np.ndarray) -> np.ndarray:
-    """y(t) = sum_m g_m x_m(t - tau_m), fractional delays via windowed sinc."""
+    """y(t) = sum_m g_m x_m(t - tau_m), fractional delays via windowed sinc.
+
+    (n_mics,) delays give (n_samples,) samples; (E, n_mics) delays give
+    (E, n_samples), one beam per row from one pass over the mics, each row
+    the bits of a call with that row alone. The gain-scaled steering matrix
+    is applied one integer shift at a time: an ``einsum`` over the mics adds
+    every row's taps at that shift into the span of the output the shifted
+    mics reach, so no padded copy of the mics is made and no BLAS call
+    orders the sums.
+    """
     frames = np.asarray(frames, dtype=np.float64)
     if frames.ndim != 2 or frames.shape[0] != geom.n_mics:
         raise FramingError("frames must be (n_mics, n_samples)")
     if weights.gains.shape[0] != geom.n_mics:
         raise FramingError("weight count does not match the array")
     n = frames.shape[1]
-    delays_samp = weights.delays * geom.fs
+    delays_samp = np.atleast_2d(weights.delays * geom.fs)
     if np.max(np.abs(delays_samp)) + FRAC_DELAY_TAPS >= n:
         raise FramingError("steering delay exceeds the frame padding")
-    n_int = np.floor(delays_samp)
-    kernels = frac_delay_kernels(delays_samp - n_int)
-    out = np.zeros(n)
-    for g, shift, kernel, x in zip(weights.gains, n_int, kernels, frames):
-        if g == 0.0:
-            continue
-        out += g * shift_add(x, int(shift), kernel)
-    return out
+    w, max_shift = _steering_matrix(delays_samp)
+    w *= weights.gains[:, None]
+    rows = w.shape[0]
+    out = np.zeros((rows, n))
+    beam = np.empty((rows, n))
+    for j in range(w.shape[2] - 1, -1, -1):  # ascending shift
+        shift = max_shift - j
+        span = n - abs(shift)
+        src, dst = max(-shift, 0), max(shift, 0)
+        np.einsum("em,mt->et", w[:, :, j], frames[:, src : src + span], out=beam[:, :span])
+        out[:, dst : dst + span] += beam[:, :span]
+    return out if weights.delays.ndim == 2 else out[0]
 
 
 # === steered-response-power localization ===
@@ -451,19 +503,14 @@ _banks_lock = threading.Lock()  # library callers may scan from several threads
 
 
 def _build_steering_bank(geom: MicArrayGeometry, grid: AzimuthGrid) -> _SteeringBank:
-    delays = np.stack([steering_delays(geom, az) * geom.fs for az in grid.angles])
-    n_int = np.floor(delays).astype(np.int64)
-    kernels = frac_delay_kernels(delays - n_int) / geom.n_mics  # (n_az, n_mics, taps)
-    shifts = n_int[..., None] + kernel_offsets()
-    max_shift = int(shifts.max())
-    n_shifts = max_shift - int(shifts.min()) + 1
-    w = np.zeros((grid.n_points, geom.n_mics, n_shifts))
-    np.put_along_axis(w, max_shift - shifts, kernels, axis=2)
+    delays = steering_delays(geom, grid.angles) * geom.fs
+    w, max_shift = _steering_matrix(delays)
+    w /= geom.n_mics  # the DAS gain; the bits of scaling each kernel before it is placed
     w.flags.writeable = False  # shared by every scan of this (geometry, grid)
     return _SteeringBank(
         weights=w.reshape(grid.n_points, -1),
         max_shift=max_shift,
-        n_shifts=n_shifts,
+        n_shifts=w.shape[2],
         max_delay=float(np.max(np.abs(delays))),
     )
 
@@ -535,52 +582,6 @@ def azimuth_error_deg(a: float, b: float) -> float:
     return float(d)
 
 
-# === masking and per-band gain ===
-
-
-def apply_spectral_mask(state: SubbandState, mask: np.ndarray) -> SubbandState:
-    """Per-band, per-frame gain in [0, 1]; passive by construction."""
-    mask = np.asarray(mask, dtype=np.float64)
-    if mask.shape != state.bands.shape:
-        raise FramingError("mask shape must match the subband frames")
-    if np.any(mask < 0) or np.any(mask > 1):
-        raise DomainError("mask values must lie in [0, 1]")
-    return SubbandState(bands=state.bands * mask, n_samples=state.n_samples)
-
-
-@dataclass
-class BandGainProfile:
-    noise_var: np.ndarray  # per-band noise power estimate
-    state_feat: float  # scalar listener/affect feature phi(E), >= -1
-    prefs: np.ndarray  # per-band preference weight omega_i, within the clamp bounds
-    g_min: float = 0.0
-    g_max: float = 4.0
-    noise_ref: float = 1.0  # configured reference noise power
-
-    def __post_init__(self):
-        self.noise_var = np.asarray(self.noise_var, dtype=np.float64)
-        self.state_feat = float(self.state_feat)
-        self.prefs = np.asarray(self.prefs, dtype=np.float64)
-        if self.noise_var.shape != self.prefs.shape:
-            raise DomainError("noise_var and prefs must share one shape")
-        if np.any(self.noise_var < 0):
-            raise DomainError("noise variances must be nonnegative")
-        if self.g_min < 0 or self.g_max < self.g_min:
-            raise DomainError("need 0 <= g_min <= g_max")
-        if np.any(self.prefs < self.g_min) or np.any(self.prefs > self.g_max):
-            raise DomainError("preference weights must lie within the clamp bounds")
-        if not np.isfinite(self.state_feat) or self.state_feat < -1.0:
-            raise DomainError("state feature must be finite and >= -1")
-        if self.noise_ref <= 0:
-            raise DomainError("noise_ref must be positive")
-
-
-def band_gain(profile: BandGainProfile) -> np.ndarray:
-    """G_i = clamp(omega_i (1 + phi(E)) / (1 + noise_i / noise_ref), g_min, g_max)."""
-    raw = profile.prefs * (1.0 + profile.state_feat) / (1.0 + profile.noise_var / profile.noise_ref)
-    return np.clip(raw, profile.g_min, profile.g_max)
-
-
 # === the front-end chain ===
 
 
@@ -606,16 +607,20 @@ def enhance(
     An (E,) array of steering angles runs E settings of the chain on the
     same ``mics`` and far end in lockstep: ``mu`` is then one step size per
     row and ``band_gains`` (E, m_bands), and every output gains that leading
-    axis. Each row equals the chain run on its own settings, bit for bit.
-    The DAS runs once per row, since each row has its own steering.
+    axis. One ``beamform_das`` call steers all E rows. Each row equals the
+    chain run on its own settings, bit for bit. Gains of the wrong shape
+    raise ``FramingError``; gains outside [0, 1], or not finite,
+    ``DomainError``.
     """
-    rows = [beamform_das(geom, das_weights(geom, az), mics) for az in np.ravel(steer_deg)]
-    y = np.stack(rows) if np.ndim(steer_deg) else rows[0]
-    mic_sub = fb_analyze(spec, y)
+    mic_sub = fb_analyze(spec, beamform_das(geom, das_weights(geom, steer_deg), mics))
     out_sub = mic_sub
     if far_sub is not None:
         out_sub, _ = aec_process(make_aec(spec.m_bands, aec_taps, mu=mu), far_sub, mic_sub)
     if band_gains is not None:
-        mask = np.broadcast_to(np.asarray(band_gains)[..., None], out_sub.bands.shape)
-        out_sub = apply_spectral_mask(out_sub, mask)
+        gains = np.asarray(band_gains, dtype=np.float64)
+        if gains.shape != out_sub.bands.shape[:-1]:
+            raise FramingError("band gains must be one per band, for every row")
+        if not np.all((gains >= 0.0) & (gains <= 1.0)):
+            raise DomainError("band gains must be finite and lie in [0, 1]")
+        out_sub = SubbandState(bands=out_sub.bands * gains[..., None], n_samples=out_sub.n_samples)
     return mic_sub, out_sub, fb_synthesize(spec, out_sub)

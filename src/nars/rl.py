@@ -43,10 +43,8 @@ import numpy as np
 from .errors import DomainError, NumericalError
 from .frontend import (
     AzimuthGrid,
-    BandGainProfile,
     FilterBankSpec,
     SubbandState,
-    band_gain,
     enhance,
     fb_analyze,
     scenario_geometry,
@@ -656,20 +654,19 @@ class TuningEnv:
         self._restart()
         return replace(self._initial, band_log_powers=self._initial.band_log_powers.copy())
 
-    def _band_gains(self, trim_lo: float, trim_hi: float) -> np.ndarray:
+    def _band_gains(self, trims_lo: list[float], trims_hi: list[float]) -> np.ndarray:
+        """(E, m_bands) gains of E episodes' trims (dB): low trim on the first half of the bands.
+
+        G = clip(10^(trim/20) / (1 + noise / noise_ref), 0.05, 1): the trim
+        lifts or cuts a band and its noise floor pulls it down. Each trim
+        factor is a Python float power, so a row has the bits of a lone
+        episode's.
+        """
         m = self.bank.m_bands
-        trims = np.empty(m)
-        trims[: m // 2] = 10.0 ** (trim_lo / 20.0)
-        trims[m // 2 :] = 10.0 ** (trim_hi / 20.0)
-        profile = BandGainProfile(
-            noise_var=self.noise_band_var,
-            state_feat=0.0,
-            prefs=trims,
-            g_min=0.05,
-            g_max=4.0,
-            noise_ref=self.noise_ref,
-        )
-        return band_gain(profile)
+        trims = np.empty((len(trims_lo), m))
+        trims[:, : m // 2] = np.array([10.0 ** (lo / 20.0) for lo in trims_lo])[:, None]
+        trims[:, m // 2 :] = np.array([10.0 ** (hi / 20.0) for hi in trims_hi])[:, None]
+        return np.clip(trims / (1.0 + self.noise_band_var / self.noise_ref), 0.05, 1.0)
 
     def _process(self) -> tuple[list[EnvState], list[float]]:
         """States and quality scores of the current settings, one per episode."""
@@ -677,7 +674,6 @@ class TuningEnv:
         # Python floats, so each episode's scalar arithmetic is the lone episode's
         settings = (self.mu, self.trim_lo, self.trim_hi, self.steer)
         mus, los, his, steers = (np.ravel(v).tolist() for v in settings)
-        gains = [np.clip(self._band_gains(lo, hi), 0.0, 1.0) for lo, hi in zip(los, his)]
         _, out_sub, enhanced = enhance(
             self.geom,
             self.bank,
@@ -686,7 +682,7 @@ class TuningEnv:
             c.far_sub,
             mu=np.array(mus),
             aec_taps=self.aec_taps,
-            band_gains=np.stack(gains),
+            band_gains=self._band_gains(los, his),
         )
 
         states, q_hats = [], []

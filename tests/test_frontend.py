@@ -13,14 +13,11 @@ from nars.dsp import _kaiser_cont, delay_signal, frac_delay_kernel, frac_delay_k
 from nars.errors import ConfigurationError, DataError, DomainError, FramingError, NoSourceError
 from nars.frontend import (
     AzimuthGrid,
-    BandGainProfile,
     FilterBankSpec,
     MicArrayGeometry,
     SubbandState,
     aec_process,
-    apply_spectral_mask,
     azimuth_error_deg,
-    band_gain,
     beamform_das,
     circular_array,
     das_weights,
@@ -413,46 +410,29 @@ def test_ideal_mask_recovers_tone():
     state = fb_analyze(BANK, mix)
     mask = np.zeros_like(state.bands, dtype=float)
     mask[m] = mask[BANK.m_bands - m] = 1.0
-    masked = fb_synthesize(BANK, apply_spectral_mask(state, mask))[: len(mix)]
+    masked = fb_synthesize(BANK, SubbandState(bands=state.bands * mask, n_samples=state.n_samples))[: len(mix)]
     plain = fb_synthesize(BANK, state)[: len(mix)]
     sl = slice(2000, -2000)
     assert si_snr(tone[sl], masked[sl]) - si_snr(tone[sl], plain[sl]) > 10.0
 
 
-def test_mask_validation():
-    state = fb_analyze(BANK, np.random.default_rng(0).standard_normal(4000))
-    with pytest.raises(FramingError):
-        apply_spectral_mask(state, np.ones((16, 3)))
-    with pytest.raises(DomainError):
-        apply_spectral_mask(state, np.full_like(state.bands, -0.1, dtype=float))
-
-
-def test_band_gain_formula_point():
-    prof = BandGainProfile(
-        noise_var=np.ones(4), state_feat=0.0, prefs=np.ones(4),
-        g_min=0.05, g_max=4.0, noise_ref=1.0,
-    )
-    assert band_gain(prof) == pytest.approx(0.5)
-
-
-def test_band_gain_monotone_in_noise():
-    noise = np.linspace(0.1, 10.0, 16)
-    prof = BandGainProfile(
-        noise_var=noise, state_feat=0.0, prefs=np.ones(16),
-        g_min=0.05, g_max=4.0, noise_ref=1.0,
-    )
-    g = band_gain(prof)
-    assert np.all(np.diff(g) <= 1e-12)
-    assert np.all((g >= 0.05) & (g <= 4.0))
-
-
-def test_band_gain_validation():
-    with pytest.raises(DomainError):
-        BandGainProfile(noise_var=np.ones(4), state_feat=0.0, prefs=np.full(4, 9.0),
-                        g_min=0.05, g_max=4.0, noise_ref=1.0)
-    with pytest.raises(DomainError):
-        BandGainProfile(noise_var=-np.ones(4), state_feat=0.0, prefs=np.ones(4),
-                        g_min=0.05, g_max=4.0, noise_ref=1.0)
+def test_mask_validation(short_scene):
+    """``enhance`` checks its band gains once: one per band for every row, finite, in [0, 1]."""
+    geom, r = short_scene
+    for gains, steer in [(np.ones(BANK.m_bands - 1), 40.0), (np.ones(BANK.m_bands), [40.0, 50.0]),
+                         (np.ones((3, BANK.m_bands)), [40.0, 50.0])]:
+        with pytest.raises(FramingError):
+            enhance(geom, BANK, r.mics, np.array(steer), mu=0.0, aec_taps=1, band_gains=gains)
+    for bad in (-0.1, 1.0 + 1e-12, np.nan, np.inf):
+        gains = np.full(BANK.m_bands, 0.5)
+        gains[3] = bad
+        with pytest.raises(DomainError):
+            enhance(geom, BANK, r.mics, 40.0, mu=0.0, aec_taps=1, band_gains=gains)
+        with pytest.raises(DomainError):
+            enhance(geom, BANK, r.mics, np.array([40.0, 50.0]), mu=np.zeros(2), aec_taps=1,
+                    band_gains=np.stack([np.full(BANK.m_bands, 0.5), gains]))
+    # the ends of the range pass
+    enhance(geom, BANK, r.mics, 40.0, mu=0.0, aec_taps=1, band_gains=np.r_[0.0, np.ones(BANK.m_bands - 1)])
 
 
 # === the front-end chain ===
@@ -490,7 +470,7 @@ def test_enhance_equals_the_hand_written_chain(short_scene, with_far, with_gains
         want_out, _ = aec_process(make_aec(BANK.m_bands, 3, mu=0.3), far_sub, want_mic)
     if with_gains:
         mask = np.broadcast_to(gains[:, None], want_out.bands.shape)
-        want_out = apply_spectral_mask(want_out, mask)
+        want_out = SubbandState(bands=want_out.bands * mask, n_samples=want_out.n_samples)
     want_y = fb_synthesize(BANK, want_out)
 
     assert mic_sub.bands.tobytes() == want_mic.bands.tobytes()

@@ -8,21 +8,31 @@ one ``einsum`` per frame. ``fb_analyze``, ``fb_synthesize`` and
 layout, and the returned weights and far-end history. Called with a leading
 episode axis, each of them and ``enhance`` must give every row the bits of a
 lone-stream call on that row.
+
+The beamformer is held to the per-mic ``shift_add`` loop it replaced within
+a roundoff bound, since its steering matrix sums the taps in another order;
+the SRP steering bank and its powers to an inline copy of the builder that
+made the bank before the DAS shared it, bit for bit.
 """
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from nars import frontend
+from nars.dsp import FRAC_DELAY_TAPS, frac_delay_kernels, kernel_offsets, shift_add
 from nars.errors import ConfigurationError, DomainError, FramingError
 from nars.frontend import (
     AEC_EPS_REG,
+    AzimuthGrid,
+    BeamformerWeights,
     FilterBankSpec,
+    MicArrayGeometry,
     SubbandAecState,
     SubbandState,
     aec_process,
-    apply_spectral_mask,
     beamform_das,
     circular_array,
     das_weights,
@@ -31,6 +41,8 @@ from nars.frontend import (
     fb_synthesize,
     make_aec,
     scenario_geometry,
+    srp_localize,
+    steering_delays,
 )
 from nars.scene import RoomSpec, ScenarioConfig, render_scene
 
@@ -200,7 +212,8 @@ def test_enhance_matches_the_reference_chain(echo_scene, with_far, with_gains):
         far_ref = _reference_analyze(spec, r.far_end)
         want_out, _ = _reference_aec(make_aec(spec.m_bands, 4, mu=0.5), far_ref, want_mic)
     if with_gains:
-        want_out = apply_spectral_mask(want_out, np.broadcast_to(gains[:, None], want_out.bands.shape))
+        mask = np.broadcast_to(gains[:, None], want_out.bands.shape)
+        want_out = SubbandState(bands=want_out.bands * mask, n_samples=want_out.n_samples)
     assert _identical(mic_sub.bands, want_mic.bands)
     assert _identical(out_sub.bands, want_out.bands)
     assert _identical(y, _reference_synthesize(spec, want_out))
@@ -288,3 +301,132 @@ def test_batched_enhance_matches_one_call_per_row(echo_scene, with_far, with_gai
         assert _identical(got[0].bands[e], want[0].bands), e
         assert _identical(got[1].bands[e], want[1].bands), e
         assert _identical(got[2][e], want[2]), e
+
+
+# === the beamformer and the SRP bank: one steering-matrix builder ===
+
+
+def _reference_das(geom, weights, frames):
+    """One steering at a time: each mic delayed through ``shift_add``, scaled and summed."""
+    delays_samp = weights.delays * geom.fs
+    n_int = np.floor(delays_samp)
+    kernels = frac_delay_kernels(delays_samp - n_int)
+    out = np.zeros(frames.shape[1])
+    for g, shift, kernel, x in zip(weights.gains, n_int, kernels, frames):
+        if g == 0.0:
+            continue
+        out += g * shift_add(x, int(shift), kernel)
+    return out
+
+
+DAS_GEOMETRIES = {
+    "circle-8-5cm": circular_array(8, 0.05, fs=FS),
+    "circle-8-30cm": circular_array(8, 0.3, fs=FS),
+    "random-5": MicArrayGeometry(positions=np.random.default_rng(31).uniform(-0.1, 0.1, size=(5, 3)), fs=FS),
+}
+
+
+def _gains(rng, n_mics, kind):
+    if kind == "uniform":
+        return np.full(n_mics, 1.0 / n_mics)
+    g = rng.uniform(0.2, 1.0, n_mics)
+    if kind == "one-zero":
+        g[1] = 0.0
+    return g / g.sum()
+
+
+def _guard_length(geom, delays):
+    """The shortest frame the padding guard lets through for these delays."""
+    return int(np.floor(np.max(np.abs(delays * geom.fs)) + FRAC_DELAY_TAPS)) + 1
+
+
+@pytest.mark.parametrize("gain_kind", ["uniform", "random", "one-zero"])
+@pytest.mark.parametrize("rows", [1, 4, 8])
+@pytest.mark.parametrize("name", sorted(DAS_GEOMETRIES))
+def test_beamform_das_matches_the_shift_add_loop(name, rows, gain_kind):
+    geom = DAS_GEOMETRIES[name]
+    rng = np.random.default_rng(rows * 10 + len(gain_kind))
+    az = rng.uniform(0.0, 360.0, rows)
+    gains = _gains(rng, geom.n_mics, gain_kind)
+    delays = steering_delays(geom, az)
+    for n in (_guard_length(geom, delays), _guard_length(geom, delays) + 1, 3200):
+        frames = rng.standard_normal((geom.n_mics, n))
+        got = beamform_das(geom, BeamformerWeights(gains=gains, delays=delays), frames)
+        assert got.shape == (rows, n)
+        for e in range(rows):
+            want = _reference_das(geom, BeamformerWeights(gains=gains, delays=delays[e]), frames)
+            assert np.max(np.abs(got[e] - want)) <= 1e-14 * np.max(np.abs(want)), (n, e)
+            lone = beamform_das(geom, BeamformerWeights(gains=gains, delays=delays[e]), frames)
+            assert lone.shape == (n,)
+            assert _identical(got[e], lone), (n, e)
+    with pytest.raises(FramingError):
+        beamform_das(geom, BeamformerWeights(gains=gains, delays=delays), frames[:, : _guard_length(geom, delays) - 1])
+
+
+def test_steering_delays_and_das_weights_take_an_array_of_azimuths():
+    geom = DAS_GEOMETRIES["random-5"]
+    az = np.array([0.0, 12.5, 181.0, 359.75])
+    delays = steering_delays(geom, az)
+    weights = das_weights(geom, az)
+    assert delays.shape == weights.delays.shape == (4, 5) and weights.gains.shape == (5,)
+    for e, a in enumerate(az):
+        assert _identical(delays[e], steering_delays(geom, float(a)))
+    with pytest.raises(DomainError):
+        BeamformerWeights(gains=np.full(5, 0.2), delays=np.zeros((4, 4)))
+    with pytest.raises(DomainError):
+        BeamformerWeights(gains=np.full(5, 0.2), delays=np.zeros((2, 4, 5)))
+
+
+def _reference_bank(geom, grid):
+    """The SRP steering bank as it was built before the DAS shared its builder."""
+    delays = np.stack([steering_delays(geom, az) * geom.fs for az in grid.angles])
+    n_int = np.floor(delays).astype(np.int64)
+    kernels = frac_delay_kernels(delays - n_int) / geom.n_mics
+    shifts = n_int[..., None] + kernel_offsets()
+    max_shift = int(shifts.max())
+    n_shifts = max_shift - int(shifts.min()) + 1
+    w = np.zeros((grid.n_points, geom.n_mics, n_shifts))
+    np.put_along_axis(w, max_shift - shifts, kernels, axis=2)
+    return w.reshape(grid.n_points, -1), max_shift, n_shifts, float(np.max(np.abs(delays)))
+
+
+def _reference_srp_power(geom, frames, grid):
+    w, max_shift, n_shifts, _ = _reference_bank(geom, grid)
+    n = frames.shape[1]
+    padded = np.zeros((geom.n_mics, n + n_shifts - 1))
+    padded[:, max_shift : max_shift + n] = frames
+    windows = np.lib.stride_tricks.sliding_window_view(padded, n_shifts, axis=1)
+    power = np.zeros(grid.n_points)
+    for t0 in range(0, n, frontend._SRP_BLOCK):
+        t1 = min(t0 + frontend._SRP_BLOCK, n)
+        y = windows[:, t0:t1].transpose(1, 0, 2).reshape(t1 - t0, -1) @ w.T
+        power += np.einsum("ta,ta->a", y, y)
+    return power / n
+
+
+@pytest.mark.parametrize("grid", [AzimuthGrid(72), AzimuthGrid(18), AzimuthGrid(36, start_deg=5.0)],
+                         ids=["72", "18", "36-from-5"])
+@pytest.mark.parametrize("name", sorted(DAS_GEOMETRIES))
+def test_srp_bank_and_powers_keep_the_bits_of_the_old_builder(name, grid):
+    geom = DAS_GEOMETRIES[name]
+    bank = frontend._build_steering_bank(geom, grid)
+    w, max_shift, n_shifts, max_delay = _reference_bank(geom, grid)
+    assert _identical(bank.weights, w)
+    assert (bank.max_shift, bank.n_shifts, bank.max_delay) == (max_shift, n_shifts, max_delay)
+    frames = np.random.default_rng(grid.n_points).standard_normal((geom.n_mics, 1000))
+    assert _identical(srp_localize(geom, frames, grid)[1], _reference_srp_power(geom, frames, grid))
+
+
+def test_lone_beamform_peaks_under_two_and_a_half_outputs():
+    """A 10-s, 8-mic lone beam allocates its output and one shift's beam, no padded mics."""
+    geom = circular_array(8, 0.05, fs=FS)
+    frames = np.random.default_rng(41).standard_normal((8, 160000))
+    weights = das_weights(geom, 40.0)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        y = beamform_das(geom, weights, frames)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * y.nbytes

@@ -173,6 +173,48 @@ def test_kzk_divergence_names_the_nonlinearity_substep():
         simulate_kzk_axisym(medium, src, gaussian_profile(0.004), grid)
 
 
+def _exact_guard_raises(state, limit):
+    """The divergence check as an exact max |z|, before the component bound."""
+    peak = np.abs(state).max()
+    return not np.isfinite(peak) or peak > limit
+
+
+LIMIT = 3.7e5
+_z = np.zeros((32, 400), dtype=np.complex128)
+GUARD_CASES = {
+    "nan": (_z, (5, 7), complex(np.nan, 0.0), True),
+    "nan-imag": (_z, (5, 7), complex(0.0, np.nan), True),
+    "inf": (_z, (31, 399), complex(np.inf, 1.0), True),
+    "both-parts-below-but-modulus-above": (_z, (0, 0), 0.8 * (1 + 1j) * LIMIT, True),
+    "real-just-above": (np.zeros(8192), (100,), np.nextafter(LIMIT, np.inf), True),
+    "real-just-below-negative": (np.zeros(8192), (100,), -np.nextafter(LIMIT, 0.0), False),
+    "real-at-limit": (np.zeros(8192), (0,), LIMIT, False),
+    "complex-just-above": (_z, (3, 3), complex(np.nextafter(LIMIT, np.inf), 0.0), True),
+    "complex-just-below": (_z, (3, 3), complex(0.0, -np.nextafter(LIMIT, 0.0)), False),
+    "complex-below-but-past-the-component-bound": (_z, (3, 3), 0.9 * LIMIT + 0.3j * LIMIT, False),
+    "modulus-just-below-on-the-diagonal": (_z, (9, 9), np.nextafter(LIMIT, 0.0) * np.exp(0.25j * np.pi), None),
+}
+
+
+@pytest.mark.parametrize("case", GUARD_CASES)
+@pytest.mark.parametrize("layout", ["c-order", "transposed"])
+def test_divergence_guard_raises_exactly_as_the_exact_check(case, layout):
+    base, where, value, raises = GUARD_CASES[case]
+    state = base.copy()
+    state[where] = value
+    if layout == "transposed":
+        state = state.T  # not C-contiguous: the exact check alone decides
+    want = _exact_guard_raises(state, LIMIT)
+    assert raises is None or want == raises
+    substeps = [("quiet", lambda s: s), ("probe", lambda s: state)]
+    if want:
+        with pytest.raises(DivergenceError, match="^toy march diverged in the probe substep$") as info:
+            wavefield._march(base.copy(), substeps, 2, 1.0, LIMIT, "toy", None)
+        assert info.value.exit_code == 3
+    else:
+        assert wavefield._march(base.copy(), substeps, 2, 1.0, LIMIT, "toy", None) is state
+
+
 def test_kzk_march_at_thirty_two_harmonics_matches_per_step_reference():
     # the beam workload's harmonic count: the joined solve spans 32 blocks and
     # the coupling has 31 terms per harmonic

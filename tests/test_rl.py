@@ -1,3 +1,4 @@
+import copy
 import tracemalloc
 
 import numpy as np
@@ -384,6 +385,38 @@ def test_clipped_action_respects_bounds():
     assert np.all(np.abs(a.deltas) <= ACTION_BOUNDS + 1e-12)
     assert a.deltas[0] == ACTION_BOUNDS[0]
     assert a.deltas[1] == -ACTION_BOUNDS[1]
+
+
+def _with_noise(env, noise_var, noise_ref=1.0):
+    e = copy.copy(env)
+    e.noise_band_var, e.noise_ref = noise_var, noise_ref
+    return e
+
+
+def test_band_gains_formula_point(env):
+    m = env.bank.m_bands
+    g = _with_noise(env, np.ones(m))._band_gains([0.0], [0.0])
+    assert g.shape == (1, m)
+    assert np.all(g == pytest.approx(0.5))
+    # the low trim acts on the first half of the bands, the high trim on the rest
+    g = _with_noise(env, np.ones(m))._band_gains([20 * np.log10(0.4)], [0.0])
+    assert g[0, : m // 2] == pytest.approx(np.full(m // 2, 0.2))
+    assert g[0, m // 2 :] == pytest.approx(np.full(m // 2, 0.5))
+
+
+def test_band_gains_monotone_in_noise_and_clamped(env):
+    m = env.bank.m_bands
+    noisy = _with_noise(env, np.linspace(0.0, 10.0, m))
+    los, his = [-12.0, 0.0, 12.0], [12.0, 0.0, -12.0]
+    g = noisy._band_gains(los, his)
+    assert g.shape == (3, m)
+    for row in g:
+        assert np.all(np.diff(row[: m // 2]) <= 0) and np.all(np.diff(row[m // 2 :]) <= 0)
+    assert np.all((g >= 0.05) & (g <= 1.0))
+    assert g[2, 0] == 1.0  # +12 dB over no noise clamps at 1
+    assert g[0, m // 2 - 1] == 0.05  # -12 dB over about five times the reference noise clamps at 0.05
+    for e in range(3):
+        assert g[e].tobytes() == noisy._band_gains([los[e]], [his[e]])[0].tobytes()
 
 
 def test_zero_delta_repeats_identically(env):

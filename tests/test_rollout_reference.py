@@ -14,7 +14,7 @@ wraps around its 2 chunks 8 times.
 import numpy as np
 import pytest
 
-from nars.frontend import BandGainProfile, band_gain, enhance
+from nars.frontend import enhance
 from nars.rl import (
     ACT_DIM,
     ACTION_BOUNDS,
@@ -77,18 +77,14 @@ class _SequentialEnv:
         trims = np.empty(m)
         trims[: m // 2] = 10.0 ** (self.trim_lo / 20.0)
         trims[m // 2 :] = 10.0 ** (self.trim_hi / 20.0)
-        profile = BandGainProfile(
-            noise_var=env.noise_band_var, state_feat=0.0, prefs=trims,
-            g_min=0.05, g_max=4.0, noise_ref=env.noise_ref,
-        )
-        return band_gain(profile)
+        return np.clip(trims / (1.0 + env.noise_band_var / env.noise_ref), 0.05, 1.0)
 
     def _process(self):
         env = self.env
         c = env._chunks[self.chunk_idx]
         _, out_sub, enhanced = enhance(
             env.geom, env.bank, c.mics, self.steer, c.far_sub,
-            mu=self.mu, aec_taps=env.aec_taps, band_gains=np.clip(self._band_gains(), 0.0, 1.0),
+            mu=self.mu, aec_taps=env.aec_taps, band_gains=self._band_gains(),
         )
         quality_raw = si_snr(c.ref, enhanced) - c.base_si_snr
         q_hat = (np.clip(quality_raw, -10.0, 30.0) + 10.0) / 40.0
