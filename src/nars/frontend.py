@@ -11,15 +11,16 @@ steers each row at its own azimuth in one pass, and analysis, the AEC, the
 gains and synthesis run the rows together. A lone stream is the case with no leading axis, and
 each row of a batch equals a lone-stream call on that row, bit for bit.
 
-DAS and SRP steer through one builder, ``_steering_matrix``: the
-fractional-delay kernel of every (steering, mic) pair placed on one axis of
+DAS and SRP steer through one object: ``das_weights`` returns the
+``BeamformerWeights`` of any azimuths, the fractional-delay kernel of every
+(steering, mic) pair, divided by the mic count, placed on one axis of
 integer shifts. The DAS applies it one shift at a time over the span of the
 output that shift reaches. The SRP scan does not beamform once per azimuth:
-its steering bank, built once per (geometry, grid) and cached, is that
-matrix for every grid azimuth, scaled by the DAS gain and flattened over
-(mic, shift) into W; the power curve is then sum_t (W X(t))^2 / n, where
-X(t) stacks the shifted copies of each mic, computed as one matrix product
-per short time block so memory does not grow with the frame length.
+its steering bank is ``das_weights`` at every grid azimuth, read-only and
+cached per (geometry, grid), flattened over (mic, shift) into W; the power
+curve is then sum_t (W X(t))^2 / n, where X(t) stacks the shifted copies of
+each mic, computed as one matrix product per short time block so memory
+does not grow with the frame length.
 
 Band m of the analysis bank is the prototype modulated by exp(i 2 pi m j / M)
 and decimated by the hop L: x_m(k) = sum_j h(j) x(kL - j) exp(i 2 pi m j / M).
@@ -29,7 +30,7 @@ synthesis is the scaled adjoint, leaving only stopband-level alias leakage.
 
 from __future__ import annotations
 
-import threading
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -220,10 +221,14 @@ class SubbandAecState:
         mu = np.asarray(self.mu)
         if not np.all((mu >= 0.0) & (mu <= 2.0)):
             raise DomainError("step size mu must lie in [0, 2]")
+        if self.far_hist.shape[-1] < 1:
+            raise DomainError("the canceller needs n_taps >= 1")
 
 
 def make_aec(m_bands: int, n_taps: int, mu: float | np.ndarray = 0.5) -> SubbandAecState:
     """A zeroed canceller; an array of step sizes gives one row of weights per entry."""
+    if n_taps < 1:
+        raise DomainError(f"the canceller needs n_taps >= 1, got {n_taps}")
     return SubbandAecState(
         weights=np.zeros(np.shape(mu) + (m_bands, n_taps), dtype=np.complex128),
         far_hist=np.zeros((m_bands, n_taps), dtype=np.complex128),
@@ -312,10 +317,10 @@ def aec_process(
 
 
 def erle_db(mic: SubbandState, residual: SubbandState, tail_frames: int | None = None) -> float:
-    """Echo-return-loss enhancement over the trailing frames."""
+    """Echo-return-loss enhancement over the trailing frames of every row."""
     sl = slice(-tail_frames, None) if tail_frames else slice(None)
-    p_mic = np.sum(np.abs(mic.bands[:, sl]) ** 2)
-    p_res = np.sum(np.abs(residual.bands[:, sl]) ** 2)
+    p_mic = np.sum(np.abs(mic.bands[..., sl]) ** 2)
+    p_res = np.sum(np.abs(residual.bands[..., sl]) ** 2)
     if p_res <= 0:
         return float("inf")
     return float(10 * np.log10(p_mic / p_res))
@@ -331,7 +336,9 @@ class MicArrayGeometry:
     c: float = 343.0
 
     def __post_init__(self):
-        pos = np.asarray(self.positions, dtype=np.float64)
+        # C order: the SRP bank cache rebuilds the geometry from these bytes, and
+        # the rebuilt centroid must sum in the same order
+        pos = np.ascontiguousarray(self.positions, dtype=np.float64)
         if pos.ndim != 2 or pos.shape[1] != 3 or pos.shape[0] < 1:
             raise DomainError("positions must be (n_mics, 3)")
         object.__setattr__(self, "positions", pos)
@@ -364,101 +371,83 @@ def scenario_geometry(scenario) -> MicArrayGeometry:
 
 @dataclass(frozen=True)
 class BeamformerWeights:
-    """Per-mic gains and steering delays for one beam, or for E beams at once.
+    """Delay-and-sum steering for one beam, or for E beams at once.
 
-    ``delays`` is (n_mics,) for one steering or (E, n_mics) for E of them;
-    the gains, one per mic, are shared by every row.
+    ``taps[..., m, j]`` is the fractional-delay kernel tap, divided by
+    n_mics, that mic m contributes at integer shift ``max_shift - j``, and
+    zero where its kernel does not reach; the shift axis spans every row's
+    kernels. ``taps`` is (n_mics, n_shifts) for one steering or
+    (E, n_mics, n_shifts) for E of them.
     """
 
-    gains: np.ndarray  # per-mic real gains, sum to 1
-    delays: np.ndarray  # per-mic steering delays, seconds: (n_mics,) or (E, n_mics)
-
-    def __post_init__(self):
-        g = np.asarray(self.gains, dtype=np.float64)
-        d = np.asarray(self.delays, dtype=np.float64)
-        object.__setattr__(self, "gains", g)
-        object.__setattr__(self, "delays", d)
-        if g.ndim != 1 or d.ndim not in (1, 2) or d.shape[-1] != g.shape[0]:
-            raise DomainError("need one gain per mic and (n_mics,) or (rows, n_mics) delays")
-        if abs(g.sum() - 1.0) > 1e-6:
-            raise DomainError("beamformer gains must sum to 1")
+    taps: np.ndarray
+    max_shift: int
+    max_delay: float  # largest |steering delay|, samples
 
 
 def steering_delays(geom: MicArrayGeometry, azimuth_deg: float | np.ndarray) -> np.ndarray:
     """Plane-wave alignment delays (s) for a far-field source at the azimuth.
 
     A scalar azimuth gives (n_mics,) delays; an (E,) array gives (E, n_mics),
-    each row the bits of a scalar call.
+    each row the bits of a scalar call. Non-finite azimuths and arrays that
+    are not 1-D, or empty, raise ``DomainError``.
     """
+    az = np.asarray(azimuth_deg, dtype=np.float64)
+    if az.ndim > 1 or (az.ndim and not az.size) or not np.all(np.isfinite(az)):
+        raise DomainError("steering azimuths must be finite: a scalar or a non-empty 1-D array")
     rel = geom.positions - geom.centroid
 
-    def one(az):
-        az = np.radians(az)
-        return rel @ np.array([np.cos(az), np.sin(az), 0.0]) / geom.c
+    def one(a):
+        a = np.radians(a)
+        return rel @ np.array([np.cos(a), np.sin(a), 0.0]) / geom.c
 
-    if np.ndim(azimuth_deg):
-        return np.stack([one(az) for az in np.ravel(azimuth_deg)])
-    return one(azimuth_deg)
+    return np.stack([one(a) for a in az]) if az.ndim else one(az)
 
 
 def das_weights(geom: MicArrayGeometry, azimuth_deg: float | np.ndarray) -> BeamformerWeights:
-    """Uniform gains steered at the azimuth, or at each of an (E,) array of them."""
-    return BeamformerWeights(
-        gains=np.full(geom.n_mics, 1.0 / geom.n_mics),
-        delays=steering_delays(geom, azimuth_deg),
-    )
-
-
-def _steering_matrix(delays: np.ndarray) -> tuple[np.ndarray, int]:
-    """Fractional-delay kernels of (rows, n_mics) delays (samples) on one shift axis.
-
-    Returns w of shape (rows, n_mics, n_shifts) and ``max_shift``: w[e, m, j]
-    is the kernel tap that mic m contributes to row e at integer shift
-    ``max_shift - j``, and zero where its kernel does not reach. The shift
-    axis spans every row's kernels.
-    """
+    """Uniform-gain DAS steered at the azimuth, or at each of an (E,) array of them."""
+    delays = steering_delays(geom, azimuth_deg) * geom.fs
     n_int = np.floor(delays).astype(np.int64)
-    kernels = frac_delay_kernels(delays - n_int)  # (rows, n_mics, taps)
+    kernels = frac_delay_kernels(delays - n_int) / geom.n_mics
     shifts = n_int[..., None] + kernel_offsets()
     max_shift = int(shifts.max())
-    n_shifts = max_shift - int(shifts.min()) + 1
-    w = np.zeros(delays.shape + (n_shifts,))
-    np.put_along_axis(w, max_shift - shifts, kernels, axis=-1)
-    return w, max_shift
+    taps = np.zeros(delays.shape + (max_shift - int(shifts.min()) + 1,))
+    np.put_along_axis(taps, max_shift - shifts, kernels, axis=-1)
+    return BeamformerWeights(taps=taps, max_shift=max_shift, max_delay=float(np.max(np.abs(delays))))
+
+
+def _steerable(geom: MicArrayGeometry, weights: BeamformerWeights, frames: np.ndarray) -> np.ndarray:
+    """``frames`` as float64 (n_mics, n_samples), long enough for the steering's padding."""
+    frames = np.asarray(frames, dtype=np.float64)
+    if frames.ndim != 2 or frames.shape[0] != geom.n_mics or weights.taps.shape[-2] != geom.n_mics:
+        raise FramingError("frames and weights must be (n_mics, ...) for the array")
+    if weights.max_delay + FRAC_DELAY_TAPS >= frames.shape[1]:
+        raise FramingError("steering delay exceeds the frame padding")
+    return frames
 
 
 def beamform_das(geom: MicArrayGeometry, weights: BeamformerWeights, frames: np.ndarray) -> np.ndarray:
-    """y(t) = sum_m g_m x_m(t - tau_m), fractional delays via windowed sinc.
+    """y(t) = sum_m x_m(t - tau_m) / n_mics, fractional delays via windowed sinc.
 
-    (n_mics,) delays give (n_samples,) samples; (E, n_mics) delays give
-    (E, n_samples), one beam per row from one pass over the mics, each row
-    the bits of a call with that row alone. The gain-scaled steering matrix
-    is applied one integer shift at a time: an ``einsum`` over the mics adds
-    every row's taps at that shift into the span of the output the shifted
-    mics reach, so no padded copy of the mics is made and no BLAS call
-    orders the sums.
+    One steering gives (n_samples,) samples; E of them give (E, n_samples),
+    one beam per row from one pass over the mics, each row the bits of a
+    call with that row alone. ``weights.taps`` is applied one integer shift
+    at a time: an ``einsum`` over the mics adds every row's taps at that
+    shift into the span of the output the shifted mics reach, so no padded
+    copy of the mics is made and no BLAS call orders the sums.
     """
-    frames = np.asarray(frames, dtype=np.float64)
-    if frames.ndim != 2 or frames.shape[0] != geom.n_mics:
-        raise FramingError("frames must be (n_mics, n_samples)")
-    if weights.gains.shape[0] != geom.n_mics:
-        raise FramingError("weight count does not match the array")
-    n = frames.shape[1]
-    delays_samp = np.atleast_2d(weights.delays * geom.fs)
-    if np.max(np.abs(delays_samp)) + FRAC_DELAY_TAPS >= n:
-        raise FramingError("steering delay exceeds the frame padding")
-    w, max_shift = _steering_matrix(delays_samp)
-    w *= weights.gains[:, None]
-    rows = w.shape[0]
+    frames = _steerable(geom, weights, frames)
+    taps = weights.taps.reshape((-1,) + weights.taps.shape[-2:])
+    rows, n = taps.shape[0], frames.shape[1]
     out = np.zeros((rows, n))
     beam = np.empty((rows, n))
-    for j in range(w.shape[2] - 1, -1, -1):  # ascending shift
-        shift = max_shift - j
+    for j in range(taps.shape[2] - 1, -1, -1):  # ascending shift
+        shift = weights.max_shift - j
         span = n - abs(shift)
         src, dst = max(-shift, 0), max(shift, 0)
-        np.einsum("em,mt->et", w[:, :, j], frames[:, src : src + span], out=beam[:, :span])
+        np.einsum("em,mt->et", taps[:, :, j], frames[:, src : src + span], out=beam[:, :span])
         out[:, dst : dst + span] += beam[:, :span]
-    return out if weights.delays.ndim == 2 else out[0]
+    return out if weights.taps.ndim == 3 else out[0]
 
 
 # === steered-response-power localization ===
@@ -482,49 +471,15 @@ class AzimuthGrid:
         return (self.start_deg + np.arange(self.n_points) * self.step) % 360.0
 
 
-@dataclass(frozen=True)
-class _SteeringBank:
-    """DAS steering for every grid azimuth as one matrix over (mic, shift).
-
-    Row i of ``weights`` is the beam at azimuth i: column m * n_shifts + j
-    holds the gain-scaled kernel tap that mic m contributes at integer
-    shift ``max_shift - j``.
-    """
-
-    weights: np.ndarray  # (n_az, n_mics * n_shifts)
-    max_shift: int
-    n_shifts: int
-    max_delay: float  # largest |steering delay| over the grid, samples
-
-
 _BANK_CACHE_SIZE = 16
-_banks: dict = {}
-_banks_lock = threading.Lock()  # library callers may scan from several threads
 
 
-def _build_steering_bank(geom: MicArrayGeometry, grid: AzimuthGrid) -> _SteeringBank:
-    delays = steering_delays(geom, grid.angles) * geom.fs
-    w, max_shift = _steering_matrix(delays)
-    w /= geom.n_mics  # the DAS gain; the bits of scaling each kernel before it is placed
-    w.flags.writeable = False  # shared by every scan of this (geometry, grid)
-    return _SteeringBank(
-        weights=w.reshape(grid.n_points, -1),
-        max_shift=max_shift,
-        n_shifts=w.shape[2],
-        max_delay=float(np.max(np.abs(delays))),
-    )
-
-
-def _steering_bank(geom: MicArrayGeometry, grid: AzimuthGrid) -> _SteeringBank:
-    """The bank for (geometry, grid), built on first use and then reused."""
-    key = (geom.positions.tobytes(), geom.fs, geom.c, grid.n_points, grid.start_deg)
-    with _banks_lock:
-        bank = _banks.get(key)
-        if bank is None:
-            bank = _build_steering_bank(geom, grid)
-            if len(_banks) >= _BANK_CACHE_SIZE:
-                _banks.clear()
-            _banks[key] = bank
+@functools.lru_cache(maxsize=_BANK_CACHE_SIZE)
+def _steering_bank(positions: bytes, fs: float, c: float, grid: AzimuthGrid) -> BeamformerWeights:
+    """``das_weights`` at every grid azimuth, read-only, cached by the array's value."""
+    geom = MicArrayGeometry(positions=np.frombuffer(positions).reshape(-1, 3), fs=fs, c=c)
+    bank = das_weights(geom, grid.angles)
+    bank.taps.flags.writeable = False  # shared by every scan of this (geometry, grid)
     return bank
 
 
@@ -544,27 +499,24 @@ def srp_localize(
     is refined by parabolic interpolation over its periodic neighbors; exact
     ties resolve to the lowest azimuth index.
     """
-    frames = np.asarray(frames, dtype=np.float64)
     if geom.n_mics < 2:
         raise ConfigurationError("localization needs at least two mics")
     if not np.any(frames):
         raise NoSourceError("all-zero frames carry no source to localize")
-    if frames.ndim != 2 or frames.shape[0] != geom.n_mics:
-        raise FramingError("frames must be (n_mics, n_samples)")
-    n = frames.shape[1]
-    bank = _steering_bank(geom, grid)
-    if bank.max_delay + FRAC_DELAY_TAPS >= n:
-        raise FramingError("steering delay exceeds the frame padding")
+    bank = _steering_bank(geom.positions.tobytes(), geom.fs, geom.c, grid)
+    frames = _steerable(geom, bank, frames)
+    n, n_shifts = frames.shape[1], bank.taps.shape[-1]
+    w = bank.taps.reshape(grid.n_points, -1)  # row i: the beam at azimuth i, over (mic, shift)
     # padded[m, t + j] = x_m(t - (max_shift - j)), zero outside the frame; the
     # delays are centroid-relative, so the shifts straddle zero and x fits
-    padded = np.zeros((geom.n_mics, n + bank.n_shifts - 1))
+    padded = np.zeros((geom.n_mics, n + n_shifts - 1))
     padded[:, bank.max_shift : bank.max_shift + n] = frames
-    windows = np.lib.stride_tricks.sliding_window_view(padded, bank.n_shifts, axis=1)
+    windows = np.lib.stride_tricks.sliding_window_view(padded, n_shifts, axis=1)
     power = np.zeros(grid.n_points)
     for t0 in range(0, n, _SRP_BLOCK):
         t1 = min(t0 + _SRP_BLOCK, n)
         x = windows[:, t0:t1].transpose(1, 0, 2).reshape(t1 - t0, -1)  # (block, n_mics * n_shifts)
-        y = x @ bank.weights.T
+        y = x @ w.T
         power += np.einsum("ta,ta->a", y, y)
     power /= n
     i = int(np.argmax(power))  # first maximum = lowest azimuth index on ties

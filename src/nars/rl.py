@@ -337,6 +337,8 @@ def ppo_update(
     """
     if not trajs:
         raise DomainError("ppo_update needs at least one trajectory")
+    if epochs < 1 or minibatch < 1:
+        raise DomainError(f"ppo_update needs epochs >= 1 and minibatch >= 1, got {epochs} and {minibatch}")
     rng = rng or np.random.default_rng(0)
     obs = np.concatenate([t.obs for t in trajs])
     act = np.concatenate([t.actions for t in trajs])
@@ -501,8 +503,8 @@ class Action:
         self.deltas = np.asarray(self.deltas, dtype=np.float64)
         if self.deltas.shape[-1:] != ACTION_BOUNDS.shape or self.deltas.ndim > 2 or self.deltas.size == 0:
             raise DomainError(f"action needs {len(ACTION_BOUNDS)} deltas, or one row of them per episode")
-        if np.any(np.abs(self.deltas) > ACTION_BOUNDS * (1 + 1e-12)):
-            raise DomainError("action deltas exceed the documented bounds")
+        if not np.all(np.abs(self.deltas) <= ACTION_BOUNDS * (1 + 1e-12)):  # NaN fails too
+            raise DomainError("action deltas must be finite and within the documented bounds")
 
 
 @dataclass
@@ -820,6 +822,8 @@ def train_tuning_policy(
         raise DomainError("need at least one scenario")
     if budget < max(1000, horizon):
         raise DomainError("training budget below one episode (and the 1e3 floor)")
+    if episodes_per_update < 1:
+        raise DomainError(f"episodes_per_update must be at least 1, got {episodes_per_update}")
     envs = [
         TuningEnv(s, weights, chunk_seconds=chunk_seconds, horizon=horizon, **(env_kwargs or {}))
         for s in scenarios

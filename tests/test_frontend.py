@@ -15,6 +15,7 @@ from nars.frontend import (
     AzimuthGrid,
     FilterBankSpec,
     MicArrayGeometry,
+    SubbandAecState,
     SubbandState,
     aec_process,
     azimuth_error_deg,
@@ -227,6 +228,28 @@ def test_aec_weights_bounded_property(mu, seed):
     _, state = aec_process(make_aec(16, 4, mu=mu), far, mic)
     assert np.all(np.isfinite(state.weights))
     assert np.max(np.abs(state.weights)) < 1e3
+
+
+def test_make_aec_needs_a_tap():
+    for n_taps in (0, -1):
+        with pytest.raises(DomainError, match="n_taps"):
+            make_aec(64, n_taps)
+    with pytest.raises(DomainError, match="n_taps"):
+        SubbandAecState(weights=np.zeros((16, 0), complex), far_hist=np.zeros((16, 0), complex), mu=0.5)
+
+
+def test_erle_tail_of_batched_bands_takes_the_last_frames():
+    rng = np.random.default_rng(12)
+    shape = (3, 8, 40)  # (rows, bands, frames)
+    mic = SubbandState(bands=rng.standard_normal(shape) + 1j * rng.standard_normal(shape), n_samples=0)
+    res = SubbandState(bands=mic.bands * rng.uniform(0.01, 1.0, shape), n_samples=0)
+    tail = 5
+    want = erle_db(
+        SubbandState(bands=mic.bands[..., -tail:].copy(), n_samples=0),
+        SubbandState(bands=res.bands[..., -tail:].copy(), n_samples=0),
+    )
+    assert erle_db(mic, res, tail_frames=tail) == want
+    assert erle_db(mic, res, tail_frames=tail) != erle_db(mic, res)
 
 
 def test_erle_definition():

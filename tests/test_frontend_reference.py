@@ -27,7 +27,6 @@ from nars.errors import ConfigurationError, DomainError, FramingError
 from nars.frontend import (
     AEC_EPS_REG,
     AzimuthGrid,
-    BeamformerWeights,
     FilterBankSpec,
     MicArrayGeometry,
     SubbandAecState,
@@ -306,15 +305,14 @@ def test_batched_enhance_matches_one_call_per_row(echo_scene, with_far, with_gai
 # === the beamformer and the SRP bank: one steering-matrix builder ===
 
 
-def _reference_das(geom, weights, frames):
-    """One steering at a time: each mic delayed through ``shift_add``, scaled and summed."""
-    delays_samp = weights.delays * geom.fs
+def _reference_das(geom, azimuth_deg, frames):
+    """One steering at a time: each mic delayed through ``shift_add``, scaled by 1/M and summed."""
+    delays_samp = steering_delays(geom, azimuth_deg) * geom.fs
     n_int = np.floor(delays_samp)
     kernels = frac_delay_kernels(delays_samp - n_int)
+    g = 1.0 / geom.n_mics
     out = np.zeros(frames.shape[1])
-    for g, shift, kernel, x in zip(weights.gains, n_int, kernels, frames):
-        if g == 0.0:
-            continue
+    for shift, kernel, x in zip(n_int, kernels, frames):
         out += g * shift_add(x, int(shift), kernel)
     return out
 
@@ -326,41 +324,31 @@ DAS_GEOMETRIES = {
 }
 
 
-def _gains(rng, n_mics, kind):
-    if kind == "uniform":
-        return np.full(n_mics, 1.0 / n_mics)
-    g = rng.uniform(0.2, 1.0, n_mics)
-    if kind == "one-zero":
-        g[1] = 0.0
-    return g / g.sum()
-
-
 def _guard_length(geom, delays):
     """The shortest frame the padding guard lets through for these delays."""
     return int(np.floor(np.max(np.abs(delays * geom.fs)) + FRAC_DELAY_TAPS)) + 1
 
 
-@pytest.mark.parametrize("gain_kind", ["uniform", "random", "one-zero"])
 @pytest.mark.parametrize("rows", [1, 4, 8])
 @pytest.mark.parametrize("name", sorted(DAS_GEOMETRIES))
-def test_beamform_das_matches_the_shift_add_loop(name, rows, gain_kind):
+def test_beamform_das_matches_the_shift_add_loop(name, rows):
     geom = DAS_GEOMETRIES[name]
-    rng = np.random.default_rng(rows * 10 + len(gain_kind))
+    rng = np.random.default_rng(rows * 10 + 7)
     az = rng.uniform(0.0, 360.0, rows)
-    gains = _gains(rng, geom.n_mics, gain_kind)
+    weights = das_weights(geom, az)
     delays = steering_delays(geom, az)
     for n in (_guard_length(geom, delays), _guard_length(geom, delays) + 1, 3200):
         frames = rng.standard_normal((geom.n_mics, n))
-        got = beamform_das(geom, BeamformerWeights(gains=gains, delays=delays), frames)
+        got = beamform_das(geom, weights, frames)
         assert got.shape == (rows, n)
         for e in range(rows):
-            want = _reference_das(geom, BeamformerWeights(gains=gains, delays=delays[e]), frames)
+            want = _reference_das(geom, float(az[e]), frames)
             assert np.max(np.abs(got[e] - want)) <= 1e-14 * np.max(np.abs(want)), (n, e)
-            lone = beamform_das(geom, BeamformerWeights(gains=gains, delays=delays[e]), frames)
+            lone = beamform_das(geom, das_weights(geom, float(az[e])), frames)
             assert lone.shape == (n,)
             assert _identical(got[e], lone), (n, e)
     with pytest.raises(FramingError):
-        beamform_das(geom, BeamformerWeights(gains=gains, delays=delays), frames[:, : _guard_length(geom, delays) - 1])
+        beamform_das(geom, weights, frames[:, : _guard_length(geom, delays) - 1])
 
 
 def test_steering_delays_and_das_weights_take_an_array_of_azimuths():
@@ -368,13 +356,22 @@ def test_steering_delays_and_das_weights_take_an_array_of_azimuths():
     az = np.array([0.0, 12.5, 181.0, 359.75])
     delays = steering_delays(geom, az)
     weights = das_weights(geom, az)
-    assert delays.shape == weights.delays.shape == (4, 5) and weights.gains.shape == (5,)
+    assert delays.shape == (4, 5) and weights.taps.shape[:2] == (4, 5)
+    assert weights.max_delay == np.max(np.abs(delays * geom.fs))
     for e, a in enumerate(az):
         assert _identical(delays[e], steering_delays(geom, float(a)))
-    with pytest.raises(DomainError):
-        BeamformerWeights(gains=np.full(5, 0.2), delays=np.zeros((4, 4)))
-    with pytest.raises(DomainError):
-        BeamformerWeights(gains=np.full(5, 0.2), delays=np.zeros((2, 4, 5)))
+        lone = das_weights(geom, float(a))
+        assert lone.taps.shape[0] == 5 and lone.max_delay == np.max(np.abs(delays[e] * geom.fs))
+        # the lone kernels sit on a shift axis of their own, within the batch's
+        lo = weights.max_shift - lone.max_shift
+        assert _identical(np.ascontiguousarray(weights.taps[e, :, lo : lo + lone.taps.shape[1]]), lone.taps)
+    # each kernel has unit DC gain, so every mic's taps sum to 1 / n_mics
+    np.testing.assert_allclose(weights.taps.sum(axis=-1), 0.2, rtol=1e-14)
+    for bad in (np.nan, np.inf, [0.0, np.nan], np.zeros((2, 2)), np.zeros(0)):
+        with pytest.raises(DomainError):
+            das_weights(geom, bad)
+        with pytest.raises(DomainError):
+            steering_delays(geom, bad)
 
 
 def _reference_bank(geom, grid):
@@ -409,12 +406,25 @@ def _reference_srp_power(geom, frames, grid):
 @pytest.mark.parametrize("name", sorted(DAS_GEOMETRIES))
 def test_srp_bank_and_powers_keep_the_bits_of_the_old_builder(name, grid):
     geom = DAS_GEOMETRIES[name]
-    bank = frontend._build_steering_bank(geom, grid)
+    bank = frontend._steering_bank(geom.positions.tobytes(), geom.fs, geom.c, grid)
     w, max_shift, n_shifts, max_delay = _reference_bank(geom, grid)
-    assert _identical(bank.weights, w)
-    assert (bank.max_shift, bank.n_shifts, bank.max_delay) == (max_shift, n_shifts, max_delay)
+    assert _identical(bank.taps.reshape(grid.n_points, -1), w)
+    assert (bank.max_shift, bank.taps.shape[-1], bank.max_delay) == (max_shift, n_shifts, max_delay)
     frames = np.random.default_rng(grid.n_points).standard_normal((geom.n_mics, 1000))
     assert _identical(srp_localize(geom, frames, grid)[1], _reference_srp_power(geom, frames, grid))
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_srp_bank_is_das_weights_of_the_grid(order):
+    """The cached bank has the bits of ``das_weights`` on the caller's geometry, whatever its memory order."""
+    positions = np.asarray(np.random.default_rng(44).uniform(-0.1, 0.1, size=(16, 3)), order=order)
+    geom = MicArrayGeometry(positions=positions, fs=FS)
+    grid = AzimuthGrid(20, start_deg=2.5)
+    bank = frontend._steering_bank(geom.positions.tobytes(), geom.fs, geom.c, grid)
+    want = das_weights(geom, grid.angles)
+    assert _identical(bank.taps, want.taps)
+    assert (bank.max_shift, bank.max_delay) == (want.max_shift, want.max_delay)
+    assert not bank.taps.flags.writeable
 
 
 def test_lone_beamform_peaks_under_two_and_a_half_outputs():

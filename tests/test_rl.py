@@ -276,6 +276,22 @@ def test_ppo_update_validation():
         ppo_update(p, [])
 
 
+
+@pytest.mark.parametrize("epochs, minibatch, name", [(0, 64, "epochs"), (-1, 64, "epochs"), (4, 0, "minibatch"), (4, -1, "minibatch")])
+def test_ppo_update_needs_an_epoch_and_a_minibatch(epochs, minibatch, name):
+    p = init_policy(3, 2, hidden=4, v_hidden=3, seed=0)
+    rng = np.random.default_rng(7)
+    obs = rng.standard_normal((8, 3))
+    act, logp = sample_actions(p, obs, rng)
+    traj = Trajectory(
+        obs=obs, actions=act, logps=logp,
+        rewards=np.ones(8), values=np.zeros(8),
+        dones=np.zeros(8, bool), bootstrap_value=0.0,
+    )
+    with pytest.raises(DomainError, match=name):
+        ppo_update(p, [traj], epochs=epochs, minibatch=minibatch)
+
+
 # === tabular Q-learning ===
 
 
@@ -548,6 +564,13 @@ def test_reward_weights_validation():
         RewardWeights(quality=-0.2, latency=0.6, energy=0.6)
 
 
+def test_train_needs_an_episode_per_update():
+    p = init_policy(OBS_DIM, ACT_DIM, hidden=4, v_hidden=3, seed=0)
+    for n in (0, -2):
+        with pytest.raises(DomainError, match="episodes_per_update"):
+            train_tuning_policy([tuning_scenario()], p, 2048, episodes_per_update=n)
+
+
 def test_train_budget_floor():
     p = init_policy(OBS_DIM, ACT_DIM, seed=0)
     with pytest.raises(DomainError):
@@ -591,6 +614,25 @@ def test_one_row_action_steps_with_the_bits_of_a_lone_action():
         assert len(states) == 1 and rewards.shape == (1,)
         assert state.vector().tobytes() == states[0].vector().tobytes()
         assert np.float64(reward).tobytes() == rewards[0].tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", [0, 3])
+def test_action_rejects_non_finite_deltas(env, bad, where):
+    """A NaN delta passes no bound; it is refused before any parameter moves."""
+    deltas = np.zeros(4)
+    deltas[where] = bad
+    for shape in ((4,), (3, 4)):
+        rows = np.zeros(shape)
+        rows[..., where] = bad
+        with pytest.raises(DomainError):
+            Action(deltas=rows)
+    env.reset()
+    before = (env.mu, env.trim_lo, env.trim_hi, env.steer)
+    with pytest.raises(DomainError):
+        env.step(Action(deltas=deltas))
+    assert (env.mu, env.trim_lo, env.trim_hi, env.steer) == before
+    assert env.step_count == 0
 
 
 @pytest.mark.parametrize("shape", [(0, 4), (2, 3, 4), (1, 1, 4), (), (3,), (2, 5)])
