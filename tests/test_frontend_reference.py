@@ -27,6 +27,7 @@ from nars.errors import ConfigurationError, DomainError, FramingError
 from nars.frontend import (
     AEC_EPS_REG,
     AzimuthGrid,
+    BeamformerWeights,
     FilterBankSpec,
     MicArrayGeometry,
     SubbandAecState,
@@ -305,14 +306,15 @@ def test_batched_enhance_matches_one_call_per_row(echo_scene, with_far, with_gai
 # === the beamformer and the SRP bank: one steering-matrix builder ===
 
 
-def _reference_das(geom, azimuth_deg, frames):
-    """One steering at a time: each mic delayed through ``shift_add``, scaled by 1/M and summed."""
+def _reference_das(geom, azimuth_deg, gains, frames):
+    """One steering at a time: each mic delayed through ``shift_add``, scaled by its gain and summed."""
     delays_samp = steering_delays(geom, azimuth_deg) * geom.fs
     n_int = np.floor(delays_samp)
     kernels = frac_delay_kernels(delays_samp - n_int)
-    g = 1.0 / geom.n_mics
     out = np.zeros(frames.shape[1])
-    for shift, kernel, x in zip(n_int, kernels, frames):
+    for g, shift, kernel, x in zip(gains, n_int, kernels, frames):
+        if g == 0.0:
+            continue
         out += g * shift_add(x, int(shift), kernel)
     return out
 
@@ -324,27 +326,46 @@ DAS_GEOMETRIES = {
 }
 
 
+def _gains(rng, n_mics, kind):
+    if kind == "uniform":
+        return np.full(n_mics, 1.0 / n_mics)
+    g = rng.uniform(0.2, 1.0, n_mics)
+    if kind == "one-zero":
+        g[1] = 0.0
+    return g / g.sum()
+
+
+def _weighted(geom, weights, gains):
+    """``weights`` with each mic's taps rescaled from 1/n_mics to its gain."""
+    taps = weights.taps * (gains * geom.n_mics)[:, None]
+    return BeamformerWeights(taps=taps, max_shift=weights.max_shift, max_delay=weights.max_delay)
+
+
 def _guard_length(geom, delays):
     """The shortest frame the padding guard lets through for these delays."""
     return int(np.floor(np.max(np.abs(delays * geom.fs)) + FRAC_DELAY_TAPS)) + 1
 
 
+@pytest.mark.parametrize("gain_kind", ["uniform", "random", "one-zero"])
 @pytest.mark.parametrize("rows", [1, 4, 8])
 @pytest.mark.parametrize("name", sorted(DAS_GEOMETRIES))
-def test_beamform_das_matches_the_shift_add_loop(name, rows):
+def test_beamform_das_matches_the_shift_add_loop(name, rows, gain_kind):
+    """``beamform_das`` applies whatever per-mic taps it is given: ``das_weights``'
+    own 1/n_mics, or those taps rescaled to random gains, one of them zero."""
     geom = DAS_GEOMETRIES[name]
-    rng = np.random.default_rng(rows * 10 + 7)
+    rng = np.random.default_rng(rows * 10 + len(gain_kind))
     az = rng.uniform(0.0, 360.0, rows)
-    weights = das_weights(geom, az)
+    gains = _gains(rng, geom.n_mics, gain_kind)
+    weights = _weighted(geom, das_weights(geom, az), gains)
     delays = steering_delays(geom, az)
     for n in (_guard_length(geom, delays), _guard_length(geom, delays) + 1, 3200):
         frames = rng.standard_normal((geom.n_mics, n))
         got = beamform_das(geom, weights, frames)
         assert got.shape == (rows, n)
         for e in range(rows):
-            want = _reference_das(geom, float(az[e]), frames)
+            want = _reference_das(geom, float(az[e]), gains, frames)
             assert np.max(np.abs(got[e] - want)) <= 1e-14 * np.max(np.abs(want)), (n, e)
-            lone = beamform_das(geom, das_weights(geom, float(az[e])), frames)
+            lone = beamform_das(geom, _weighted(geom, das_weights(geom, float(az[e])), gains), frames)
             assert lone.shape == (n,)
             assert _identical(got[e], lone), (n, e)
     with pytest.raises(FramingError):
