@@ -118,6 +118,7 @@ def cmd_wave(args) -> None:
     sigma_end = conf.get_float("wave", "sigma_end", None)
     cfg.effective_seed(conf, args.seed)
     conf.finish()
+    conf.check(n_steps >= 1, "wave", "n_steps", "must be at least 1")
     if (z_max is None) == (sigma_end is None):
         raise ConfigurationError("[wave] needs exactly one of z_max or sigma_end")
     # a linear medium never shocks; it still makes sense with an explicit z_max
@@ -315,11 +316,7 @@ def cmd_train(args) -> None:
 
     trained, curve = train_tuning_policy([scenario], policy, seed=seed, **train)
     with _artifacts(args.out, conf) as art:
-        io.write_csv(
-            art.path("curve.csv"),
-            ["episode", "mean_reward", "clip_fraction", "mean_ratio"],
-            ([r["episode"], r["mean_reward"], r["clip_fraction"], r["mean_ratio"]] for r in curve),
-        )
+        io.write_csv(art.path("curve.csv"), list(curve[0]), (list(r.values()) for r in curve))
         io.write_policy_vector(art.path("policy.npc"), trained.theta)
     _summary("episodes", len(curve))
     _summary("final_mean_reward", curve[-1]["mean_reward"])

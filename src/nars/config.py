@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import io
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError
 from .frontend import PROTOTYPE_TAPS_PER_BAND, FilterBankSpec, circular_array
 from .rl import ACT_DIM, OBS_DIM, PolicyParams, RewardWeights, init_policy
 from .scene import NOISE_KINDS, RoomSpec, ScenarioConfig
@@ -178,6 +178,7 @@ def effective_seed(conf: Conf, override=None) -> int:
     if override is not None:
         seed = int(override)
         conf._record("run", "seed", seed)
+    conf.check(seed >= 0, "run", "seed", f"(or --seed) must be non-negative, got {seed}")
     return seed
 
 
@@ -284,18 +285,6 @@ def build_frontend(conf: Conf, fs: float) -> FrontendParams:
     return params
 
 
-def _build_reward_weights(conf: Conf) -> RewardWeights:
-    """``[rl] w_*``; RewardWeights' simplex error names the keys."""
-    try:
-        return RewardWeights(
-            quality=conf.get_float("rl", "w_quality", 0.8),
-            latency=conf.get_float("rl", "w_latency", 0.1),
-            energy=conf.get_float("rl", "w_energy", 0.1),
-        )
-    except DomainError as e:
-        raise ConfigurationError(f"{conf.path}: [rl] w_quality/w_latency/w_energy: {e}") from None
-
-
 def build_rl(conf: Conf, scenario: ScenarioConfig, seed: int) -> tuple[PolicyParams, dict]:
     """``[rl]``, checked against the ``scenario`` that training renders.
 
@@ -316,7 +305,7 @@ def build_rl(conf: Conf, scenario: ScenarioConfig, seed: int) -> tuple[PolicyPar
         clip_eps=conf.get_float("rl", "clip_eps", 0.2),
         init_log_std=conf.get_float("rl", "init_log_std", -0.7),
         chunk_seconds=conf.get_float("rl", "chunk_seconds", 0.2),
-        weights=_build_reward_weights(conf),
+        w_energy=conf.get_float("rl", "w_energy", RewardWeights.energy),
         init_steer_offset_deg=conf.get_float("rl", "init_steer_offset_deg", 30.0),
         init_mu=conf.get_float("rl", "init_mu", 0.0),
         m_bands=conf.get_int("rl", "m_bands", 64),
@@ -353,10 +342,10 @@ def build_rl(conf: Conf, scenario: ScenarioConfig, seed: int) -> tuple[PolicyPar
     )
     conf.check(0.0 < rl["clip_eps"] < 1.0, "rl", "clip_eps", "must lie in (0, 1)")
     conf.check(rl["lr"] > 0, "rl", "lr", "must be positive")
-    for key in ("gamma", "lam"):
+    # TuningEnv.step clips mu to [0, 1]; the reward weighs quality by 1 - w_energy
+    for key in ("gamma", "lam", "init_mu", "w_energy"):
         conf.check(0.0 <= rl[key] <= 1.0, "rl", key, "must lie in [0, 1]")
-    # TuningEnv.step clips mu to [0, 1]
-    conf.check(0.0 <= rl["init_mu"] <= 1.0, "rl", "init_mu", "must lie in [0, 1]")
+    rl["weights"] = RewardWeights(energy=rl.pop("w_energy"))
 
     net = ("hidden", "v_hidden", "lr", "gamma", "lam", "clip_eps", "init_log_std")
     policy = init_policy(OBS_DIM, ACT_DIM, seed=seed, **{key: rl.pop(key) for key in net})

@@ -223,6 +223,11 @@ class SubbandAecState:
             raise DomainError("step size mu must lie in [0, 2]")
         if self.far_hist.shape[-1] < 1:
             raise DomainError("the canceller needs n_taps >= 1")
+        if self.far_hist.ndim != 2 or self.weights.shape[-2:] != self.far_hist.shape or self.weights.ndim > 3:
+            raise DomainError(
+                f"weights {self.weights.shape} must be far_hist's (m_bands, n_taps) "
+                f"{self.far_hist.shape}, or one such row per stream"
+            )
 
 
 def make_aec(m_bands: int, n_taps: int, mu: float | np.ndarray = 0.5) -> SubbandAecState:
@@ -268,7 +273,7 @@ def aec_process(
     lead = mic.bands.shape[:-2]
     if far.bands.ndim != 2:
         raise FramingError("the far end must be one stream of subbands")
-    if far.bands.shape[0] != n_bands or mic.bands.shape[-2] != n_bands or state.weights.shape[-2] != n_bands:
+    if far.bands.shape[0] != n_bands or mic.bands.shape[-2] != n_bands:
         raise ConfigurationError("far, mic, and state band counts must match")
     if state.weights.shape[:-2] != lead or np.shape(state.mu) not in ((), lead):
         raise ConfigurationError("mic, weight and step-size rows must match")

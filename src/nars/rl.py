@@ -476,14 +476,17 @@ def run_q_learning(
 
 @dataclass(frozen=True)
 class RewardWeights:
-    quality: float = 0.8
-    latency: float = 0.1
-    energy: float = 0.1
+    """Weight of the action-energy charge; SI-SNR quality takes the rest of the simplex."""
+
+    energy: float = 1.0 / 9.0
 
     def __post_init__(self):
-        w = (self.quality, self.latency, self.energy)
-        if any(x < 0 for x in w) or abs(sum(w) - 1.0) > 1e-9:
-            raise DomainError("reward weights must be a simplex")
+        if not 0.0 <= self.energy <= 1.0:  # NaN fails too
+            raise DomainError(f"energy weight must lie in [0, 1], got {self.energy}")
+
+    @property
+    def quality(self) -> float:
+        return 1.0 - self.energy
 
 
 ACTION_BOUNDS = np.array([0.25, 3.0, 3.0, 45.0])  # d_mu, d_trim_lo_db, d_trim_hi_db, d_steer_deg
@@ -526,9 +529,6 @@ class EnvState:
 OBS_DIM = 8 + 7
 ACT_DIM = len(ACTION_BOUNDS)
 
-# deterministic latency proxy: modeled operations one realtime budget affords
-_OPS_BUDGET_PER_SAMPLE = 4000.0
-
 
 @dataclass(frozen=True)
 class _ChunkInputs:
@@ -555,9 +555,11 @@ class TuningEnv:
     ``reset`` only restores those settings and returns a copy of it. Each
     step applies the action's deltas, runs ``enhance`` (beamformer ->
     analysis -> subband AEC -> band gains -> synthesis) on the current chunk,
-    and scores the result. Every quantity is a deterministic function of the
-    scenario seed and the action sequence; the latency term in the reward is
-    a modeled compute cost of the deployed front end, not a wall clock.
+    and scores the result: ``weights.quality`` times the SI-SNR gain over the
+    raw mic, clipped to [-10, 30] dB and mapped to [0, 1], minus
+    ``weights.energy`` times the action's normalized size in [0, 1]. Both
+    terms move with the action or the scene. Every quantity is a
+    deterministic function of the scenario seed and the action sequence.
 
     ``step`` takes one ``Action``. Deltas of shape (4,) step one episode and
     return (state, reward, done); deltas of shape (E, 4) step E episodes in
@@ -613,7 +615,6 @@ class TuningEnv:
         ns = fb_analyze(self.bank, noise_scene.mics[0, : self.chunk])
         self.noise_band_var = np.mean(np.abs(ns.bands) ** 2, axis=1)
         self.noise_ref = float(np.mean(self.noise_band_var)) or 1.0
-        self._modeled_rtf = self._latency_proxy()
         self._chunks = [self._chunk_inputs(k) for k in range(min(horizon, self.n_chunks))]
         self._restart()
         (self._initial,), _ = self._process()
@@ -630,18 +631,6 @@ class TuningEnv:
         az, curve = srp_localize(self.geom, sub, AzimuthGrid(n_points=18))
         conf = float(np.clip(curve.max() / max(curve.mean(), 1e-300) - 1.0, 0.0, 3.0) / 3.0)
         return _ChunkInputs(mics, ref, far_sub, si_snr(ref, mics[0]), az, conf)
-
-    def _latency_proxy(self) -> float:
-        n = self.chunk
-        m, L, P = self.bank.m_bands, self.bank.hop, self.bank.n_taps
-        frames = n / L
-        ops = (
-            self.geom.n_mics * n * 8.0  # beamformer interpolation
-            + 2 * frames * (P + 4 * m * np.log2(m))  # two analyses + synthesis share
-            + frames * m * self.aec_taps * 6.0  # NLMS estimate + update
-            + 18 * self.geom.n_mics * n  # SRP scan at the observation grid
-        )
-        return float(ops / (n * _OPS_BUDGET_PER_SAMPLE))
 
     def _restart(self) -> None:
         self.mu = float(self.init_mu)
@@ -727,15 +716,10 @@ class TuningEnv:
         self.trim_hi = np.clip(self.trim_hi + d[..., 2], -12.0, 12.0)
         self.steer = (self.steer + d[..., 3]) % 360.0
         states, q_hats = self._process()
-        latency = min(self._modeled_rtf, 1.0)
         rewards = []
         for deltas, q_hat in zip(d.reshape(-1, ACT_DIM), q_hats):
             energy = min(float(np.linalg.norm(deltas / ACTION_BOUNDS) / np.sqrt(len(deltas))), 1.0)
-            rewards.append(
-                self.weights.quality * q_hat
-                - self.weights.latency * latency
-                - self.weights.energy * energy
-            )
+            rewards.append(self.weights.quality * q_hat - self.weights.energy * energy)
         self.step_count += 1
         self.chunk_idx = (self.chunk_idx + 1) % self.n_chunks
         done = self.step_count >= self.horizon
@@ -851,6 +835,8 @@ def train_tuning_policy(
                     "mean_reward": f"{float(np.mean(t.rewards)):.6f}",
                     "clip_fraction": f"{diag['clip_fraction']:.6f}",
                     "mean_ratio": f"{diag['mean_ratio']:.6f}",
+                    "surrogate": f"{diag['surrogate']:.6f}",
+                    "value_loss": f"{diag['value_loss']:.6f}",
                 }
             )
     log.debug("train: %d episodes; rollouts %.3f s, PPO updates %.3f s", len(rows), rollout_s, update_s)

@@ -55,6 +55,12 @@ class ScenarioConfig:
             raise DomainError(f"unknown noise kind {self.noise_kind!r}")
         if self.duration <= 0:
             raise DomainError("duration must be positive")
+        # within 300 dB the linear gains, and the powers the mix takes of them, stay
+        # far inside the float range; 10.0 ** (1e300 / 10) overflows
+        if not (abs(self.snr_db) <= 300.0 and abs(self.echo_level_db) <= 300.0):
+            raise DomainError(
+                f"snr_db ({self.snr_db!r}) and echo_level_db ({self.echo_level_db!r}) must lie in [-300, 300] dB"
+            )
         if len(self.mic_positions) < 1:
             raise DomainError("at least one microphone required")
 
@@ -219,6 +225,8 @@ def synth_noise(kind: str, duration: float, fs: float, seed) -> np.ndarray:
         raise DomainError("duration and fs must be positive")
     rng = np.random.default_rng(seed)
     n = int(round(duration * fs))
+    if n < 2:  # a shaped kind zeroes DC, the one bin of a lone sample
+        raise DomainError(f"noise needs at least 2 samples; duration {duration!r} s at {fs!r} Hz gives {n}")
     if kind == "white":
         out = rng.standard_normal(n)
         return out / np.sqrt(np.mean(out**2))

@@ -78,6 +78,10 @@ class Medium:
             raise DomainError("medium requires rho0 > 0 and c > 0")
         if self.beta < 0 or self.delta < 0:
             raise DomainError("medium requires beta >= 0 and delta >= 0")
+        # the shock distance and the solvers' nonlinear terms scale with rho0 c^3
+        with np.errstate(over="ignore"):
+            if not np.isfinite(np.float64(self.rho0) * np.float64(self.c) ** 3):
+                raise DomainError(f"medium requires a finite rho0 c^3, got rho0 = {self.rho0!r}, c = {self.c!r}")
 
 
 @dataclass(frozen=True)

@@ -428,13 +428,13 @@ def test_invalid_log_level_exits_one(tmp_path, monkeypatch):
     assert code == 1
 
 
-def _run_module(tmp_path, command, cfg_text, log="error"):
+def _run_module(tmp_path, command, cfg_text, *extra, log="error"):
     """``python -m nars.cli`` in a fresh process, so stderr holds every log line."""
     cfg = tmp_path / f"{command}.ini"
     cfg.write_text(cfg_text)
     out = tmp_path / "out"
     proc = subprocess.run(
-        [sys.executable, "-m", "nars.cli", command, "--config", str(cfg), "--out", str(out)],
+        [sys.executable, "-m", "nars.cli", command, "--config", str(cfg), "--out", str(out), *extra],
         capture_output=True, text=True, env=_subprocess_env(log), timeout=120,
     )
     return proc, out
@@ -469,6 +469,11 @@ def _assert_one_error_line(proc):
         ("localize", "[mics]", LOCALIZE_ONE_MIC_CFG),
         ("frontend", "[frontend] m_bands/hop", FRONTEND_CFG.replace("m_bands = 64", "m_bands = 60")),
         ("bench", "[bench] m_bands/hop", BENCH_CFG + "hop = 0\n"),
+        ("scene", "[run] seed", SCENE_CFG.replace("seed = 42", "seed = -1")),
+        ("frontend", "[run] seed", FRONTEND_CFG.replace("seed = 42", "seed = -1")),
+        ("localize", "[run] seed", LOCALIZE_CFG.replace("seed = 7", "seed = -1")),
+        ("train", "[run] seed", TRAIN_CFG.replace("seed = 42", "seed = -1")),
+        ("wave", "[wave] n_steps", WAVE_CFG.replace("n_steps = 200", "n_steps = 0")),
     ],
     ids=[
         "train-m_bands-36",
@@ -484,11 +489,44 @@ def _assert_one_error_line(proc):
         "localize-mics-one-row",
         "frontend-m_bands-60",
         "bench-hop-0",
+        "scene-seed--1",
+        "frontend-seed--1",
+        "localize-seed--1",
+        "train-seed--1",
+        "wave-n_steps-0",
     ],
 )
 def test_bad_config_value_exits_one_with_one_log_line(tmp_path, command, key, cfg_text):
     proc, out = _run_module(tmp_path, command, cfg_text)
     assert proc.returncode == 1
+    _assert_one_error_line(proc)
+    assert key in proc.stderr
+    assert not out.exists()
+
+
+def test_negative_seed_flag_exits_one_with_one_log_line(tmp_path):
+    proc, out = _run_module(tmp_path, "scene", SCENE_CFG, "--seed", "-1")
+    assert proc.returncode == 1
+    _assert_one_error_line(proc)
+    assert "--seed" in proc.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, key, cfg_text",
+    [
+        ("scene", "snr_db", SCENE_CFG.replace("snr_db = 10", "snr_db = 1e300")),
+        ("scene", "snr_db", SCENE_CFG.replace("snr_db = 10", "snr_db = -1e300")),
+        ("scene", "echo_level_db", SCENE_CFG.replace("echo_level_db = -6", "echo_level_db = 1e300")),
+        ("scene", "duration", SCENE_CFG.replace("duration = 0.5", "duration = 1e-300")),
+        ("scene", "duration", SCENE_CFG.replace("duration = 0.5", "duration = 6.25e-5")),
+        ("wave", "rho0 c^3", WAVE_CFG.replace("c = 1500", "c = 1e300")),
+    ],
+    ids=["snr_db-1e300", "snr_db--1e300", "echo_level_db-1e300", "duration-1e-300", "duration-one-sample", "wave-c-1e300"],
+)
+def test_out_of_range_scene_and_medium_values_exit_two_with_one_log_line(tmp_path, command, key, cfg_text):
+    proc, out = _run_module(tmp_path, command, cfg_text)
+    assert proc.returncode == 2, proc.stderr
     _assert_one_error_line(proc)
     assert key in proc.stderr
     assert not out.exists()
@@ -513,6 +551,8 @@ def test_bad_config_value_exits_one_with_one_log_line(tmp_path, command, key, cf
         ("lam", "-0.1"),
         ("init_mu", "3"),
         ("w_quality", "0.5"),
+        ("w_latency", "0.1"),
+        ("w_energy", "1.5"),
         ("chunk_seconds", "1e-5"),
         ("chunk_seconds", "0.0001"),
         ("init_mu", "1.5"),

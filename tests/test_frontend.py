@@ -238,6 +238,17 @@ def test_make_aec_needs_a_tap():
         SubbandAecState(weights=np.zeros((16, 0), complex), far_hist=np.zeros((16, 0), complex), mu=0.5)
 
 
+@pytest.mark.parametrize(
+    "weights, far_hist",
+    [((16, 4), (16, 3)), ((8, 4), (16, 4)), ((2, 3, 16, 4), (16, 4)), ((16, 4), (1, 16, 4))],
+    ids=["taps", "bands", "4-d-weights", "3-d-history"],
+)
+def test_aec_state_rejects_mismatched_shapes(weights, far_hist):
+    far, mic = synthetic_states(n_frames=40)
+    with pytest.raises(DomainError, match="far_hist"):
+        aec_process(SubbandAecState(weights=np.zeros(weights), far_hist=np.zeros(far_hist), mu=0.5), far, mic)
+
+
 def test_erle_tail_of_batched_bands_takes_the_last_frames():
     rng = np.random.default_rng(12)
     shape = (3, 8, 40)  # (rows, bands, frames)

@@ -460,14 +460,21 @@ def test_steering_toward_source_beats_zero_delta():
     assert r_steer > r_zero
 
 
-def test_latency_only_reward_is_nonpositive_and_action_free():
-    w = RewardWeights(quality=0.0, latency=1.0, energy=0.0)
-    e = TuningEnv(tuning_scenario(), w, chunk_seconds=0.2, horizon=4)
-    e.reset()
-    _, r1, _ = e.step(zero_action())
-    _, r2, _ = e.step(Action(deltas=np.array([0.1, 1.0, -1.0, 10.0])))
-    assert r1 <= 0.0
-    assert r1 == r2  # modeled compute cost does not depend on the action
+def test_every_reward_term_moves_with_the_action_or_the_scene():
+    deltas = np.array([[0.0, 0.0, 0.0, 0.0], [0.05, 0.5, -0.5, 5.0], [0.1, 1.0, -1.0, 10.0]])
+    energy_only = TuningEnv(tuning_scenario(), RewardWeights(energy=1.0), chunk_seconds=0.1, horizon=2)
+    energy_only.reset()
+    _, rewards, _ = energy_only.step(Action(deltas=deltas))
+    assert rewards[0] == 0.0  # a zero action costs nothing and quality weighs nothing
+    assert rewards[1] < 0.0 and rewards[2] < rewards[1]
+    assert rewards[2] == -float(np.linalg.norm(deltas[2] / ACTION_BOUNDS) / 2.0)
+
+    quality_only = TuningEnv(tuning_scenario(), RewardWeights(energy=0.0), chunk_seconds=0.1, horizon=2)
+    quality_only.reset()
+    _, first, _ = quality_only.step(Action(deltas=deltas))
+    _, second, _ = quality_only.step(Action(deltas=np.zeros_like(deltas)))  # the next chunk
+    assert len(set(first.tolist())) == 3  # the action moves the quality term
+    assert first[0] != second[0]  # and so does the scene
 
 
 @pytest.mark.parametrize(
@@ -558,10 +565,11 @@ def test_env_rejects_band_counts_before_rendering(monkeypatch, m_bands):
 
 
 def test_reward_weights_validation():
-    with pytest.raises(DomainError):
-        RewardWeights(quality=0.9, latency=0.2, energy=0.1)
-    with pytest.raises(DomainError):
-        RewardWeights(quality=-0.2, latency=0.6, energy=0.6)
+    assert RewardWeights().quality == 1.0 - 1.0 / 9.0  # quality to energy 8:1
+    assert RewardWeights(energy=0.25).quality == 0.75
+    for energy in (-0.1, 1.5, float("nan")):
+        with pytest.raises(DomainError, match="energy"):
+            RewardWeights(energy=energy)
 
 
 def test_train_needs_an_episode_per_update():

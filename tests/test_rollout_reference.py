@@ -102,10 +102,9 @@ class _SequentialEnv:
         self.trim_hi = float(np.clip(self.trim_hi + d[2], -12.0, 12.0))
         self.steer = float((self.steer + d[3]) % 360.0)
         state, q_hat = self._process()
-        latency = min(self.env._modeled_rtf, 1.0)
         energy = min(float(np.linalg.norm(d / ACTION_BOUNDS) / np.sqrt(len(d))), 1.0)
         w = self.env.weights
-        reward = w.quality * q_hat - w.latency * latency - w.energy * energy
+        reward = w.quality * q_hat - w.energy * energy
         self.step_count += 1
         self.chunk_idx = (self.chunk_idx + 1) % self.env.n_chunks
         return state, float(reward), self.step_count >= self.horizon
@@ -165,6 +164,8 @@ def _reference_train(scenarios, policy, budget, *, seed, episodes_per_update, ep
                     "mean_reward": f"{float(np.mean(t.rewards)):.6f}",
                     "clip_fraction": f"{diag['clip_fraction']:.6f}",
                     "mean_ratio": f"{diag['mean_ratio']:.6f}",
+                    "surrogate": f"{diag['surrogate']:.6f}",
+                    "value_loss": f"{diag['value_loss']:.6f}",
                 }
             )
     return policy, rows

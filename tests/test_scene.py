@@ -67,6 +67,19 @@ def test_scenario_validation():
         small_scenario(duration=0.0)
     with pytest.raises(DomainError):
         small_scenario(mic_positions=())
+    for key in ("snr_db", "echo_level_db"):
+        for value in (300.5, -1e300, float("nan")):
+            with pytest.raises(DomainError, match=key):
+                small_scenario(**{key: value})
+        small_scenario(**{key: -300.0})
+
+
+@pytest.mark.parametrize("kind", NOISE_KINDS)
+def test_noise_needs_two_samples(kind):
+    for duration in (1e-300, 1.0 / 16000.0):  # 0 and 1 samples
+        with pytest.raises(DomainError, match="2 samples"):
+            synth_noise(kind, duration, 16000.0, seed=1)
+    assert np.all(np.isfinite(synth_noise(kind, 2.0 / 16000.0, 16000.0, seed=1)))
 
 
 # === image-source impulse responses ===

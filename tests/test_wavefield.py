@@ -57,6 +57,9 @@ def test_medium_validation():
         Medium(rho0=1000.0, c=0.0, beta=3.5)
     with pytest.raises(DomainError):
         Medium(rho0=1000.0, c=1500.0, beta=3.5, delta=-1e-3)
+    for rho0, c in ((1000.0, 1e300), (1e300, 1500.0)):  # rho0 c^3 past the float range
+        with pytest.raises(DomainError, match="rho0 c"):
+            Medium(rho0=rho0, c=c, beta=3.5)
 
 
 def test_source_validation():
