@@ -124,6 +124,12 @@ def cmd_wave(args) -> None:
     # a linear medium never shocks; it still makes sense with an explicit z_max
     x_shock = math.inf if medium.beta == 0 else shock_formation_distance(medium, src)
     if z_max is None:
+        conf.check(
+            0 < x_shock < math.inf, "wave", "sigma_end",
+            f"needs a finite, positive shock distance; [medium] rho0 = {medium.rho0!r}, "
+            f"c = {medium.c!r}, beta = {medium.beta!r} and [source] p0 = {src.p0!r}, "
+            f"f0 = {src.f0!r} give {x_shock!r} m",
+        )
         z_max = sigma_end * x_shock
     grid = PlaneWaveGrid(n_time=n_time, n_steps=n_steps, dz=z_max / n_steps, z_max=z_max)
 
@@ -158,7 +164,6 @@ def cmd_kzk(args) -> None:
         n_harm=conf.get_int("kzk", "n_harm", 8),
     )
     a = conf.get_float("kzk", "source_radius")
-    strang = conf.get_bool("kzk", "strang", False)
     cfg.effective_seed(conf, args.seed)
     conf.finish()
 
@@ -169,9 +174,7 @@ def cmd_kzk(args) -> None:
         zs.append(z)
         axis_rows.append(np.abs(amps[:, 0]))
 
-    field = simulate_kzk_axisym(
-        medium, src, gaussian_profile(a), grid, strang=strang, callback=record
-    )
+    field = simulate_kzk_axisym(medium, src, gaussian_profile(a), grid, callback=record)
 
     with _artifacts(args.out, conf) as art:
         header = ["z"] + [f"H{n}" for n in range(1, grid.n_harm + 1)]

@@ -27,8 +27,6 @@ _REQUIRED = object()
 
 
 def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, float):
@@ -85,17 +83,6 @@ class Conf:
 
     def get_int(self, section, key, default=_REQUIRED) -> int:
         return self._get(section, key, int, default)
-
-    def get_bool(self, section, key, default=_REQUIRED) -> bool:
-        def parse(s):
-            low = s.lower()
-            if low in ("true", "yes", "1", "on"):
-                return True
-            if low in ("false", "no", "0", "off"):
-                return False
-            raise ValueError(low)
-
-        return self._get(section, key, parse, default)
 
     def get_str(self, section, key, default=_REQUIRED, choices=None) -> str:
         value = self._get(section, key, str, default)

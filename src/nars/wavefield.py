@@ -16,19 +16,18 @@ grid) when beta > 0, then an exact per-harmonic thermoviscous decay when
 delta > 0. Its limit is 10 max|p(z=0)|.
 
 The axisymmetric (KZK) solver marches complex harmonic amplitudes A_n(r, z)
-with the frequency-domain split-step scheme of Aanonsen et al. (1984). Its
-substeps are Crank-Nicolson radial diffraction over dz (with Strang
-splitting, over dz/2 first and last), exact absorption when delta > 0,
-explicit quadratic harmonic coupling when beta > 0, and the absorbing edge
-ramp. Diffraction stacks the per-harmonic tridiagonal systems into one
-block-diagonal system, LU-factors it once per march with LAPACK ``?gttrf``
-and makes one ``?gttrs`` solve per substep through ``solve_banded``; the
-factored solve gives the bits of scipy's ``solve_banded`` (``?gtsv``) on
-the same matrix. The coupling takes the harmonics of p^2 with one
-zero-padded ``irfft``/``rfft`` pair (Lee & Hamilton 1995), in N log N
-rather than N^2. Its limit is 10 p0 max(1, max|profile|). A march whose
-spectrum ends piled up at the top harmonic, a harmonic series truncated
-past the shock, is a validity error.
+with the first-order frequency-domain split-step scheme of Aanonsen et al.
+(1984). Its substeps are Crank-Nicolson radial diffraction over dz, exact
+absorption when delta > 0, explicit quadratic harmonic coupling when
+beta > 0, and the absorbing edge ramp. Diffraction stacks the per-harmonic
+tridiagonal systems into one block-diagonal system, LU-factors it once per
+march with LAPACK ``?gttrf`` and makes one ``?gttrs`` solve per substep
+through ``solve_banded``; the factored solve gives the bits of scipy's
+``solve_banded`` (``?gtsv``) on the same matrix. The coupling takes the
+harmonics of p^2 with one zero-padded ``irfft``/``rfft`` pair (Lee &
+Hamilton 1995), in N log N rather than N^2. Its limit is
+10 p0 max(1, max|profile|). A march whose spectrum ends piled up at the top
+harmonic, a harmonic series truncated past the shock, is a validity error.
 
 ``harmonic_spectrum`` reads its few bins through a cached real DFT table
 instead of a full ``rfft``, since the Westervelt readout asks for a handful
@@ -369,7 +368,8 @@ def simulate_westervelt_plane(
         substeps.append(("distortion", lambda q: _distort_lossless(q, tau, period, eps)))
     if medium.delta > 0:
         omega_n = 2 * np.pi * src.f0 * np.arange(grid.n_time // 2 + 1)
-        decay = np.exp(-medium.delta * omega_n**2 * grid.dz / (2 * medium.c**3))
+        with np.errstate(over="ignore"):  # an exponent that overflows to -inf decays to 0
+            decay = np.exp(-medium.delta * omega_n**2 * grid.dz / (2 * medium.c**3))
         substeps.append(
             ("absorption", lambda q: np.fft.irfft(np.fft.rfft(q) * decay, n=grid.n_time))
         )
@@ -435,17 +435,25 @@ def radial_weights(n_r: int, dr: float) -> np.ndarray:
     return vol
 
 
-def field_energy(amps: np.ndarray, dr: float) -> float:
-    """Cross-section integral sum_n |A_n|^2 2 pi r dr under the solver's weights."""
-    vol = radial_weights(amps.shape[1], dr)
-    return float(2 * np.pi * np.sum(np.abs(amps) ** 2 * vol[None, :]))
+def harmonic_energy(amps: np.ndarray, dr: float) -> np.ndarray:
+    """Per-harmonic cross-section integrals of |A_n|^2 r dr under the solver's weights."""
+    return np.sum(np.abs(amps) ** 2 * radial_weights(amps.shape[1], dr), axis=1)
 
 
 def _coupling(n_harm: int, n_r: int):
-    """The map amps -> S of ``_quadratic_coupling`` for (n_harm, n_r) states.
+    """The map amps -> S, the harmonic components of p^2, for (n_harm, n_r) states.
 
-    Its FFT work arrays are allocated once, so a march reuses them at every
-    step; each call gives the bits of a fresh ``_quadratic_coupling``.
+    Under the half-amplitude convention S_n = sum_{m<n} A_m A_{n-m} +
+    2 sum_{m>n} A_m conj(A_{m-n}); products that would land above n_harm are
+    truncated, never wrapped.
+
+    With p = Re{sum_n A_n e^{i n theta}} sampled on M = 4 n_harm points
+    (``irfft`` of A scaled by 2/M), p^2 holds harmonics up to 2 n_harm. Those
+    above n_harm alias to bins M - k > n_harm, so bins 1..n_harm of
+    ``rfft(p^2)``, times 4/M, equal S_n: S = M rfft(irfft(A)^2). The result
+    differs from the term-by-term sum by roundoff, a few ulps of the local
+    energy sum_n |A_n|^2. The FFT work arrays are allocated once, so a march
+    reuses them at every step.
     """
     m = 4 * n_harm  # > 3 n_harm: products above n_harm alias to bins past it
     spec = np.zeros((n_r, m // 2 + 1), dtype=np.complex128)
@@ -460,22 +468,6 @@ def _coupling(n_harm: int, n_r: int):
         return (m * out[:, 1 : n_harm + 1]).T
 
     return coupling
-
-
-def _quadratic_coupling(amps: np.ndarray) -> np.ndarray:
-    """Harmonic components of p^2 under the half-amplitude convention.
-
-    S_n = sum_{m<n} A_m A_{n-m} + 2 sum_{m>n} A_m conj(A_{m-n}); products
-    that would land above n_harm are truncated, never wrapped.
-
-    With p = Re{sum_n A_n e^{i n theta}} sampled on M = 4 n_harm points
-    (``irfft`` of A scaled by 2/M), p^2 holds harmonics up to 2 n_harm. Those
-    above n_harm alias to bins M - k > n_harm, so bins 1..n_harm of
-    ``rfft(p^2)``, times 4/M, equal S_n: S = M rfft(irfft(A)^2). The result
-    differs from the term-by-term sum by roundoff, a few ulps of the local
-    energy sum_n |A_n|^2.
-    """
-    return _coupling(*amps.shape)(amps)
 
 
 def _factor_tridiagonal(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray) -> tuple:
@@ -508,19 +500,18 @@ def solve_banded(factors: tuple, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def _kzk_substeps(medium: Medium, src: SourceWaveform, grid: AxisymGrid, strang: bool) -> list:
+def _kzk_substeps(medium: Medium, src: SourceWaveform, grid: AxisymGrid) -> list:
     """The named substeps of one KZK step of dz, each built once."""
     omega = 2 * np.pi * src.f0
     n = np.arange(1, grid.n_harm + 1)
     lower, diag, upper = _radial_laplacian_bands(grid.n_r, grid.dr)
 
-    # Crank-Nicolson per harmonic over h: the banded matrix of (I + i h/(4 k_n) L)
-    # and the three bands of (I - i h/(4 k_n) L) applied to the current state.
+    # Crank-Nicolson per harmonic over dz: the banded matrix of (I + i dz/(4 k_n) L)
+    # and the three bands of (I - i dz/(4 k_n) L) applied to the current state.
     # The harmonics' matrices sit one after another in a single tridiagonal
     # ab; the entries that would couple neighbouring blocks stay zero, so one
     # solve gives each harmonic its own solution to the bit. The matrix is
     # the same at every step, so it is factored here, once.
-    h = grid.dz / 2 if strang else grid.dz
     n_harm, n_r = grid.n_harm, grid.n_r
     ab = np.zeros((3, n_harm * n_r), dtype=np.complex128)
     blocks = ab.reshape(3, n_harm, n_r)
@@ -529,11 +520,11 @@ def _kzk_substeps(medium: Medium, src: SourceWaveform, grid: AxisymGrid, strang:
     rhs_lower = np.empty((n_harm, n_r - 1), dtype=np.complex128)
     for idx in range(n_harm):
         k_n = (idx + 1) * omega / medium.c
-        coef = 1j * h / (4 * k_n)
+        coef = 1j * grid.dz / (4 * k_n)
         blocks[0, idx, 1:] = coef * upper[:-1]
         blocks[1, idx] = 1.0 + coef * diag
         blocks[2, idx, :-1] = coef * lower[1:]
-        coef = -1j * h / (4 * k_n)
+        coef = -1j * grid.dz / (4 * k_n)
         rhs_diag[idx] = 1.0 + coef * diag
         rhs_upper[idx] = coef * upper[:-1]
         rhs_lower[idx] = coef * lower[1:]
@@ -548,15 +539,14 @@ def _kzk_substeps(medium: Medium, src: SourceWaveform, grid: AxisymGrid, strang:
 
     substeps = [("diffraction", diffract)]
     if medium.delta > 0:
-        decay = np.exp(-medium.delta * (n * omega) ** 2 * grid.dz / (2 * medium.c**3))[:, None]
+        with np.errstate(over="ignore"):  # an exponent that overflows to -inf decays to 0
+            decay = np.exp(-medium.delta * (n * omega) ** 2 * grid.dz / (2 * medium.c**3))[:, None]
         substeps.append(("absorption", lambda amps: amps * decay))
     if medium.beta > 0:
         gain = 1j * n * omega * medium.beta / (4 * medium.rho0 * medium.c**3)
         gain_dz = grid.dz * gain[:, None]
         coupling = _coupling(n_harm, n_r)
         substeps.append(("nonlinearity", lambda amps: amps + gain_dz * coupling(amps)))
-    if strang:
-        substeps.append(substeps[0])
     # quadratic absorbing ramp over the outer 10% of the radius
     i0 = int(np.floor(0.9 * grid.n_r))
     edge_rate = np.zeros(grid.n_r)
@@ -575,15 +565,13 @@ def simulate_kzk_axisym(
     source_profile,
     grid: AxisymGrid,
     *,
-    strang: bool = False,
     callback=None,
 ) -> HarmonicField:
     """Split-step march of the axisymmetric parabolic harmonic equations.
 
     ``source_profile(r)`` gives the dimensionless radial amplitude of the
-    fundamental at z=0 (scaled by src.p0). First-order splitting by default:
-    diffraction, absorption, nonlinearity per dz; ``strang=True`` wraps the
-    step in half-diffraction substeps. ``callback(z, amps)`` sees the state
+    fundamental at z=0 (scaled by src.p0). First-order splitting: diffraction,
+    absorption, nonlinearity per dz. ``callback(z, amps)`` sees the state
     at z=0 and after each step. A march whose first left-out harmonic would
     hold more than 1e-6 of the radially weighted energy, extrapolated from the
     top two, raises ``ValidityError``.
@@ -613,16 +601,17 @@ def simulate_kzk_axisym(
         raise DataError("source_profile must be finite on the radial grid")
     amps[0] = src.p0 * prof * np.exp(1j * src.phase)
 
-    substeps = _kzk_substeps(medium, src, grid, strang)
+    substeps = _kzk_substeps(medium, src, grid)
     limit = 10 * src.p0 * max(1.0, float(np.max(np.abs(prof))))
     amps = _march(amps, substeps, grid.n_z, grid.dz, limit, "axisymmetric", callback)
     # A resolved spectrum decays with n; past the shock a truncated series
     # piles up at the top harmonic instead. The share of the energy that the
     # first harmonic left out would hold, extrapolated geometrically from the
-    # top two as E_N^2 / (E_{N-1} sum E), tells the two apart.
-    energy = np.sum(np.abs(amps) ** 2 * radial_weights(grid.n_r, grid.dr), axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        dropped = energy[-1] ** 2 / (energy[-2] * energy.sum())
+    # top two as E_N^2 / (E_{N-1} sum E), tells the two apart. The share is
+    # scale-free, so it is taken of amps / p0, whose squares cannot overflow;
+    # a march that leaves the top harmonic empty (a linear one) drops nothing.
+    energy = harmonic_energy(amps / src.p0, grid.dr)
+    dropped = energy[-1] ** 2 / (energy[-2] * energy.sum()) if energy[-1] > 0 else 0.0
     if dropped > 1e-6:
         raise ValidityError(
             f"the harmonic series is truncated: harmonic {grid.n_harm + 1}, left out, would "

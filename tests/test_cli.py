@@ -1,9 +1,11 @@
 import csv
+import logging
 import os
 import re
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +14,7 @@ import pytest
 from nars import cli, errors
 from nars.io import read_field_dump, read_policy_vector, read_wav
 from nars.rl import theta_size
-from nars.wavefield import radial_weights
+from nars.wavefield import harmonic_energy
 
 WAVE_CFG = """\
 [medium]
@@ -225,8 +227,17 @@ def test_kzk_below_the_shock_passes_the_truncation_gate(tmp_path):
     code, out = run_cli(tmp_path, "kzk", KZK_SHOCK_CFG.replace("p0 = 3e6", "p0 = 1e6"))
     assert code == 0
     field = read_field_dump(out / "field.nfd")
-    energy = np.sum(np.abs(field.amps) ** 2 * radial_weights(200, 1e-4), axis=1)
+    energy = harmonic_energy(field.amps, 1e-4)
     assert energy[-1] ** 2 < 1e-6 * energy[-2] * energy.sum()
+
+
+def test_kzk_at_an_extreme_source_pressure_runs_its_gate_quietly(tmp_path):
+    # p0 = 1e300 used to overflow the gate's |A_n|^2 and exit 0 past a NaN
+    shipped = (Path(__file__).resolve().parents[1] / "configs" / "kzk.ini").read_text()
+    proc, out = _run_module(tmp_path, "kzk", shipped.replace("p0 = 1e5", "p0 = 1e300"))
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert (out / "field.nfd").exists()
 
 
 # === scene ===
@@ -386,8 +397,13 @@ def test_unparseable_value_exits_one(tmp_path):
     assert code == 1
 
 
-def test_unknown_key_is_rejected(tmp_path):
-    code, _ = run_cli(tmp_path, "wave", WAVE_CFG + "\n[medium]\nbogus = 1\n")
+@pytest.mark.parametrize(
+    "command, cfg_text",
+    [("wave", WAVE_CFG + "\n[medium]\nbogus = 1\n"), ("kzk", KZK_CFG + "strang = true\n")],
+    ids=["wave-medium-bogus", "kzk-strang"],
+)
+def test_unknown_key_is_rejected(tmp_path, command, cfg_text):
+    code, _ = run_cli(tmp_path, command, cfg_text)
     assert code == 1
 
 
@@ -474,6 +490,8 @@ def _assert_one_error_line(proc):
         ("localize", "[run] seed", LOCALIZE_CFG.replace("seed = 7", "seed = -1")),
         ("train", "[run] seed", TRAIN_CFG.replace("seed = 42", "seed = -1")),
         ("wave", "[wave] n_steps", WAVE_CFG.replace("n_steps = 200", "n_steps = 0")),
+        ("wave", "[wave] sigma_end", WAVE_CFG.replace("c = 1500", "c = 1e-300")),
+        ("wave", "[wave] sigma_end", WAVE_CFG.replace("beta = 3.5", "beta = 1e300")),
     ],
     ids=[
         "train-m_bands-36",
@@ -494,6 +512,8 @@ def _assert_one_error_line(proc):
         "localize-seed--1",
         "train-seed--1",
         "wave-n_steps-0",
+        "wave-zero-shock-distance-c-1e-300",
+        "wave-zero-shock-distance-beta-1e300",
     ],
 )
 def test_bad_config_value_exits_one_with_one_log_line(tmp_path, command, key, cfg_text):
@@ -568,6 +588,33 @@ def test_bad_rl_value_exits_one_before_any_output(tmp_path, key, value):
     _assert_one_error_line(proc)
     assert key in proc.stderr
     assert not out.exists()
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def _fuzz_cases():
+    """(command, line index, value) for every key line of the two solver configs."""
+    for command in ("wave", "kzk"):
+        lines = (CONFIGS / f"{command}.ini").read_text().splitlines()
+        for i, line in enumerate(lines):
+            if "=" in line:
+                for value in ("nan", "0", "-1", "1e300", "1e-300"):
+                    yield pytest.param(command, i, value, id=f"{command}-{line.split()[0]}-{value}")
+
+
+@pytest.mark.parametrize("command, line, value", _fuzz_cases())
+def test_solver_config_fuzz_fails_cleanly(tmp_path, caplog, command, line, value):
+    lines = (CONFIGS / f"{command}.ini").read_text().splitlines()
+    lines[line] = f"{lines[line].split('=')[0]}= {value}"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out = run_cli(tmp_path, command, "\n".join(lines) + "\n")
+    assert code in range(5)
+    assert [str(w.message) for w in caught] == []
+    assert len([r for r in caplog.records if r.levelno >= logging.ERROR]) == (code != 0)
+    if code != 0:
+        assert not out.exists()
 
 
 def test_exit_code_taxonomy():

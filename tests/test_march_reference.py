@@ -1,12 +1,12 @@
 """The substep march against an inline copy of the per-step solvers it replaced.
 
 The reference below rebuilds every coefficient inside each step, writes the
-Strang and first-order sequences out separately and runs its own Westervelt
-loop. ``simulate_kzk_axisym`` and ``westervelt_harmonic_curve`` must agree
-with it bit for bit, in the final state and in every callback state.
+first-order KZK sequence out step by step and runs its own Westervelt loop.
+``simulate_kzk_axisym`` and ``westervelt_harmonic_curve`` must agree with
+it bit for bit, in the final state and in every callback state.
 
 The two rewritten kernels are held to inline copies of their term-by-term
-forms: ``_quadratic_coupling`` (an FFT) to the O(N^2) loop over (n, m)
+forms: ``_coupling`` (an FFT) to the O(N^2) loop over (n, m)
 within a roundoff bound, and ``_distort_lossless`` to
 ``np.interp(..., period=)`` bit for bit.
 """
@@ -25,8 +25,8 @@ from nars.wavefield import (
     PlaneWaveGrid,
     SourceWaveform,
     TimeWaveform,
+    _coupling,
     _distort_lossless,
-    _quadratic_coupling,
     _radial_laplacian_bands,
     gaussian_profile,
     harmonic_spectrum,
@@ -79,27 +79,21 @@ class _ReferenceKzk:
             return amps
         n = np.arange(1, self.grid.n_harm + 1)
         gain = 1j * n * self.omega * self.medium.beta / (4 * self.medium.rho0 * self.medium.c**3)
-        return amps + dz * gain[:, None] * _quadratic_coupling(amps)
+        return amps + dz * gain[:, None] * _coupling(*amps.shape)(amps)
 
     def edge_damp(self, amps, dz):
         return amps * np.exp(-self.edge_rate * dz)[None, :]
 
 
-def _reference_kzk(medium, src, profile, grid, strang):
+def _reference_kzk(medium, src, profile, grid):
     stepper = _ReferenceKzk(medium, src, grid)
     amps = np.zeros((grid.n_harm, grid.n_r), dtype=np.complex128)
     amps[0] = src.p0 * np.asarray(profile(grid.r), dtype=np.float64) * np.exp(1j * src.phase)
     states = [amps.copy()]
     for _ in range(grid.n_z):
-        if strang:
-            amps = stepper.diffract(amps, grid.dz / 2)
-            amps = stepper.absorb(amps, grid.dz)
-            amps = stepper.nonlinear(amps, grid.dz)
-            amps = stepper.diffract(amps, grid.dz / 2)
-        else:
-            amps = stepper.diffract(amps, grid.dz)
-            amps = stepper.absorb(amps, grid.dz)
-            amps = stepper.nonlinear(amps, grid.dz)
+        amps = stepper.diffract(amps, grid.dz)
+        amps = stepper.absorb(amps, grid.dz)
+        amps = stepper.nonlinear(amps, grid.dz)
         amps = stepper.edge_damp(amps, grid.dz)
         states.append(amps.copy())
     return amps, states
@@ -130,20 +124,17 @@ KZK_SRC = SourceWaveform(p0=1e5, f0=1e6)
 KZK_RADIUS = 0.004
 
 
-@pytest.mark.parametrize(
-    "beta, delta, strang", list(itertools.product((0.0, 3.5), (0.0, 4.5e-4), (False, True)))
-)
-def test_kzk_march_matches_per_step_reference(beta, delta, strang):
+@pytest.mark.parametrize("beta, delta", list(itertools.product((0.0, 3.5), (0.0, 4.5e-4))))
+def test_kzk_march_matches_per_step_reference(beta, delta):
     medium = Medium(rho0=1000.0, c=1500.0, beta=beta, delta=delta)
     z_r = rayleigh_distance(KZK_SRC, KZK_RADIUS, medium)
     grid = AxisymGrid(n_r=96, dr=2e-4, n_z=24, dz=z_r / 24, n_harm=6)
     profile = gaussian_profile(KZK_RADIUS)
     states = []
     field = simulate_kzk_axisym(
-        medium, KZK_SRC, profile, grid, strang=strang,
-        callback=lambda z, amps: states.append((z, amps)),
+        medium, KZK_SRC, profile, grid, callback=lambda z, amps: states.append((z, amps))
     )
-    expect, expect_states = _reference_kzk(medium, KZK_SRC, profile, grid, strang)
+    expect, expect_states = _reference_kzk(medium, KZK_SRC, profile, grid)
     assert np.array_equal(field.amps, expect)
     assert [z for z, _ in states] == [step * grid.dz for step in range(grid.n_z + 1)]
     assert len(states) == len(expect_states)
@@ -222,16 +213,14 @@ def test_kzk_march_at_thirty_two_harmonics_matches_per_step_reference():
     z_r = rayleigh_distance(KZK_SRC, KZK_RADIUS, medium)
     grid = AxisymGrid(n_r=64, dr=2.5e-4, n_z=8, dz=z_r / 24, n_harm=32)
     profile = gaussian_profile(KZK_RADIUS)
-    for strang in (False, True):
-        states = []
-        field = simulate_kzk_axisym(
-            medium, KZK_SRC, profile, grid, strang=strang,
-            callback=lambda z, amps: states.append(amps),
-        )
-        expect, expect_states = _reference_kzk(medium, KZK_SRC, profile, grid, strang)
-        assert np.all(field.amps[-1] != 0)  # every harmonic is reached
-        assert np.array_equal(field.amps, expect)
-        assert all(np.array_equal(got, want) for got, want in zip(states, expect_states))
+    states = []
+    field = simulate_kzk_axisym(
+        medium, KZK_SRC, profile, grid, callback=lambda z, amps: states.append(amps)
+    )
+    expect, expect_states = _reference_kzk(medium, KZK_SRC, profile, grid)
+    assert np.all(field.amps[-1] != 0)  # every harmonic is reached
+    assert np.array_equal(field.amps, expect)
+    assert all(np.array_equal(got, want) for got, want in zip(states, expect_states))
 
 
 # === the rewritten kernels ===
@@ -291,7 +280,7 @@ def _random_amps(n_harm, seed):
 @pytest.mark.parametrize("n_harm", [2, 3, 4, 8, 32, 64, 128, 256])
 def test_quadratic_coupling_matches_term_by_term_loop(n_harm):
     amps = _random_amps(n_harm, n_harm)
-    got = _quadratic_coupling(amps)
+    got = _coupling(*amps.shape)(amps)
     want = _loop_coupling(amps)
     assert got.shape == want.shape
     assert np.all(got[:, 0] == 0)  # no energy, no roundoff
@@ -304,7 +293,7 @@ def test_quadratic_coupling_truncates_products_above_the_top_harmonic(n_harm):
     # A_N^2 lands on harmonic 2N, and A_N conj(A_N) on 0: nothing is kept
     amps = np.zeros((n_harm, 5), dtype=np.complex128)
     amps[-1] = np.array([1.0, -2.5 + 1e3j, 3e4j, 7e-3 - 2e-3j, -1e5])
-    got = _quadratic_coupling(amps)
+    got = _coupling(*amps.shape)(amps)
     assert np.all(np.abs(got) <= 1e-13 * np.abs(amps[-1]) ** 2)
 
 
@@ -312,7 +301,7 @@ def test_quadratic_coupling_truncates_products_above_the_top_harmonic(n_harm):
 def test_quadratic_coupling_of_a_lone_fundamental_is_its_square(n_harm):
     amps = np.zeros((n_harm, 4), dtype=np.complex128)
     amps[0] = np.array([1.0, 3e4 - 2e4j, -7e-3j, 0.5 + 0.25j])
-    got = _quadratic_coupling(amps)
+    got = _coupling(*amps.shape)(amps)
     scale = np.abs(amps[0]) ** 2
     assert np.all(np.abs(got[1] - amps[0] ** 2) <= COUPLING_RTOL * scale)
     assert np.all(np.abs(got[0]) <= COUPLING_RTOL * scale)
