@@ -3,9 +3,10 @@
 Seven subcommands share one shape: parse and validate the config up front,
 compute, then publish an atomic artifact directory containing the outputs
 plus ``resolved.ini``, a fully-materialized config (defaults included) whose
-re-run reproduces the artifacts bit for bit. Timing columns (rtf) are the
-one documented exception. The directory replaces ``--out`` whole, so no
-file of an earlier run survives; an ``--out`` that is a file, or a
+re-run reproduces the artifacts bit for bit. ``bench``'s ``rtf.csv`` is the
+one artifact that holds wall-clock time; the other commands log their
+stage seconds at debug level only. The directory replaces ``--out`` whole,
+so no file of an earlier run survives; an ``--out`` that is a file, or a
 directory that is not empty and holds no ``resolved.ini``, is refused
 before any compute. Summaries go to stdout as ``key=value`` lines;
 diagnostics go to the log (NARS_LOG=error|info|debug, stderr).
@@ -119,8 +120,11 @@ def cmd_wave(args) -> None:
     cfg.effective_seed(conf, args.seed)
     conf.finish()
     conf.check(n_steps >= 1, "wave", "n_steps", "must be at least 1")
-    if (z_max is None) == (sigma_end is None):
-        raise ConfigurationError("[wave] needs exactly one of z_max or sigma_end")
+    conf.check(
+        (z_max is None) != (sigma_end is None), "wave", "z_max or sigma_end",
+        "must be set, not both",
+    )
+    extent = "z_max" if sigma_end is None else "sigma_end"
     # a linear medium never shocks; it still makes sense with an explicit z_max
     x_shock = math.inf if medium.beta == 0 else shock_formation_distance(medium, src)
     if z_max is None:
@@ -131,9 +135,9 @@ def cmd_wave(args) -> None:
             f"f0 = {src.f0!r} give {x_shock!r} m",
         )
         z_max = sigma_end * x_shock
-    grid = PlaneWaveGrid(n_time=n_time, n_steps=n_steps, dz=z_max / n_steps, z_max=z_max)
-
-    zs, ratio_rows, final = westervelt_harmonic_curve(medium, src, grid, n_max=n_harm)
+    with conf.blame("wave", f"n_time/n_steps/n_harm/{extent}"):
+        grid = PlaneWaveGrid(n_time=n_time, n_steps=n_steps, dz=z_max / n_steps, z_max=z_max)
+        zs, ratio_rows, final = westervelt_harmonic_curve(medium, src, grid, n_max=n_harm)
 
     with _artifacts(args.out, conf) as art:
         # sigma = z / x_shock is 0 throughout a linear medium (x_shock = inf)
@@ -156,7 +160,7 @@ def cmd_kzk(args) -> None:
     conf = cfg.load_config(args.config)
     medium = cfg.build_medium(conf)
     src = cfg.build_source(conf)
-    grid = AxisymGrid(
+    shape = dict(
         n_r=conf.get_int("kzk", "n_r", 128),
         dr=conf.get_float("kzk", "dr"),
         n_z=conf.get_int("kzk", "n_z"),
@@ -174,7 +178,9 @@ def cmd_kzk(args) -> None:
         zs.append(z)
         axis_rows.append(np.abs(amps[:, 0]))
 
-    field = simulate_kzk_axisym(medium, src, gaussian_profile(a), grid, callback=record)
+    with conf.blame("kzk", "n_r/dr/n_z/dz/n_harm/source_radius"):
+        grid = AxisymGrid(**shape)
+        field = simulate_kzk_axisym(medium, src, gaussian_profile(a), grid, callback=record)
 
     with _artifacts(args.out, conf) as art:
         header = ["z"] + [f"H{n}" for n in range(1, grid.n_harm + 1)]
@@ -196,14 +202,13 @@ def cmd_scene(args) -> None:
 
     t0 = time.perf_counter()
     rendered = render_scene(scenario)
-    elapsed = time.perf_counter() - t0
+    log.debug("scene: render %.3f s, including first-call start-up", time.perf_counter() - t0)
     est_az, _ = _localize(scenario_geometry(scenario), rendered.mics)
 
     m = Metrics(
         scenario_id=f"scene-{seed}",
         si_snr_db=si_snr(rendered.clean_ref, rendered.mics[0]),
         snr_gain_db=0.0,
-        rtf=measure_rtf(elapsed, scenario.duration),
         doa_err_deg=azimuth_error_deg(est_az, rendered.true_azimuth_deg),
     )
     with _artifacts(args.out, conf, m) as art:
@@ -231,7 +236,7 @@ def cmd_frontend(args) -> None:
     mic_sub, out_sub, enhanced = enhance(
         geom, spec, rendered.mics, steer, far_sub, mu=params.mu, aec_taps=params.aec_taps
     )
-    elapsed = time.perf_counter() - t0
+    log.debug("frontend: SRP scan and enhance %.3f s", time.perf_counter() - t0)
 
     erle_rows = []
     if far_sub is not None:
@@ -248,7 +253,6 @@ def cmd_frontend(args) -> None:
         scenario_id=f"scene-{seed}",
         si_snr_db=enh,
         snr_gain_db=enh - base,
-        rtf=measure_rtf(elapsed, scenario.duration),
         doa_err_deg=azimuth_error_deg(est_az, rendered.true_azimuth_deg),
     )
     with _artifacts(args.out, conf, m) as art:
@@ -269,15 +273,18 @@ def cmd_localize(args) -> None:
     explicit_pos = conf.get_vec3("scene", "source_pos", None)
     n_scenes = conf.get_int("localize", "n_scenes", 1)
     conf.finish()
-    if n_scenes < 1:
-        raise ConfigurationError("[localize] n_scenes must be at least 1")
-    if n_scenes > 1 and explicit_pos is not None:
-        raise ConfigurationError("explicit source_pos only makes sense with n_scenes = 1")
+    conf.check(n_scenes >= 1, "localize", "n_scenes", "must be at least 1")
+    conf.check(
+        n_scenes == 1 or explicit_pos is None, "scene", "source_pos",
+        "is one position, so it needs [localize] n_scenes = 1",
+    )
     margin = 0.5
     lo = np.full(3, margin)
     hi = np.asarray(room.dims) - margin
-    if explicit_pos is None and np.any(hi <= lo):
-        raise ConfigurationError("room too small for a 0.5 m placement margin")
+    conf.check(
+        explicit_pos is not None or np.all(hi > lo), "room", "dims",
+        f"must exceed {2 * margin} m on every axis to place sources {margin} m from the walls",
+    )
 
     rows = []
     errs = []
@@ -340,8 +347,7 @@ def cmd_bench(args) -> None:
     conf.check(aec_taps >= 1, "bench", "aec_taps", "must be at least 1")
     if len(durations) == 0:
         raise DataError("bench corpus is empty: no durations configured")
-    if any(d <= 0 for d in durations):
-        raise ConfigurationError("[bench] durations must be positive")
+    conf.check(all(d > 0 for d in durations), "bench", "durations", "must be positive")
 
     geom = circular_array(n_mics, 0.05, fs=fs)
 

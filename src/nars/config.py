@@ -11,6 +11,7 @@ run drops that copy beside its artifacts for bit-exact reproduction.
 from __future__ import annotations
 
 import configparser
+import contextlib
 import os
 from dataclasses import dataclass
 
@@ -115,13 +116,16 @@ class Conf:
         if not ok:
             raise ConfigurationError(f"{self.path}: [{section}] {key} {rule}")
 
-    def section_items(self, section: str) -> list[tuple[str, str]]:
-        if not self.cp.has_section(section):
-            return []
-        items = self.cp.items(section)
-        for key, _ in items:
-            self._seen.add((section, key))
-        return items
+    @contextlib.contextmanager
+    def blame(self, section: str, keys: str):
+        """Re-raise a ``ConfigurationError`` of the block as one naming ``[section] keys``.
+
+        Other errors (data, numerical, validity) pass through unchanged.
+        """
+        try:
+            yield
+        except ConfigurationError as e:
+            raise ConfigurationError(f"{self.path}: [{section}] {keys}: {e}") from None
 
     def has_section(self, section: str) -> bool:
         return self.cp.has_section(section)
@@ -200,21 +204,10 @@ def build_room(conf: Conf) -> RoomSpec:
 def build_mic_positions(conf: Conf) -> list[tuple[float, float, float]]:
     """Either a circular [array] (center, radius, n_mics) or explicit [mics]."""
     if conf.has_section("mics"):
-        rows = conf.section_items("mics")
-        if not all(key.isdigit() for key, _ in rows):
+        keys = conf.cp.options("mics")
+        if not all(key.isdecimal() for key in keys):
             raise ConfigurationError(f"{conf.path}: [mics] keys must be mic indices 0, 1, ...")
-        positions = []
-        for key, raw in sorted(rows, key=lambda kv: int(kv[0])):
-            try:
-                vals = tuple(_finite_float(t) for t in raw.replace(",", " ").split())
-            except ValueError:
-                raise ConfigurationError(
-                    f"{conf.path}: [mics] {key} needs finite numbers, not {raw!r}"
-                )
-            if len(vals) != 3:
-                raise ConfigurationError(f"{conf.path}: [mics] {key} needs exactly 3 coordinates")
-            conf._record("mics", key, vals)
-            positions.append(vals)
+        positions = [conf.get_vec3("mics", key) for key in sorted(keys, key=int)]
         if len(positions) < 2:
             raise ConfigurationError(f"{conf.path}: [mics] needs at least two mics for SRP")
         return positions
@@ -246,10 +239,8 @@ def build_bank(conf: Conf, section: str, fs: float) -> FilterBankSpec:
     """The bank of ``[section] m_bands``/``hop``; FilterBankSpec's errors name the keys."""
     m_bands = conf.get_int(section, "m_bands", 64)
     hop = conf.get_int(section, "hop", m_bands // 2)
-    try:
+    with conf.blame(section, "m_bands/hop"):
         return FilterBankSpec(m_bands=m_bands, hop=hop, fs=fs)
-    except ConfigurationError as e:
-        raise ConfigurationError(f"{conf.path}: [{section}] m_bands/hop: {e}") from None
 
 
 @dataclass(frozen=True)

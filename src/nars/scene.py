@@ -70,7 +70,6 @@ class Metrics:
     scenario_id: str
     si_snr_db: float
     snr_gain_db: float
-    rtf: float
     doa_err_deg: float = float("nan")
 
     def row(self) -> dict:
@@ -78,7 +77,6 @@ class Metrics:
             "scenario_id": self.scenario_id,
             "si_snr_db": f"{self.si_snr_db:.6f}",
             "snr_gain_db": f"{self.snr_gain_db:.6f}",
-            "rtf": f"{self.rtf:.6f}",
             "doa_err_deg": f"{self.doa_err_deg:.6f}",
         }
 

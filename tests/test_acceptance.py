@@ -571,15 +571,13 @@ hop = 32
 aec_taps = 4
 mu = 0.5
 """
-
-
-def strip_timings(path):
-    """metrics.csv modulo its wall-clock rtf column."""
-    with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    for r in rows:
-        r.pop("rtf", None)
-    return rows
+RERUN_CONFIGS["train"] = RERUN_CONFIGS["scene"] + """
+[rl]
+budget = 1000
+horizon = 16
+epochs = 4
+minibatch = 32
+"""
 
 
 def test_criterion_12_reruns_are_byte_identical(capsys, tmp_path, monkeypatch):
@@ -596,10 +594,9 @@ def test_criterion_12_reruns_are_byte_identical(capsys, tmp_path, monkeypatch):
         names = sorted(p.name for p in outs[0].iterdir())
         assert names == sorted(p.name for p in outs[1].iterdir())
         for name in names:
-            a, b = outs[0] / name, outs[1] / name
-            if name == "metrics.csv":
-                assert strip_timings(a) == strip_timings(b), (command, name)
-            else:
-                assert a.read_bytes() == b.read_bytes(), (command, name)
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), (command, name)
             compared += 1
-    report(capsys, 12, f"{compared} artifacts byte-identical across reruns of 5 commands")
+    report(
+        capsys, 12,
+        f"{compared} artifacts byte-identical across reruns of {len(RERUN_CONFIGS)} commands",
+    )

@@ -324,8 +324,8 @@ def test_measure_rtf():
 
 
 def test_metrics_row_schema():
-    m = Metrics(scenario_id="s", si_snr_db=1.0, snr_gain_db=2.0, rtf=0.1, doa_err_deg=3.0)
-    assert list(m.row().keys()) == ["scenario_id", "si_snr_db", "snr_gain_db", "rtf", "doa_err_deg"]
+    m = Metrics(scenario_id="s", si_snr_db=1.0, snr_gain_db=2.0, doa_err_deg=3.0)
+    assert list(m.row().keys()) == ["scenario_id", "si_snr_db", "snr_gain_db", "doa_err_deg"]
 
 
 # === rendering ===
