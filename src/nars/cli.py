@@ -36,6 +36,7 @@ from .errors import ConfigurationError, DataError, NarsError
 from .frontend import (
     AzimuthGrid,
     azimuth_error_deg,
+    band_power,
     circular_array,
     enhance,
     fb_analyze,
@@ -240,8 +241,7 @@ def cmd_frontend(args) -> None:
 
     erle_rows = []
     if far_sub is not None:
-        p_mic = np.sum(np.abs(mic_sub.bands) ** 2, axis=0)
-        p_res = np.sum(np.abs(out_sub.bands) ** 2, axis=0)
+        p_mic, p_res = band_power(mic_sub), band_power(out_sub)
         with np.errstate(divide="ignore"):
             trace = 10.0 * np.log10(p_mic / np.maximum(p_res, 1e-300))
         n_live = min(len(trace), -(-mic_sub.n_samples // spec.hop))  # drop the flush tail
@@ -278,6 +278,7 @@ def cmd_localize(args) -> None:
         n_scenes == 1 or explicit_pos is None, "scene", "source_pos",
         "is one position, so it needs [localize] n_scenes = 1",
     )
+    cfg.check_positions(conf, room, mic_positions, explicit_pos)
     margin = 0.5
     lo = np.full(3, margin)
     hi = np.asarray(room.dims) - margin

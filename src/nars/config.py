@@ -219,13 +219,42 @@ def build_mic_positions(conf: Conf) -> list[tuple[float, float, float]]:
     return [tuple(p) for p in circular_array(n_mics, radius, center=center).positions.tolist()]
 
 
+def check_positions(conf: Conf, room: RoomSpec, mic_positions, source_pos, echo_pos=None) -> None:
+    """Reject an explicit ``[scene] source_pos`` or ``echo_pos`` that no scene can use.
+
+    Both must lie strictly inside the room. The source must also lie outside
+    the array's horizontal radius (the largest horizontal distance of a mic
+    from the mics' centroid) around the centroid: the true azimuth of a
+    source on or near the array's vertical axis is undefined or meaningless.
+    """
+    for key, pos in (("source_pos", source_pos), ("echo_pos", echo_pos)):
+        if pos is not None:
+            conf.check(
+                all(0 < p < d for p, d in zip(pos, room.dims)), "scene", key,
+                f"must lie strictly inside the room ([room] dims = {_fmt(room.dims)})",
+            )
+    if source_pos is not None:
+        mics = np.asarray(mic_positions, dtype=np.float64)
+        centroid = mics.mean(axis=0)
+        radius = float(np.max(np.linalg.norm((mics - centroid)[:, :2], axis=1)))
+        offset = float(np.linalg.norm((np.asarray(source_pos) - centroid)[:2]))
+        conf.check(
+            offset > radius, "scene", "source_pos",
+            f"must lie farther than the array radius ({radius:.4g} m) from the array's vertical axis, "
+            f"so its azimuth is defined; it lies {offset:.4g} m from it",
+        )
+
+
 def build_scenario(conf: Conf, seed: int) -> ScenarioConfig:
     room = build_room(conf)
     echo_pos = conf.get_vec3("scene", "echo_pos", None)
+    source_pos = conf.get_vec3("scene", "source_pos")
+    mic_positions = build_mic_positions(conf)
+    check_positions(conf, room, mic_positions, source_pos, echo_pos)
     return ScenarioConfig(
         room=room,
-        source_pos=conf.get_vec3("scene", "source_pos"),
-        mic_positions=build_mic_positions(conf),
+        source_pos=source_pos,
+        mic_positions=mic_positions,
         noise_kind=conf.get_str("scene", "noise_kind", "white", choices=NOISE_KINDS),
         snr_db=conf.get_float("scene", "snr_db", 10.0),
         seed=seed,
@@ -289,10 +318,10 @@ def build_rl(conf: Conf, scenario: ScenarioConfig, seed: int) -> tuple[PolicyPar
         m_bands=conf.get_int("rl", "m_bands", 64),
         aec_taps=conf.get_int("rl", "aec_taps", 4),
     )
-    # the env groups the bands into 8 state features and uses hop = m_bands / 2,
-    # which FilterBankSpec accepts for every positive multiple of 8
+    # the env groups the m_bands / 2 bands below Nyquist into 8 state features
+    # and uses hop = m_bands / 2, which FilterBankSpec accepts for every such count
     m = rl["m_bands"]
-    conf.check(m >= 8 and m % 8 == 0, "rl", "m_bands", "must be a positive multiple of 8")
+    conf.check(m >= 16 and m % 16 == 0, "rl", "m_bands", "must be a positive multiple of 16")
     # TuningEnv cuts the scene into chunks of this many samples, and analyses
     # each chunk with a bank whose prototype spans 8 * m_bands samples
     fs = scenario.room.fs

@@ -24,6 +24,13 @@ does not grow with the frame length.
 
 Band m of the analysis bank is the prototype modulated by exp(i 2 pi m j / M)
 and decimated by the hop L: x_m(k) = sum_j h(j) x(kL - j) exp(i 2 pi m j / M).
+The bank keeps bands m = 0..M/2 (M//2 + 1 of them) only. Every stream it
+analyses is real, so band M - m is the complex conjugate of band m and
+carries nothing new; the AEC and the band gains act on conjugate pairs
+alike, so the dropped bands stay the mirrors of the kept ones through the
+chain, and synthesis rebuilds each frame from the kept half with a real
+inverse FFT. Sums of band power over all M bands count each kept band
+twice, DC and (for even M) Nyquist once: ``band_power``.
 The prototype is pointwise-normalized so sum_k h^2(n - kL) = 1/M exactly;
 synthesis is the scaled adjoint, leaving only stopband-level alias leakage.
 """
@@ -31,7 +38,7 @@ synthesis is the scaled adjoint, leaving only stopband-level alias leakage.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -116,28 +123,52 @@ class FilterBankSpec:
 
 @dataclass
 class SubbandState:
-    """Analysis output: complex frames, shape (m_bands, n_frames), or
-    (E, m_bands, n_frames) for E streams analysed together.
+    """Analysis output of an M-band bank: complex frames of bands 0..M/2,
+    shape (M//2 + 1, n_frames), or (E, M//2 + 1, n_frames) for E streams
+    analysed together. ``m_bands`` is the bank's M, which says whether the
+    last kept band is Nyquist (even M) or not (odd M).
 
     ``bands`` may be a transposed view of a C-ordered (..., n_frames,
-    m_bands) array, as ``fb_analyze`` and ``aec_process`` return it: each
+    M//2 + 1) array, as ``fb_analyze`` and ``aec_process`` return it: each
     frame is then contiguous in memory.
     """
 
     bands: np.ndarray
     n_samples: int
+    m_bands: int
+
+    def __post_init__(self):
+        if self.bands.ndim < 2 or self.bands.shape[-2] != self.m_bands // 2 + 1:
+            raise ConfigurationError(
+                f"a bank of {self.m_bands} bands keeps {self.m_bands // 2 + 1}, not bands of shape {self.bands.shape}"
+            )
+
+
+def band_power(state: SubbandState) -> np.ndarray:
+    """Power of every frame summed over all M bands, each frequency counted once.
+
+    The kept band m stands for itself and for its mirror M - m, so it
+    weighs 2; DC and, for even M, Nyquist have no mirror and weigh 1.
+    Returns (..., n_frames): the sum_m |x_m(k)|^2 a full M-band bank gives,
+    up to rounding.
+    """
+    weights = np.ones(state.m_bands // 2 + 1)
+    weights[1 : (state.m_bands + 1) // 2] = 2.0
+    return np.einsum("b,...bk->...k", weights, np.abs(state.bands) ** 2)
 
 
 def fb_analyze(spec: FilterBankSpec, x: np.ndarray) -> SubbandState:
-    """Split a mono stream, or each row of a stack of streams, into M complex subbands.
+    """Split a mono stream, or each row of a stack of streams, into bands 0..M/2.
 
     Frame k folds the reversed window x[kL - j], j = 0..P-1, times the
     prototype into M bins: bin i sums the P/M products at j = i, i + M, ...
     in ascending j, starting from zero, as ``sum(axis=1)`` over a
     (P/M, M) reshape does. One (n_frames, M) accumulator takes the segments
-    in turn, so no (n_frames, P) product is built. An (E, n) stack gives
-    (E, M, n_frames) bands whose every row equals the analysis of that row
-    alone, bit for bit: each step is elementwise or an FFT along the row.
+    in turn, so no (n_frames, P) product is built. The folded frame is real,
+    so its bands are conj(rfft(folded)): M * ifft(folded) at bins 0..M/2.
+    An (E, n) stack gives (E, M//2 + 1, n_frames) bands whose every row
+    equals the analysis of that row alone, bit for bit: each step is
+    elementwise or an FFT along the row.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim not in (1, 2):
@@ -159,41 +190,41 @@ def fb_analyze(spec: FilterBankSpec, x: np.ndarray) -> SubbandState:
         np.multiply(reversed_windows[..., s : s + M], spec.prototype[s : s + M], out=segment)
         folded += segment
     del xp, windows, reversed_windows, segment  # free them before the complex bands
-    # the FFT casts a real input to complex anyway; cast once, transform in place
-    bands = folded.astype(np.complex128)
+    bands = np.fft.rfft(folded, axis=-1)
     del folded
-    np.fft.ifft(bands, axis=-1, out=bands)
-    bands *= M
-    return SubbandState(bands=np.swapaxes(bands, -1, -2), n_samples=n)
+    np.conjugate(bands, out=bands)
+    return SubbandState(bands=np.swapaxes(bands, -1, -2), n_samples=n, m_bands=M)
 
 
 def fb_synthesize(spec: FilterBankSpec, state: SubbandState) -> np.ndarray:
     """Rebuild the time signal from subband frames (scaled adjoint of analysis).
 
-    Frame k adds the real part of its tiled spectrum times the dual window,
-    reversed, at samples kL .. kL + P - 1. The overlap-add runs as P/L
-    strided block adds over an (n_frames + 2P/L, L) view of the output, in
-    descending block offset b, so each sample sums its frames in ascending
-    k, starting from zero: the order of a frame-by-frame loop. Bands of
-    shape (E, M, n_frames) give (E, n_samples), each row bit for bit the
-    synthesis of that row alone.
+    Frame k is irfft(conj(bands), n=M), the real part of the inverse DFT of
+    the full conjugate-symmetric spectrum the kept bands stand for; it adds
+    that frame, tiled, times the dual window, reversed, at samples
+    kL .. kL + P - 1. The overlap-add runs as P/L strided block adds over an
+    (n_frames + 2P/L, L) view of the output, in descending block offset b,
+    so each sample sums its frames in ascending k, starting from zero: the
+    order of a frame-by-frame loop. Bands of shape (E, M//2 + 1, n_frames)
+    give (E, n_samples), each row bit for bit the synthesis of that row
+    alone.
     """
     P, M, L = spec.n_taps, spec.m_bands, spec.hop
-    bands = state.bands
-    if bands.shape[-2] != M:
+    if state.m_bands != M:
         raise ConfigurationError("band count does not match the bank")
+    bands = state.bands
     lead, n_frames = bands.shape[:-2], bands.shape[-1]
-    # reversed tiled spectrum: column i of the reversed frame is bin M-1 - (i mod M)
-    spectra = np.fft.fft(np.swapaxes(bands, -1, -2), axis=-1)
-    spectra /= M
-    spec_rev = spectra.real[..., ::-1].copy()
+    spectra = np.conj(np.swapaxes(bands, -1, -2))
+    frames = np.fft.irfft(spectra, n=M, axis=-1)
     del spectra
+    # reversed tiled frame: column i of the reversed frame is sample M-1 - (i mod M)
+    frames_rev = frames[..., ::-1]
     dual_rev = spec.dual[::-1]
     rows = np.zeros(lead + (n_frames + 2 * P // L, L))  # every sample a frame reaches
     block = np.empty(lead + (n_frames, L))
     for b in range(P // L - 1, -1, -1):
         c0 = b * L % M
-        np.multiply(spec_rev[..., c0 : c0 + L], dual_rev[b * L : (b + 1) * L], out=block)
+        np.multiply(frames_rev[..., c0 : c0 + L], dual_rev[b * L : (b + 1) * L], out=block)
         rows[..., b : b + n_frames, :] += block
     acc = rows.reshape(lead + (-1,))
     return M * acc[..., P - 1 : P - 1 + state.n_samples]
@@ -208,13 +239,15 @@ AEC_EPS_REG = 1e-6  # regularizes the NLMS step against a silent far end
 class SubbandAecState:
     """Canceller state, for one stream or for E rows that share one far end.
 
-    ``weights`` is (m_bands, n_taps), or (E, m_bands, n_taps) with ``mu``
+    ``weights`` is (n_bands, n_taps), or (E, n_bands, n_taps) with ``mu``
     then a scalar or one step size per row; ``far_hist`` is always
-    (m_bands, n_taps), since every row hears the same far end.
+    (n_bands, n_taps), since every row hears the same far end. For an
+    M-band bank n_bands is M//2 + 1, the bands it keeps: the canceller of a
+    dropped band M - m would be the conjugate of band m's.
     """
 
     weights: np.ndarray  # complex
-    far_hist: np.ndarray  # (m_bands, n_taps) complex, newest first
+    far_hist: np.ndarray  # (n_bands, n_taps) complex, newest first
     mu: float | np.ndarray
 
     def __post_init__(self):
@@ -225,18 +258,22 @@ class SubbandAecState:
             raise DomainError("the canceller needs n_taps >= 1")
         if self.far_hist.ndim != 2 or self.weights.shape[-2:] != self.far_hist.shape or self.weights.ndim > 3:
             raise DomainError(
-                f"weights {self.weights.shape} must be far_hist's (m_bands, n_taps) "
+                f"weights {self.weights.shape} must be far_hist's (n_bands, n_taps) "
                 f"{self.far_hist.shape}, or one such row per stream"
             )
 
 
 def make_aec(m_bands: int, n_taps: int, mu: float | np.ndarray = 0.5) -> SubbandAecState:
-    """A zeroed canceller; an array of step sizes gives one row of weights per entry."""
+    """A zeroed canceller for the m_bands // 2 + 1 bands an ``m_bands``-band bank keeps.
+
+    An array of step sizes gives one row of weights per entry.
+    """
     if n_taps < 1:
         raise DomainError(f"the canceller needs n_taps >= 1, got {n_taps}")
+    n_bands = m_bands // 2 + 1
     return SubbandAecState(
-        weights=np.zeros(np.shape(mu) + (m_bands, n_taps), dtype=np.complex128),
-        far_hist=np.zeros((m_bands, n_taps), dtype=np.complex128),
+        weights=np.zeros(np.shape(mu) + (n_bands, n_taps), dtype=np.complex128),
+        far_hist=np.zeros((n_bands, n_taps), dtype=np.complex128),
         mu=mu,
     )
 
@@ -273,7 +310,7 @@ def aec_process(
     lead = mic.bands.shape[:-2]
     if far.bands.ndim != 2:
         raise FramingError("the far end must be one stream of subbands")
-    if far.bands.shape[0] != n_bands or mic.bands.shape[-2] != n_bands:
+    if far.m_bands != mic.m_bands or far.bands.shape[0] != n_bands or mic.bands.shape[-2] != n_bands:
         raise ConfigurationError("far, mic, and state band counts must match")
     if state.weights.shape[:-2] != lead or np.shape(state.mu) not in ((), lead):
         raise ConfigurationError("mic, weight and step-size rows must match")
@@ -318,14 +355,17 @@ def aec_process(
                 w += update
         hist = h[-1].copy()
     new_state = SubbandAecState(weights=w, far_hist=hist, mu=mu)
-    return SubbandState(bands=np.swapaxes(out, -1, -2), n_samples=mic.n_samples), new_state
+    return replace(mic, bands=np.swapaxes(out, -1, -2)), new_state
 
 
 def erle_db(mic: SubbandState, residual: SubbandState, tail_frames: int | None = None) -> float:
-    """Echo-return-loss enhancement over the trailing frames of every row."""
+    """Echo-return-loss enhancement over the trailing frames of every row.
+
+    Both powers are ``band_power`` sums, so each frequency counts once.
+    """
     sl = slice(-tail_frames, None) if tail_frames else slice(None)
-    p_mic = np.sum(np.abs(mic.bands[..., sl]) ** 2)
-    p_res = np.sum(np.abs(residual.bands[..., sl]) ** 2)
+    p_mic = np.sum(band_power(mic)[..., sl])
+    p_res = np.sum(band_power(residual)[..., sl])
     if p_res <= 0:
         return float("inf")
     return float(10 * np.log10(p_mic / p_res))
@@ -556,17 +596,17 @@ def enhance(
     """DAS at ``steer_deg`` -> analysis -> AEC -> band gains -> synthesis.
 
     The AEC runs, from a fresh state, only when the far-end analysis
-    ``far_sub`` is given; ``band_gains`` (one gain in [0, 1] per band, held
-    over every frame) only when given. Returns the beamformed subbands
+    ``far_sub`` is given; ``band_gains`` (one gain in [0, 1] per kept band
+    0..M/2, held over every frame) only when given. Returns the beamformed subbands
     before the AEC, the subbands after the last stage, and the synthesized
     samples, as many as ``mics`` has columns.
 
     An (E,) array of steering angles runs E settings of the chain on the
     same ``mics`` and far end in lockstep: ``mu`` is then one step size per
-    row and ``band_gains`` (E, m_bands), and every output gains that leading
-    axis. One ``beamform_das`` call steers all E rows. Each row equals the
-    chain run on its own settings, bit for bit. Gains of the wrong shape
-    raise ``FramingError``; gains outside [0, 1], or not finite,
+    row and ``band_gains`` (E, M//2 + 1), and every output gains that
+    leading axis. One ``beamform_das`` call steers all E rows. Each row
+    equals the chain run on its own settings, bit for bit. Gains of the
+    wrong shape raise ``FramingError``; gains outside [0, 1], or not finite,
     ``DomainError``.
     """
     mic_sub = fb_analyze(spec, beamform_das(geom, das_weights(geom, steer_deg), mics))
@@ -579,5 +619,5 @@ def enhance(
             raise FramingError("band gains must be one per band, for every row")
         if not np.all((gains >= 0.0) & (gains <= 1.0)):
             raise DomainError("band gains must be finite and lie in [0, 1]")
-        out_sub = SubbandState(bands=out_sub.bands * gains[..., None], n_samples=out_sub.n_samples)
+        out_sub = replace(out_sub, bands=out_sub.bands * gains[..., None])
     return mic_sub, out_sub, fb_synthesize(spec, out_sub)

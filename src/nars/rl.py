@@ -4,12 +4,13 @@ A small diagonal-Gaussian policy (tanh-squashed mean, one hidden tanh layer,
 separate value perceptron) trained with clipped-surrogate updates over GAE
 advantages, plus a tabular Q-learner for the discrete routing toy. The
 environment wraps a rendered scene: actions are bounded deltas on the AEC
-step size, two band-gain trims, and the beam steering. Work that no action
-changes (the SRP scan, the far-end analysis, the raw-mic SI-SNR baseline,
-and the reset observation) is done once when the env is built; each step
-runs only the action-dependent front end on the next audio chunk and scores
-it. That is ``frontend.enhance`` (DAS, analysis, AEC, band gains,
-synthesis), the same chain that ``nars frontend`` runs.
+step size, two band-gain trims (below and above fs/4), and the beam
+steering. Work that no action changes (the SRP scan, the far-end analysis,
+the raw-mic SI-SNR baseline, and the reset observation) is done once when
+the env is built; each step runs only the action-dependent front end on the
+next audio chunk and scores it. That is ``frontend.enhance`` (DAS,
+analysis, AEC, band gains, synthesis), the same chain that ``nars frontend``
+runs.
 
 The tuning path has one batch convention, the front end's: an optional
 leading episode axis. An ``Action`` whose deltas are (4,) steps one episode;
@@ -271,7 +272,9 @@ def objective_and_grad(
     """Clipped surrogate minus VF_COEF times the value loss, with its exact gradient.
 
     Gradient ascent direction; verified against central finite differences
-    in the acceptance gate.
+    in the acceptance gate. ``diag`` holds the mean ratio, the clip fraction,
+    the surrogate, the value loss, the approximate KL mean(old_logp - logp)
+    and the policy's closed-form entropy, sum(log_std) + act_dim/2 (1 + log 2 pi).
     """
     f = _forward(p, obs)
     N = f.obs.shape[0]
@@ -313,6 +316,8 @@ def objective_and_grad(
         "clip_fraction": float(np.mean(np.abs(ratio - 1.0) > p.clip_eps)),
         "surrogate": j_pg,
         "value_loss": value_loss,
+        "approx_kl": float(np.mean(old_logp - logp)),
+        "entropy": float(np.sum(f.log_std) + 0.5 * p.act_dim * (1.0 + _LOG_2PI)),
     }
     return j, flat, diag
 
@@ -512,7 +517,7 @@ class Action:
 
 @dataclass
 class EnvState:
-    band_log_powers: np.ndarray  # (8,) grouped log10 subband powers
+    band_log_powers: np.ndarray  # (8,) log10 powers of 8 band groups below Nyquist
     mu: float
     trim_lo_db: float
     trim_hi_db: float
@@ -588,8 +593,8 @@ class TuningEnv:
     ):
         if horizon < 1:
             raise DomainError("horizon must be at least one step")
-        if m_bands < 8 or m_bands % 8:
-            raise DomainError("m_bands must be a positive multiple of 8 (8 band groups)")
+        if m_bands < 16 or m_bands % 16:
+            raise DomainError("m_bands must be a positive multiple of 16 (8 band groups below Nyquist)")
         if not 0.0 <= init_mu <= 1.0:
             raise DomainError("init_mu must lie in [0, 1], the range step clips mu to")
         self.scenario = scenario
@@ -646,17 +651,18 @@ class TuningEnv:
         return replace(self._initial, band_log_powers=self._initial.band_log_powers.copy())
 
     def _band_gains(self, trims_lo: list[float], trims_hi: list[float]) -> np.ndarray:
-        """(E, m_bands) gains of E episodes' trims (dB): low trim on the first half of the bands.
+        """(E, M//2 + 1) gains of E episodes' trims (dB) on the bank's kept bands.
 
-        G = clip(10^(trim/20) / (1 + noise / noise_ref), 0.05, 1): the trim
-        lifts or cuts a band and its noise floor pulls it down. Each trim
-        factor is a Python float power, so a row has the bits of a lone
-        episode's.
+        The low trim acts on bands 0..M/4-1, below fs/4; the high trim on
+        bands M/4..M/2, from fs/4 up to Nyquist. G = clip(10^(trim/20) /
+        (1 + noise / noise_ref), 0.05, 1): the trim lifts or cuts a band and
+        its noise floor pulls it down. Each trim factor is a Python float
+        power, so a row has the bits of a lone episode's.
         """
         m = self.bank.m_bands
-        trims = np.empty((len(trims_lo), m))
-        trims[:, : m // 2] = np.array([10.0 ** (lo / 20.0) for lo in trims_lo])[:, None]
-        trims[:, m // 2 :] = np.array([10.0 ** (hi / 20.0) for hi in trims_hi])[:, None]
+        trims = np.empty((len(trims_lo), m // 2 + 1))
+        trims[:, : m // 4] = np.array([10.0 ** (lo / 20.0) for lo in trims_lo])[:, None]
+        trims[:, m // 4 :] = np.array([10.0 ** (hi / 20.0) for hi in trims_hi])[:, None]
         return np.clip(trims / (1.0 + self.noise_band_var / self.noise_ref), 0.05, 1.0)
 
     def _process(self) -> tuple[list[EnvState], list[float]]:
@@ -676,18 +682,20 @@ class TuningEnv:
             band_gains=self._band_gains(los, his),
         )
 
+        # 8 equal contiguous groups of the bands below Nyquist, every row at once
+        below = out_sub.bands[:, : self.bank.m_bands // 2]
+        powers = np.abs(below) ** 2
+        groups = powers.reshape(len(mus), 8, -1, powers.shape[-1]).mean(axis=(2, 3))
+        logps = np.clip((np.log10(groups + 1e-300) + 12.0) / 12.0, -1.0, 2.0)
+
         states, q_hats = [], []
         for e, (mu, lo, hi, steer) in enumerate(zip(mus, los, his, steers)):
             quality_raw = si_snr(c.ref, enhanced[e]) - c.base_si_snr
             q_hats.append(float((np.clip(quality_raw, -10.0, 30.0) + 10.0) / 40.0))
             offset = float(((c.srp_az - steer + 180.0) % 360.0 - 180.0) / 180.0)
-
-            powers = np.abs(out_sub.bands[e]) ** 2
-            groups = powers.reshape(8, -1, powers.shape[1]).mean(axis=(1, 2))
-            logp = np.clip((np.log10(groups + 1e-300) + 12.0) / 12.0, -1.0, 2.0)
             states.append(
                 EnvState(
-                    band_log_powers=logp,
+                    band_log_powers=logps[e],
                     mu=mu,
                     trim_lo_db=lo,
                     trim_hi_db=hi,
@@ -837,6 +845,8 @@ def train_tuning_policy(
                     "mean_ratio": f"{diag['mean_ratio']:.6f}",
                     "surrogate": f"{diag['surrogate']:.6f}",
                     "value_loss": f"{diag['value_loss']:.6f}",
+                    "approx_kl": f"{diag['approx_kl']:.6f}",
+                    "entropy": f"{diag['entropy']:.6f}",
                 }
             )
     log.debug("train: %d episodes; rollouts %.3f s, PPO updates %.3f s", len(rows), rollout_s, update_s)

@@ -13,7 +13,7 @@ import pytest
 
 from nars import cli, errors
 from nars.io import read_field_dump, read_policy_vector, read_wav
-from nars.rl import theta_size
+from nars.rl import PolicyParams, _unpack, theta_size
 from nars.wavefield import harmonic_energy
 
 WAVE_CFG = """\
@@ -349,8 +349,14 @@ def test_train_writes_curve_and_loadable_policy(tmp_path):
     rows = read_rows(out / "curve.csv")
     assert len(rows) == 1024 // 16
     assert rows[0]["episode"] == "0"
+    assert list(rows[0]) == [
+        "episode", "mean_reward", "clip_fraction", "mean_ratio", "surrogate", "value_loss", "approx_kl", "entropy"
+    ]
     theta = read_policy_vector(out / "policy.npc")
     assert theta.shape == (theta_size(15, 4, 24, 16),)
+    # the last update's entropy is the trained policy's: it depends only on log_std
+    log_std = _unpack(PolicyParams(theta=theta, obs_dim=15, act_dim=4, hidden=24, v_hidden=16))["log_std"]
+    assert rows[-1]["entropy"] == f"{np.sum(log_std) + 2 * (1 + np.log(2 * np.pi)):.6f}"
 
 
 def test_train_that_diverges_exits_three_with_one_log_line(tmp_path):
@@ -509,6 +515,16 @@ def _assert_one_error_line(proc):
         ("localize", "[room] dims", LOCALIZE_CFG.replace("dims = 6, 5, 3", "dims = 6, 5, 0.9")),
         ("localize", "localize.ini: [localize] n_scenes", LOCALIZE_CFG.replace("n_scenes = 6", "n_scenes = 0")),
         ("bench", "bench.ini: [bench] durations", BENCH_CFG.replace("durations = 3", "durations = 3, -1")),
+        ("localize", "localize.ini: [scene] source_pos must lie strictly inside the room", LOCALIZE_CFG.replace(
+            "[scene]", "[scene]\nsource_pos = 100, 3, 1.2").replace("n_scenes = 6", "n_scenes = 1")),
+        ("scene", "scene.ini: [scene] source_pos must lie strictly inside the room",
+         SCENE_CFG.replace("source_pos = 1.5, 3.5, 1.5", "source_pos = 1.5, 3.5, 3")),
+        ("frontend", "frontend.ini: [scene] echo_pos must lie strictly inside the room",
+         FRONTEND_CFG.replace("echo_pos = 5, 1, 1.3", "echo_pos = 5, -1, 1.3")),
+        ("localize", "localize.ini: [scene] source_pos must lie farther than the array radius", LOCALIZE_CFG.replace(
+            "[scene]", "[scene]\nsource_pos = 3, 2.5, 1.2").replace("n_scenes = 6", "n_scenes = 1")),
+        ("scene", "scene.ini: [scene] source_pos must lie farther than the array radius",
+         SCENE_CFG.replace("source_pos = 1.5, 3.5, 1.5", "source_pos = 3.03, 2.5, 2.5")),
     ],
     ids=[
         "train-m_bands-36",
@@ -542,6 +558,11 @@ def _assert_one_error_line(proc):
         "localize-room-below-margin",
         "localize-n_scenes-0",
         "bench-durations-negative",
+        "localize-source_pos-outside-room",
+        "scene-source_pos-outside-room",
+        "frontend-echo_pos-outside-room",
+        "localize-source_pos-at-array-centre",
+        "scene-source_pos-within-array-radius",
     ],
 )
 def test_bad_config_value_exits_one_with_one_log_line(tmp_path, command, key, cfg_text):

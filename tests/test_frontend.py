@@ -1,6 +1,7 @@
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from nars.frontend import (
     SubbandState,
     aec_process,
     azimuth_error_deg,
+    band_power,
     beamform_das,
     circular_array,
     das_weights,
@@ -35,6 +37,7 @@ from nars.scene import RoomSpec, ScenarioConfig, render_scene, si_snr, synth_noi
 
 FS = 16000.0
 BANK = FilterBankSpec(m_bands=64, hop=32, fs=FS)
+KEPT = BANK.m_bands // 2 + 1  # the bands 0..M/2 the bank keeps
 
 
 def round_trip_db(spec, x):
@@ -90,7 +93,7 @@ def test_bank_impulse_parseval_exact():
     x[2048] = 1.0
     state = fb_analyze(BANK, x)
     expect = BANK.m_bands / BANK.hop * np.sum(BANK.prototype**2)
-    assert np.sum(np.abs(state.bands) ** 2) == pytest.approx(expect, rel=1e-12)
+    assert np.sum(band_power(state)) == pytest.approx(expect, rel=1e-12)
 
 
 def test_bank_analysis_shift_invariance():
@@ -105,14 +108,12 @@ def test_bank_analysis_shift_invariance():
 
 
 def test_bank_band_centers():
-    # a tone at band center m lands in band m (and its conjugate mirror)
-    m = 5
-    f = m * FS / BANK.m_bands
+    # a tone at band center m lands in band m; its conjugate mirror M - m is not kept
     t = np.arange(16000) / FS
-    state = fb_analyze(BANK, np.sin(2 * np.pi * f * t))
-    power = np.mean(np.abs(state.bands) ** 2, axis=1)
-    top2 = set(np.argsort(power)[-2:])
-    assert top2 == {m, BANK.m_bands - m}
+    for m in (0, 5, BANK.m_bands // 2):
+        state = fb_analyze(BANK, np.cos(2 * np.pi * m * FS / BANK.m_bands * t))
+        assert state.bands.shape[0] == KEPT
+        assert np.argmax(np.mean(np.abs(state.bands) ** 2, axis=1)) == m
 
 
 def test_analyze_input_validation():
@@ -132,6 +133,12 @@ def test_synthesize_band_mismatch():
     other = FilterBankSpec(m_bands=32, hop=16, fs=FS)
     with pytest.raises(ConfigurationError):
         fb_synthesize(other, state)
+    # 14 and 15 bands both keep 8; the state's M tells them apart
+    odd = fb_analyze(FilterBankSpec(m_bands=15, hop=5, fs=FS), np.ones(400))
+    with pytest.raises(ConfigurationError):
+        fb_synthesize(FilterBankSpec(m_bands=14, hop=7, fs=FS), odd)
+    with pytest.raises(ConfigurationError, match="of 64 bands keeps 33"):
+        SubbandState(bands=np.zeros((64, 10), complex), n_samples=0, m_bands=64)
 
 
 def _traced_peak(fn, *args):
@@ -145,26 +152,44 @@ def _traced_peak(fn, *args):
 
 
 def test_bank_memory_stays_within_a_few_copies_of_the_bands():
-    # 10 s of audio: a whole-file (n_frames, P) product would be 8x the complex
-    # bands in analysis and 16x in synthesis
+    # 10 s of audio: the kept complex bands are 2.07x the stream's bytes, and a
+    # whole-file (n_frames, P) product would be 16x the stream in analysis
     x = np.random.default_rng(4).standard_normal(int(10 * FS))
     state = fb_analyze(BANK, x)
-    assert _traced_peak(fb_synthesize, BANK, state) <= 2 * state.bands.nbytes
-    assert _traced_peak(fb_analyze, BANK, x) <= 4 * state.bands.nbytes
+    assert _traced_peak(fb_synthesize, BANK, state) <= 6 * x.nbytes
+    assert _traced_peak(fb_analyze, BANK, x) <= 6 * x.nbytes
+
+
+def test_lone_stream_chain_peaks_under_twelve_streams():
+    """Analysis of mic and far end, the AEC and synthesis of a 10-s lone stream.
+
+    The three band sets it holds at the end are 6.2 streams' bytes; a
+    full-band bank of all M bands held 12.
+    """
+    rng = np.random.default_rng(5)
+    mic, far = rng.standard_normal((2, int(10 * FS)))
+
+    def chain():
+        mic_sub, far_sub = fb_analyze(BANK, mic), fb_analyze(BANK, far)
+        residual, _ = aec_process(make_aec(BANK.m_bands, 4, mu=0.5), far_sub, mic_sub)
+        return fb_synthesize(BANK, residual)
+
+    assert _traced_peak(chain) <= 12 * mic.nbytes
 
 
 # === subband AEC ===
 
 
 def synthetic_states(n_frames=1500, m_bands=16, seed=0, path=(0.8, 0.3)):
-    """Far-end subbands and a mic that is a known per-band FIR of them."""
+    """Far-end subbands of an m_bands bank and a mic that is a known per-band FIR of them."""
     rng = np.random.default_rng(seed)
-    far = rng.standard_normal((m_bands, n_frames)) + 1j * rng.standard_normal((m_bands, n_frames))
+    shape = (m_bands // 2 + 1, n_frames)
+    far = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     mic = np.zeros_like(far)
     for lag, g in enumerate(path):
         mic[:, lag:] += g * far[:, : n_frames - lag]
-    fstate = SubbandState(bands=far, n_samples=n_frames * 8)
-    mstate = SubbandState(bands=mic, n_samples=n_frames * 8)
+    fstate = SubbandState(bands=far, n_samples=n_frames * 8, m_bands=m_bands)
+    mstate = SubbandState(bands=mic, n_samples=n_frames * 8, m_bands=m_bands)
     return fstate, mstate
 
 
@@ -199,8 +224,8 @@ def test_aec_streaming_matches_batch():
     state = make_aec(16, 4, mu=0.5)
     chunks = []
     for lo in range(0, 300, 75):
-        f = SubbandState(bands=far.bands[:, lo : lo + 75], n_samples=0)
-        m = SubbandState(bands=mic.bands[:, lo : lo + 75], n_samples=0)
+        f = SubbandState(bands=far.bands[:, lo : lo + 75], n_samples=0, m_bands=16)
+        m = SubbandState(bands=mic.bands[:, lo : lo + 75], n_samples=0, m_bands=16)
         out, state = aec_process(state, f, m)
         chunks.append(out.bands)
     assert np.array_equal(np.concatenate(chunks, axis=1), res_a.bands)
@@ -211,10 +236,12 @@ def test_aec_validation():
     far, mic = synthetic_states(n_frames=40)
     with pytest.raises(ConfigurationError):
         aec_process(make_aec(8, 4), far, mic)  # band count mismatch
-    short = SubbandState(bands=mic.bands[:, :20], n_samples=0)
+    with pytest.raises(ConfigurationError):
+        aec_process(make_aec(16, 4), far, SubbandState(bands=mic.bands, n_samples=0, m_bands=17))  # 17 bands keep 9 too
+    short = SubbandState(bands=mic.bands[:, :20], n_samples=0, m_bands=16)
     with pytest.raises(FramingError):
         aec_process(make_aec(16, 4), far, short)
-    bad = SubbandState(bands=mic.bands * np.nan, n_samples=0)
+    bad = SubbandState(bands=mic.bands * np.nan, n_samples=0, m_bands=16)
     with pytest.raises(DataError):
         aec_process(make_aec(16, 4), far, bad)
     with pytest.raises(DomainError):
@@ -230,6 +257,12 @@ def test_aec_weights_bounded_property(mu, seed):
     assert np.max(np.abs(state.weights)) < 1e3
 
 
+def test_make_aec_keeps_the_banks_bands():
+    for m_bands, kept in ((64, 33), (16, 9), (15, 8), (30, 16)):
+        state = make_aec(m_bands, 4, mu=np.full(3, 0.5))
+        assert state.weights.shape == (3, kept, 4) and state.far_hist.shape == (kept, 4)
+
+
 def test_make_aec_needs_a_tap():
     for n_taps in (0, -1):
         with pytest.raises(DomainError, match="n_taps"):
@@ -240,7 +273,7 @@ def test_make_aec_needs_a_tap():
 
 @pytest.mark.parametrize(
     "weights, far_hist",
-    [((16, 4), (16, 3)), ((8, 4), (16, 4)), ((2, 3, 16, 4), (16, 4)), ((16, 4), (1, 16, 4))],
+    [((9, 4), (9, 3)), ((8, 4), (9, 4)), ((2, 3, 9, 4), (9, 4)), ((9, 4), (1, 9, 4))],
     ids=["taps", "bands", "4-d-weights", "3-d-history"],
 )
 def test_aec_state_rejects_mismatched_shapes(weights, far_hist):
@@ -251,24 +284,44 @@ def test_aec_state_rejects_mismatched_shapes(weights, far_hist):
 
 def test_erle_tail_of_batched_bands_takes_the_last_frames():
     rng = np.random.default_rng(12)
-    shape = (3, 8, 40)  # (rows, bands, frames)
-    mic = SubbandState(bands=rng.standard_normal(shape) + 1j * rng.standard_normal(shape), n_samples=0)
-    res = SubbandState(bands=mic.bands * rng.uniform(0.01, 1.0, shape), n_samples=0)
+    shape = (3, 8, 40)  # (rows, bands, frames) of a 14-band bank
+    mic = SubbandState(bands=rng.standard_normal(shape) + 1j * rng.standard_normal(shape), n_samples=0, m_bands=14)
+    res = SubbandState(bands=mic.bands * rng.uniform(0.01, 1.0, shape), n_samples=0, m_bands=14)
     tail = 5
     want = erle_db(
-        SubbandState(bands=mic.bands[..., -tail:].copy(), n_samples=0),
-        SubbandState(bands=res.bands[..., -tail:].copy(), n_samples=0),
+        SubbandState(bands=mic.bands[..., -tail:].copy(), n_samples=0, m_bands=14),
+        SubbandState(bands=res.bands[..., -tail:].copy(), n_samples=0, m_bands=14),
     )
     assert erle_db(mic, res, tail_frames=tail) == want
     assert erle_db(mic, res, tail_frames=tail) != erle_db(mic, res)
 
 
 def test_erle_definition():
-    mic = SubbandState(bands=np.ones((8, 10), dtype=complex), n_samples=0)
-    res = SubbandState(bands=np.full((8, 10), 0.1, dtype=complex), n_samples=0)
+    mic = SubbandState(bands=np.ones((8, 10), dtype=complex), n_samples=0, m_bands=14)
+    res = SubbandState(bands=np.full((8, 10), 0.1, dtype=complex), n_samples=0, m_bands=14)
     assert erle_db(mic, res) == pytest.approx(20.0, abs=1e-9)
-    silent = SubbandState(bands=np.zeros((8, 10), dtype=complex), n_samples=0)
+    silent = SubbandState(bands=np.zeros((8, 10), dtype=complex), n_samples=0, m_bands=14)
     assert erle_db(mic, silent) == np.inf
+
+
+@pytest.mark.parametrize("m_bands, hop", [(64, 32), (16, 8), (30, 10), (15, 5)])
+def test_band_power_counts_each_frequency_once(m_bands, hop):
+    """The kept half's weighted power is the full M-band bank's, odd M (no Nyquist band) included."""
+    spec = FilterBankSpec(m_bands=m_bands, hop=hop, fs=FS)
+    rng = np.random.default_rng(m_bands)
+    state = fb_analyze(spec, rng.standard_normal((2, 3000)))
+    residual = replace(state, bands=state.bands * rng.uniform(0.1, 1.0, state.bands.shape[:-1])[..., None])
+    # the dropped bands M/2 + 1 .. M - 1 (odd M: (M + 1)/2 .. M - 1) mirror the kept bands above DC
+    mirrors = slice(1, (m_bands + 1) // 2)
+    full = [np.concatenate([s.bands, np.conj(s.bands[..., mirrors, :][..., ::-1, :])], axis=-2) for s in (state, residual)]
+    assert full[0].shape[-2] == m_bands
+    full_power = [np.sum(np.abs(b) ** 2, axis=-2) for b in full]
+    np.testing.assert_allclose(band_power(state), full_power[0], rtol=1e-13)
+    want = 10 * np.log10(np.sum(full_power[0]) / np.sum(full_power[1]))
+    assert erle_db(state, residual) == pytest.approx(want, rel=1e-13)
+    # DC weighs 1, every band with a mirror 2, and Nyquist, when M is even, 1
+    unit = band_power(SubbandState(np.ones((m_bands // 2 + 1, 1), complex), 0, m_bands))[0]
+    assert unit == m_bands
 
 
 # === beamforming and localization ===
@@ -433,7 +486,7 @@ def test_azimuth_error_wraps():
 
 
 def test_ideal_mask_recovers_tone():
-    # tone in two conjugate bands + white noise: the ideal binary mask
+    # tone in one kept band + white noise: the ideal binary mask
     # buys well over 10 dB of SI-SNR
     m = 6
     f = m * FS / BANK.m_bands
@@ -443,8 +496,8 @@ def test_ideal_mask_recovers_tone():
     mix = tone + noise
     state = fb_analyze(BANK, mix)
     mask = np.zeros_like(state.bands, dtype=float)
-    mask[m] = mask[BANK.m_bands - m] = 1.0
-    masked = fb_synthesize(BANK, SubbandState(bands=state.bands * mask, n_samples=state.n_samples))[: len(mix)]
+    mask[m] = 1.0
+    masked = fb_synthesize(BANK, replace(state, bands=state.bands * mask))[: len(mix)]
     plain = fb_synthesize(BANK, state)[: len(mix)]
     sl = slice(2000, -2000)
     assert si_snr(tone[sl], masked[sl]) - si_snr(tone[sl], plain[sl]) > 10.0
@@ -453,20 +506,20 @@ def test_ideal_mask_recovers_tone():
 def test_mask_validation(short_scene):
     """``enhance`` checks its band gains once: one per band for every row, finite, in [0, 1]."""
     geom, r = short_scene
-    for gains, steer in [(np.ones(BANK.m_bands - 1), 40.0), (np.ones(BANK.m_bands), [40.0, 50.0]),
-                         (np.ones((3, BANK.m_bands)), [40.0, 50.0])]:
+    for gains, steer in [(np.ones(KEPT - 1), 40.0), (np.ones(BANK.m_bands), 40.0), (np.ones(KEPT), [40.0, 50.0]),
+                         (np.ones((3, KEPT)), [40.0, 50.0])]:
         with pytest.raises(FramingError):
             enhance(geom, BANK, r.mics, np.array(steer), mu=0.0, aec_taps=1, band_gains=gains)
     for bad in (-0.1, 1.0 + 1e-12, np.nan, np.inf):
-        gains = np.full(BANK.m_bands, 0.5)
+        gains = np.full(KEPT, 0.5)
         gains[3] = bad
         with pytest.raises(DomainError):
             enhance(geom, BANK, r.mics, 40.0, mu=0.0, aec_taps=1, band_gains=gains)
         with pytest.raises(DomainError):
             enhance(geom, BANK, r.mics, np.array([40.0, 50.0]), mu=np.zeros(2), aec_taps=1,
-                    band_gains=np.stack([np.full(BANK.m_bands, 0.5), gains]))
+                    band_gains=np.stack([np.full(KEPT, 0.5), gains]))
     # the ends of the range pass
-    enhance(geom, BANK, r.mics, 40.0, mu=0.0, aec_taps=1, band_gains=np.r_[0.0, np.ones(BANK.m_bands - 1)])
+    enhance(geom, BANK, r.mics, 40.0, mu=0.0, aec_taps=1, band_gains=np.r_[0.0, np.ones(KEPT - 1)])
 
 
 # === the front-end chain ===
@@ -493,7 +546,7 @@ def short_scene():
 def test_enhance_equals_the_hand_written_chain(short_scene, with_far, with_gains):
     geom, r = short_scene
     far_sub = fb_analyze(BANK, r.far_end) if with_far else None
-    gains = np.linspace(0.1, 1.0, BANK.m_bands) if with_gains else None
+    gains = np.linspace(0.1, 1.0, KEPT) if with_gains else None
     mic_sub, out_sub, y = enhance(
         geom, BANK, r.mics, 40.0, far_sub, mu=0.3, aec_taps=3, band_gains=gains
     )
@@ -504,7 +557,7 @@ def test_enhance_equals_the_hand_written_chain(short_scene, with_far, with_gains
         want_out, _ = aec_process(make_aec(BANK.m_bands, 3, mu=0.3), far_sub, want_mic)
     if with_gains:
         mask = np.broadcast_to(gains[:, None], want_out.bands.shape)
-        want_out = SubbandState(bands=want_out.bands * mask, n_samples=want_out.n_samples)
+        want_out = replace(want_out, bands=want_out.bands * mask)
     want_y = fb_synthesize(BANK, want_out)
 
     assert mic_sub.bands.tobytes() == want_mic.bands.tobytes()

@@ -1,13 +1,15 @@
 """The filter bank and the echo canceller against inline copies of their frame loops.
 
-The references below build the whole (n_frames, P) analysis product and sum
-it with ``sum(axis=1)``, overlap-add one synthesized frame at a time into a
-complex accumulator, and run the NLMS recursion with a shifted history and
-one ``einsum`` per frame. ``fb_analyze``, ``fb_synthesize`` and
-``aec_process`` must agree with them bit for bit: outputs, their memory
-layout, and the returned weights and far-end history. Called with a leading
-episode axis, each of them and ``enhance`` must give every row the bits of a
-lone-stream call on that row.
+The references below build the whole (n_frames, P) analysis product, sum it
+with ``sum(axis=1)`` and keep bands 0..M/2 of its DFT, overlap-add one
+synthesized frame at a time into an accumulator, and run the NLMS recursion
+with a shifted history and one ``einsum`` per frame. ``fb_analyze``,
+``fb_synthesize`` and ``aec_process`` must agree with them bit for bit:
+outputs, their memory layout, and the returned weights and far-end history.
+Called with a leading episode axis, each of them and ``enhance`` must give
+every row the bits of a lone-stream call on that row. The half-band bank is
+also held to the full-band bank of all M bands it replaced, within a
+roundoff bound.
 
 The beamformer is held to the per-mic ``shift_add`` loop it replaced within
 a roundoff bound, since its steering matrix sums the taps in another order;
@@ -47,12 +49,13 @@ from nars.frontend import (
 from nars.scene import RoomSpec, ScenarioConfig, render_scene
 
 FS = 16000.0
-BANKS = [(64, 32), (16, 8), (128, 32), (32, 8)]
+BANKS = [(64, 32), (16, 8), (128, 32), (32, 8), (15, 5)]
 TAPS = [1, 2, 4, 16]
 MUS = [0.0, 0.5, 1.7]
 
 
-def _reference_analyze(spec, x):
+def _reference_folded(spec, x):
+    """Each frame's windowed samples folded into M bins, from the whole (n_frames, P) product."""
     x = np.asarray(x, dtype=np.float64)
     P, M, L = spec.n_taps, spec.m_bands, spec.hop
     n_frames = (len(x) + P - 2) // L + 1
@@ -60,20 +63,39 @@ def _reference_analyze(spec, x):
     xp[P - 1 : P - 1 + len(x)] = x
     windows = np.lib.stride_tricks.sliding_window_view(xp, P)[::L][:n_frames]
     frames = windows[:, ::-1] * spec.prototype[None, :]
-    folded = frames.reshape(n_frames, P // M, M).sum(axis=1)
-    bands = M * np.fft.ifft(folded, axis=1).T
-    return SubbandState(bands=bands, n_samples=len(x))
+    return frames.reshape(n_frames, P // M, M).sum(axis=1)
+
+
+def _reference_analyze(spec, x):
+    bands = np.conj(np.fft.rfft(_reference_folded(spec, x), axis=1)).T
+    return SubbandState(bands=bands, n_samples=len(x), m_bands=spec.m_bands)
 
 
 def _reference_synthesize(spec, state):
     P, M, L = spec.n_taps, spec.m_bands, spec.hop
     bands = state.bands
     n_frames = bands.shape[1]
+    chunks = np.tile(np.fft.irfft(np.conj(bands.T), n=M, axis=1), (1, P // M)) * spec.dual[None, :]
+    acc = np.zeros(P - 1 + n_frames * L + P)
+    for k in range(n_frames):
+        acc[k * L : k * L + P] += chunks[k, ::-1]
+    return M * acc[P - 1 : P - 1 + state.n_samples]
+
+
+def _full_band_analyze(spec, x):
+    """All M bands, as the bank computed them before it kept bands 0..M/2 only."""
+    return spec.m_bands * np.fft.ifft(_reference_folded(spec, x), axis=1).T
+
+
+def _full_band_synthesize(spec, bands, n_samples):
+    """Synthesis from all M bands: the real part of each frame's M-point DFT."""
+    P, M, L = spec.n_taps, spec.m_bands, spec.hop
+    n_frames = bands.shape[1]
     chunks = np.tile(np.fft.fft(bands.T, axis=1) / M, (1, P // M)) * spec.dual[None, :]
     acc = np.zeros(P - 1 + n_frames * L + P, dtype=np.complex128)
     for k in range(n_frames):
         acc[k * L : k * L + P] += chunks[k, ::-1]
-    return M * acc[P - 1 : P - 1 + state.n_samples].real
+    return M * acc[P - 1 : P - 1 + n_samples].real
 
 
 def _reference_aec(state, far, mic):
@@ -90,7 +112,7 @@ def _reference_aec(state, far, mic):
         if mu != 0.0:
             norm = np.einsum("bt,bt->b", hist, np.conj(hist)).real + AEC_EPS_REG
             w += mu * np.conj(hist) * (err / norm)[:, None]
-    return SubbandState(bands=out, n_samples=mic.n_samples), SubbandAecState(w, hist, mu)
+    return SubbandState(bands=out, n_samples=mic.n_samples, m_bands=mic.m_bands), SubbandAecState(w, hist, mu)
 
 
 def _identical(got, want):
@@ -105,8 +127,11 @@ def _identical(got, want):
 
 
 def _random_state(rng, m_bands, n_taps, mu):
+    """A canceller of the m_bands // 2 + 1 bands an m_bands bank keeps, with random weights and history."""
+    shape = (m_bands // 2 + 1, n_taps)
+
     def cplx():
-        return rng.standard_normal((m_bands, n_taps)) + 1j * rng.standard_normal((m_bands, n_taps))
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
     return SubbandAecState(weights=0.1 * cplx(), far_hist=cplx(), mu=mu)
 
@@ -125,9 +150,27 @@ def test_bank_matches_the_frame_loops(m_bands, hop):
         assert _identical(got.bands, want.bands), (n, "analysis")
         assert got.n_samples == want.n_samples
         assert _identical(fb_synthesize(spec, got), _reference_synthesize(spec, want)), (n, "synthesis")
-        # a C-ordered (m_bands, n_frames) state takes the same path
-        c_state = SubbandState(bands=np.ascontiguousarray(want.bands), n_samples=n)
+        # a C-ordered (M//2 + 1, n_frames) state takes the same path
+        c_state = SubbandState(bands=np.ascontiguousarray(want.bands), n_samples=n, m_bands=m_bands)
         assert _identical(fb_synthesize(spec, c_state), _reference_synthesize(spec, c_state)), n
+
+
+@pytest.mark.parametrize("m_bands, hop", [(64, 32), (16, 8), (128, 32), (30, 10), (15, 5)])
+def test_half_band_bank_matches_the_full_band_bank(m_bands, hop):
+    """Bands 0..M/2 of the full bank within 1e-15 of their peak; synthesis within 1e-15 of the input peak.
+
+    Odd M has no Nyquist band: its kept bands are 0..(M - 1)/2.
+    """
+    spec = FilterBankSpec(m_bands=m_bands, hop=hop, fs=FS)
+    rng = np.random.default_rng(300 + m_bands)
+    for n in _lengths(spec):
+        x = rng.standard_normal(n)
+        half = fb_analyze(spec, x)
+        full = _full_band_analyze(spec, x)
+        assert half.bands.shape == (m_bands // 2 + 1, full.shape[1])
+        assert np.max(np.abs(half.bands - full[: m_bands // 2 + 1])) <= 1e-15 * np.max(np.abs(full)), n
+        y = fb_synthesize(spec, half)
+        assert np.max(np.abs(y - _full_band_synthesize(spec, full, n))) <= 1e-15 * np.max(np.abs(x)), n
 
 
 @pytest.mark.parametrize("n_taps", TAPS)
@@ -158,11 +201,11 @@ def test_aec_chunks_shorter_than_the_history_match_the_frame_loop(n_taps):
     rng = np.random.default_rng(n_taps)
     far_all = (rng.standard_normal((6, 8)) + 1j * rng.standard_normal((6, 8))).T
     mic_all = (rng.standard_normal((6, 8)) + 1j * rng.standard_normal((6, 8))).T
-    got_state = want_state = _random_state(rng, 8, n_taps, 0.5)
+    got_state = want_state = _random_state(rng, 14, n_taps, 0.5)
     lo = 0
     for size in (0, 1, 2, 3):
-        far = SubbandState(bands=far_all[:, lo : lo + size], n_samples=0)
-        mic = SubbandState(bands=mic_all[:, lo : lo + size], n_samples=0)
+        far = SubbandState(bands=far_all[:, lo : lo + size], n_samples=0, m_bands=14)
+        mic = SubbandState(bands=mic_all[:, lo : lo + size], n_samples=0, m_bands=14)
         got, got_state = aec_process(got_state, far, mic)
         want, want_state = _reference_aec(want_state, far, mic)
         assert _identical(got.bands, want.bands), size
@@ -174,9 +217,9 @@ def test_aec_chunks_shorter_than_the_history_match_the_frame_loop(n_taps):
 def test_aec_with_no_frames_returns_copies_of_the_state():
     rng = np.random.default_rng(7)
     state = _random_state(rng, 16, 4, 0.5)
-    empty = SubbandState(bands=np.zeros((16, 0), dtype=np.complex128), n_samples=0)
+    empty = SubbandState(bands=np.zeros((9, 0), dtype=np.complex128), n_samples=0, m_bands=16)
     out, new = aec_process(state, empty, empty)
-    assert out.bands.shape == (16, 0)
+    assert out.bands.shape == (9, 0)
     assert np.array_equal(new.weights, state.weights) and new.weights is not state.weights
     assert np.array_equal(new.far_hist, state.far_hist) and new.far_hist is not state.far_hist
 
@@ -203,7 +246,7 @@ def test_enhance_matches_the_reference_chain(echo_scene, with_far, with_gains):
     geom, r = echo_scene
     spec = FilterBankSpec(m_bands=64, hop=32, fs=FS)
     far_sub = fb_analyze(spec, r.far_end) if with_far else None
-    gains = np.linspace(0.1, 1.0, spec.m_bands) if with_gains else None
+    gains = np.linspace(0.1, 1.0, spec.m_bands // 2 + 1) if with_gains else None
     mic_sub, out_sub, y = enhance(geom, spec, r.mics, 40.0, far_sub, mu=0.5, aec_taps=4, band_gains=gains)
 
     want_mic = _reference_analyze(spec, beamform_das(geom, das_weights(geom, 40.0), r.mics))
@@ -213,7 +256,7 @@ def test_enhance_matches_the_reference_chain(echo_scene, with_far, with_gains):
         want_out, _ = _reference_aec(make_aec(spec.m_bands, 4, mu=0.5), far_ref, want_mic)
     if with_gains:
         mask = np.broadcast_to(gains[:, None], want_out.bands.shape)
-        want_out = SubbandState(bands=want_out.bands * mask, n_samples=want_out.n_samples)
+        want_out = SubbandState(bands=want_out.bands * mask, n_samples=want_out.n_samples, m_bands=spec.m_bands)
     assert _identical(mic_sub.bands, want_mic.bands)
     assert _identical(out_sub.bands, want_out.bands)
     assert _identical(y, _reference_synthesize(spec, want_out))
@@ -231,7 +274,7 @@ def test_batched_bank_matches_one_stream_per_row(m_bands, hop):
     for n in _lengths(spec):
         x = rng.standard_normal((3, n))
         got = fb_analyze(spec, x)
-        assert got.bands.shape == (3, m_bands, (n + spec.n_taps - 2) // hop + 1)
+        assert got.bands.shape == (3, m_bands // 2 + 1, (n + spec.n_taps - 2) // hop + 1)
         assert got.n_samples == n
         y = fb_synthesize(spec, got)
         assert y.shape == (3, n)
@@ -251,19 +294,19 @@ def test_batched_aec_matches_one_stream_per_row(n_taps):
         far = fb_analyze(spec, rng.standard_normal(n))
         mic = fb_analyze(spec, rng.standard_normal((rows, n)))
         shared = _random_state(rng, 64, n_taps, 0.0)
-        weights = 0.1 * (rng.standard_normal((rows, 64, n_taps)) + 1j * rng.standard_normal((rows, 64, n_taps)))
+        weights = 0.1 * (rng.standard_normal((rows, 33, n_taps)) + 1j * rng.standard_normal((rows, 33, n_taps)))
         state = SubbandAecState(weights=weights, far_hist=shared.far_hist, mu=mus)
         got, got_state = aec_process(state, far, mic)
-        assert got.bands.shape == mic.bands.shape and got_state.far_hist.shape == (64, n_taps)
+        assert got.bands.shape == mic.bands.shape and got_state.far_hist.shape == (33, n_taps)
         for e in range(rows):
             one = SubbandAecState(weights=weights[e], far_hist=shared.far_hist, mu=float(mus[e]))
-            want, want_state = aec_process(one, far, SubbandState(bands=mic.bands[e], n_samples=n))
+            want, want_state = aec_process(one, far, SubbandState(bands=mic.bands[e], n_samples=n, m_bands=64))
             assert _identical(got.bands[e], want.bands), (n, mus, e)
             assert _identical(got_state.weights[e], want_state.weights), (n, mus, e)
             assert _identical(got_state.far_hist, want_state.far_hist), (n, mus, e)
         fresh = aec_process(make_aec(64, n_taps, mu=mus), far, mic)[0]
         for e in range(rows):
-            want = aec_process(make_aec(64, n_taps, mu=float(mus[e])), far, SubbandState(mic.bands[e], n))[0]
+            want = aec_process(make_aec(64, n_taps, mu=float(mus[e])), far, SubbandState(mic.bands[e], n, 64))[0]
             assert _identical(fresh.bands[e], want.bands), (n, mus, e, "fresh")
 
 
@@ -289,7 +332,7 @@ def test_batched_enhance_matches_one_call_per_row(echo_scene, with_far, with_gai
     far_sub = fb_analyze(spec, r.far_end) if with_far else None
     steers = np.array([40.0, 123.5, 300.25])
     mus = np.array([0.5, 0.0, 1.0])
-    gains = np.stack([np.linspace(0.1, 1.0, 64), np.full(64, 0.7), np.linspace(1.0, 0.05, 64)])
+    gains = np.stack([np.linspace(0.1, 1.0, 33), np.full(33, 0.7), np.linspace(1.0, 0.05, 33)])
     got = enhance(
         geom, spec, r.mics, steers, far_sub, mu=mus, aec_taps=4, band_gains=gains if with_gains else None
     )

@@ -10,7 +10,7 @@ from scipy import stats
 
 import nars.rl
 from nars.errors import DomainError, NumericalError
-from nars.frontend import AzimuthGrid, srp_localize
+from nars.frontend import AzimuthGrid, fb_analyze, fb_synthesize, srp_localize
 from nars.rl import (
     ACT_DIM,
     ACTION_BOUNDS,
@@ -201,6 +201,18 @@ def test_ratio_is_one_after_rollout():
     _, _, diag = objective_and_grad(p, obs, raw, logp, adv, np.zeros(32))
     assert diag["mean_ratio"] == pytest.approx(1.0, abs=1e-12)
     assert diag["clip_fraction"] == 0.0
+    assert diag["approx_kl"] == 0.0
+
+
+def test_diag_reports_approx_kl_and_the_closed_form_entropy():
+    p = init_policy(3, 2, hidden=4, v_hidden=3, seed=0, init_log_std=-0.3)
+    obs = np.random.default_rng(7).standard_normal((64, 3))
+    raw, logp = sample_actions(p, obs, np.random.default_rng(8))
+    old = logp + np.random.default_rng(9).uniform(0.0, 0.1, 64)
+    _, _, diag = objective_and_grad(p, obs, raw, old, np.zeros(64), np.zeros(64))
+    assert diag["approx_kl"] == pytest.approx(np.mean(old - logp), rel=1e-15)
+    _, std = policy_mean_std(p, obs[:1])
+    assert diag["entropy"] == pytest.approx(np.sum(stats.norm.entropy(scale=std[0])), rel=1e-14)
 
 
 def test_gradient_matches_finite_differences():
@@ -411,28 +423,48 @@ def _with_noise(env, noise_var, noise_ref=1.0):
 
 def test_band_gains_formula_point(env):
     m = env.bank.m_bands
-    g = _with_noise(env, np.ones(m))._band_gains([0.0], [0.0])
-    assert g.shape == (1, m)
+    kept = m // 2 + 1
+    g = _with_noise(env, np.ones(kept))._band_gains([0.0], [0.0])
+    assert g.shape == (1, kept)
     assert np.all(g == pytest.approx(0.5))
-    # the low trim acts on the first half of the bands, the high trim on the rest
-    g = _with_noise(env, np.ones(m))._band_gains([20 * np.log10(0.4)], [0.0])
-    assert g[0, : m // 2] == pytest.approx(np.full(m // 2, 0.2))
-    assert g[0, m // 2 :] == pytest.approx(np.full(m // 2, 0.5))
+    # the low trim acts on bands 0..M/4-1, below fs/4, the high trim on bands M/4..M/2
+    g = _with_noise(env, np.ones(kept))._band_gains([20 * np.log10(0.4)], [0.0])
+    assert g[0, : m // 4] == pytest.approx(np.full(m // 4, 0.2))
+    assert g[0, m // 4 :] == pytest.approx(np.full(kept - m // 4, 0.5))
 
 
 def test_band_gains_monotone_in_noise_and_clamped(env):
     m = env.bank.m_bands
-    noisy = _with_noise(env, np.linspace(0.0, 10.0, m))
+    kept = m // 2 + 1
+    noisy = _with_noise(env, np.linspace(0.0, 10.0, kept))
     los, his = [-12.0, 0.0, 12.0], [12.0, 0.0, -12.0]
     g = noisy._band_gains(los, his)
-    assert g.shape == (3, m)
+    assert g.shape == (3, kept)
     for row in g:
-        assert np.all(np.diff(row[: m // 2]) <= 0) and np.all(np.diff(row[m // 2 :]) <= 0)
+        assert np.all(np.diff(row[: m // 4]) <= 0) and np.all(np.diff(row[m // 4 :]) <= 0)
     assert np.all((g >= 0.05) & (g <= 1.0))
     assert g[2, 0] == 1.0  # +12 dB over no noise clamps at 1
-    assert g[0, m // 2 - 1] == 0.05  # -12 dB over about five times the reference noise clamps at 0.05
+    assert g[0, m // 4 - 1] == 0.05  # -12 dB over about 4.7 times the reference noise clamps at 0.05
     for e in range(3):
         assert g[e].tobytes() == noisy._band_gains([los[e]], [his[e]])[0].tobytes()
+
+
+def test_trims_scale_tones_below_and_above_a_quarter_of_fs(env):
+    """With no noise floor, a tone below fs/4 comes out scaled by the low trim, one above by the high trim.
+
+    When the high trim sat on the negative-frequency bands, both tones came
+    out scaled by the mean of the two gains.
+    """
+    quiet = _with_noise(env, np.zeros(env.bank.m_bands // 2 + 1))
+    lo, hi = 0.2, 0.7
+    gains = quiet._band_gains([20 * np.log10(lo)], [20 * np.log10(hi)])[0]
+    t = np.arange(8000) / env.bank.fs
+    for f, want in ((1000.0, lo), (6000.0, hi)):
+        x = np.sin(2 * np.pi * f * t)
+        sub = fb_analyze(env.bank, x)
+        y = fb_synthesize(env.bank, replace(sub, bands=sub.bands * gains[:, None]))
+        inner = slice(1000, -1000)
+        assert np.std(y[inner]) / np.std(x[inner]) == pytest.approx(want, rel=1e-6), f
 
 
 def test_zero_delta_repeats_identically(env):
@@ -554,7 +586,7 @@ def test_srp_features_match_a_direct_scan_at_every_step():
             state, _, _ = e.step(Action(deltas=deltas))
 
 
-@pytest.mark.parametrize("m_bands", [0, 12, 36])
+@pytest.mark.parametrize("m_bands", [0, 8, 12, 24, 36])
 def test_env_rejects_band_counts_before_rendering(monkeypatch, m_bands):
     def no_render(*args, **kwargs):
         raise AssertionError("rendered before validating m_bands")

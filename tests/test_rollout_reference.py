@@ -74,9 +74,9 @@ class _SequentialEnv:
 
     def _band_gains(self):
         env, m = self.env, self.env.bank.m_bands
-        trims = np.empty(m)
-        trims[: m // 2] = 10.0 ** (self.trim_lo / 20.0)
-        trims[m // 2 :] = 10.0 ** (self.trim_hi / 20.0)
+        trims = np.empty(m // 2 + 1)
+        trims[: m // 4] = 10.0 ** (self.trim_lo / 20.0)
+        trims[m // 4 :] = 10.0 ** (self.trim_hi / 20.0)
         return np.clip(trims / (1.0 + env.noise_band_var / env.noise_ref), 0.05, 1.0)
 
     def _process(self):
@@ -89,7 +89,7 @@ class _SequentialEnv:
         quality_raw = si_snr(c.ref, enhanced) - c.base_si_snr
         q_hat = (np.clip(quality_raw, -10.0, 30.0) + 10.0) / 40.0
         offset = float(((c.srp_az - self.steer + 180.0) % 360.0 - 180.0) / 180.0)
-        powers = np.abs(out_sub.bands) ** 2
+        powers = np.abs(out_sub.bands[: env.bank.m_bands // 2]) ** 2
         groups = powers.reshape(8, -1, powers.shape[1]).mean(axis=(1, 2))
         logp = np.clip((np.log10(groups + 1e-300) + 12.0) / 12.0, -1.0, 2.0)
         state = EnvState(logp, self.mu, self.trim_lo, self.trim_hi, self.steer, c.srp_confidence, offset)
@@ -166,6 +166,8 @@ def _reference_train(scenarios, policy, budget, *, seed, episodes_per_update, ep
                     "mean_ratio": f"{diag['mean_ratio']:.6f}",
                     "surrogate": f"{diag['surrogate']:.6f}",
                     "value_loss": f"{diag['value_loss']:.6f}",
+                    "approx_kl": f"{diag['approx_kl']:.6f}",
+                    "entropy": f"{diag['entropy']:.6f}",
                 }
             )
     return policy, rows
