@@ -278,7 +278,6 @@ def cmd_localize(args) -> None:
         n_scenes == 1 or explicit_pos is None, "scene", "source_pos",
         "is one position, so it needs [localize] n_scenes = 1",
     )
-    cfg.check_positions(conf, room, mic_positions, explicit_pos)
     margin = 0.5
     lo = np.full(3, margin)
     hi = np.asarray(room.dims) - margin
@@ -286,6 +285,7 @@ def cmd_localize(args) -> None:
         explicit_pos is not None or np.all(hi > lo), "room", "dims",
         f"must exceed {2 * margin} m on every axis to place sources {margin} m from the walls",
     )
+    cfg.check_positions(conf, room, mic_positions, explicit_pos)
 
     rows = []
     errs = []

@@ -21,7 +21,7 @@ from . import io
 from .errors import ConfigurationError
 from .frontend import PROTOTYPE_TAPS_PER_BAND, FilterBankSpec, circular_array
 from .rl import ACT_DIM, OBS_DIM, PolicyParams, RewardWeights, init_policy
-from .scene import NOISE_KINDS, RoomSpec, ScenarioConfig
+from .scene import MIN_SOURCE_MIC_DISTANCE, NOISE_KINDS, RoomSpec, ScenarioConfig
 from .wavefield import Medium, SourceWaveform
 
 _REQUIRED = object()
@@ -201,13 +201,18 @@ def build_room(conf: Conf) -> RoomSpec:
     )
 
 
+def _mic_keys(conf: Conf) -> list[str]:
+    """The ``[mics]`` keys in mic order."""
+    keys = conf.cp.options("mics")
+    if not all(key.isdecimal() for key in keys):
+        raise ConfigurationError(f"{conf.path}: [mics] keys must be mic indices 0, 1, ...")
+    return sorted(keys, key=int)
+
+
 def build_mic_positions(conf: Conf) -> list[tuple[float, float, float]]:
     """Either a circular [array] (center, radius, n_mics) or explicit [mics]."""
     if conf.has_section("mics"):
-        keys = conf.cp.options("mics")
-        if not all(key.isdecimal() for key in keys):
-            raise ConfigurationError(f"{conf.path}: [mics] keys must be mic indices 0, 1, ...")
-        positions = [conf.get_vec3("mics", key) for key in sorted(keys, key=int)]
+        positions = [conf.get_vec3("mics", key) for key in _mic_keys(conf)]
         if len(positions) < 2:
             raise ConfigurationError(f"{conf.path}: [mics] needs at least two mics for SRP")
         return positions
@@ -220,21 +225,33 @@ def build_mic_positions(conf: Conf) -> list[tuple[float, float, float]]:
 
 
 def check_positions(conf: Conf, room: RoomSpec, mic_positions, source_pos, echo_pos=None) -> None:
-    """Reject an explicit ``[scene] source_pos`` or ``echo_pos`` that no scene can use.
+    """Reject microphones, or an explicit ``[scene] source_pos`` or ``echo_pos``, that no scene can use.
 
-    Both must lie strictly inside the room. The source must also lie outside
-    the array's horizontal radius (the largest horizontal distance of a mic
-    from the mics' centroid) around the centroid: the true azimuth of a
-    source on or near the array's vertical axis is undefined or meaningless.
+    Every mic and both positions must lie strictly inside the room, and the
+    echo loudspeaker must not coincide with a mic (``image_source_rir``'s
+    rules). The source must also lie outside the array's horizontal radius
+    (the largest horizontal distance of a mic from the mics' centroid)
+    around the centroid: the true azimuth of a source on or near the array's
+    vertical axis is undefined or meaningless.
     """
+    inside = f"strictly inside the room ([room] dims = {_fmt(room.dims)})"
+    mics = np.asarray(mic_positions, dtype=np.float64)
+    keys = _mic_keys(conf) if conf.has_section("mics") else None
+    for i, mic in enumerate(mic_positions):
+        where = ("mics", keys[i], f"must lie {inside}") if keys else (
+            "array", "center/radius", f"must place every mic {inside}; mic {i} lies at {_fmt(mic)}"
+        )
+        conf.check(all(0 < p < d for p, d in zip(mic, room.dims)), *where)
     for key, pos in (("source_pos", source_pos), ("echo_pos", echo_pos)):
         if pos is not None:
-            conf.check(
-                all(0 < p < d for p, d in zip(pos, room.dims)), "scene", key,
-                f"must lie strictly inside the room ([room] dims = {_fmt(room.dims)})",
-            )
+            conf.check(all(0 < p < d for p, d in zip(pos, room.dims)), "scene", key, f"must lie {inside}")
+    if echo_pos is not None:
+        dist = np.linalg.norm(mics - np.asarray(echo_pos), axis=1)
+        conf.check(
+            dist.min() >= MIN_SOURCE_MIC_DISTANCE, "scene", "echo_pos",
+            f"must not coincide with a microphone; it lies {dist.min():.3g} m from mic {int(dist.argmin())}",
+        )
     if source_pos is not None:
-        mics = np.asarray(mic_positions, dtype=np.float64)
         centroid = mics.mean(axis=0)
         radius = float(np.max(np.linalg.norm((mics - centroid)[:, :2], axis=1)))
         offset = float(np.linalg.norm((np.asarray(source_pos) - centroid)[:2]))

@@ -22,15 +22,16 @@ curve is then sum_t (W X(t))^2 / n, where X(t) stacks the shifted copies of
 each mic, computed as one matrix product per short time block so memory
 does not grow with the frame length.
 
-Band m of the analysis bank is the prototype modulated by exp(i 2 pi m j / M)
-and decimated by the hop L: x_m(k) = sum_j h(j) x(kL - j) exp(i 2 pi m j / M).
-The bank keeps bands m = 0..M/2 (M//2 + 1 of them) only. Every stream it
-analyses is real, so band M - m is the complex conjugate of band m and
-carries nothing new; the AEC and the band gains act on conjugate pairs
-alike, so the dropped bands stay the mirrors of the kept ones through the
-chain, and synthesis rebuilds each frame from the kept half with a real
-inverse FFT. Sums of band power over all M bands count each kept band
-twice, DC and (for even M) Nyquist once: ``band_power``.
+Band m of the analysis bank is the prototype modulated by exp(-i 2 pi m j / M)
+and decimated by the hop L: x_m(k) = sum_j h(j) x(kL - j) exp(-i 2 pi m j / M),
+which is rfft bin m of frame k's folded window. The bank keeps bands
+m = 0..M/2 (M//2 + 1 of them) only. Every stream it analyses is real, so
+band M - m is the complex conjugate of band m and carries nothing new;
+the AEC and the band gains act on conjugate pairs alike, so the dropped
+bands stay the mirrors of the kept ones through the chain, and synthesis
+rebuilds each frame from the kept half with a real inverse FFT. Sums of
+band power over all M bands count each kept band twice, DC and (for even
+M) Nyquist once: ``band_power``.
 The prototype is pointwise-normalized so sum_k h^2(n - kL) = 1/M exactly;
 synthesis is the scaled adjoint, leaving only stopband-level alias leakage.
 """
@@ -124,9 +125,10 @@ class FilterBankSpec:
 @dataclass
 class SubbandState:
     """Analysis output of an M-band bank: complex frames of bands 0..M/2,
-    shape (M//2 + 1, n_frames), or (E, M//2 + 1, n_frames) for E streams
-    analysed together. ``m_bands`` is the bank's M, which says whether the
-    last kept band is Nyquist (even M) or not (odd M).
+    the rfft bins of each folded frame, shape (M//2 + 1, n_frames), or
+    (E, M//2 + 1, n_frames) for E streams analysed together. ``m_bands`` is
+    the bank's M, which says whether the last kept band is Nyquist (even M)
+    or not (odd M).
 
     ``bands`` may be a transposed view of a C-ordered (..., n_frames,
     M//2 + 1) array, as ``fb_analyze`` and ``aec_process`` return it: each
@@ -164,8 +166,8 @@ def fb_analyze(spec: FilterBankSpec, x: np.ndarray) -> SubbandState:
     prototype into M bins: bin i sums the P/M products at j = i, i + M, ...
     in ascending j, starting from zero, as ``sum(axis=1)`` over a
     (P/M, M) reshape does. One (n_frames, M) accumulator takes the segments
-    in turn, so no (n_frames, P) product is built. The folded frame is real,
-    so its bands are conj(rfft(folded)): M * ifft(folded) at bins 0..M/2.
+    in turn, so no (n_frames, P) product is built. The bands are the
+    folded frame's rfft bins 0..M/2.
     An (E, n) stack gives (E, M//2 + 1, n_frames) bands whose every row
     equals the analysis of that row alone, bit for bit: each step is
     elementwise or an FFT along the row.
@@ -191,32 +193,27 @@ def fb_analyze(spec: FilterBankSpec, x: np.ndarray) -> SubbandState:
         folded += segment
     del xp, windows, reversed_windows, segment  # free them before the complex bands
     bands = np.fft.rfft(folded, axis=-1)
-    del folded
-    np.conjugate(bands, out=bands)
     return SubbandState(bands=np.swapaxes(bands, -1, -2), n_samples=n, m_bands=M)
 
 
 def fb_synthesize(spec: FilterBankSpec, state: SubbandState) -> np.ndarray:
     """Rebuild the time signal from subband frames (scaled adjoint of analysis).
 
-    Frame k is irfft(conj(bands), n=M), the real part of the inverse DFT of
-    the full conjugate-symmetric spectrum the kept bands stand for; it adds
-    that frame, tiled, times the dual window, reversed, at samples
-    kL .. kL + P - 1. The overlap-add runs as P/L strided block adds over an
-    (n_frames + 2P/L, L) view of the output, in descending block offset b,
-    so each sample sums its frames in ascending k, starting from zero: the
-    order of a frame-by-frame loop. Bands of shape (E, M//2 + 1, n_frames)
-    give (E, n_samples), each row bit for bit the synthesis of that row
-    alone.
+    Frame k is irfft(bands, n=M), the inverse DFT of the full Hermitian
+    spectrum the kept bands stand for; it adds that frame, tiled, times the
+    dual window, reversed, at samples kL .. kL + P - 1. The overlap-add runs
+    as P/L strided block adds over an (n_frames + 2P/L, L) view of the
+    output, in descending block offset b, so each sample sums its frames in
+    ascending k, starting from zero: the order of a frame-by-frame loop.
+    Bands of shape (E, M//2 + 1, n_frames) give (E, n_samples), each row bit
+    for bit the synthesis of that row alone.
     """
     P, M, L = spec.n_taps, spec.m_bands, spec.hop
     if state.m_bands != M:
         raise ConfigurationError("band count does not match the bank")
     bands = state.bands
     lead, n_frames = bands.shape[:-2], bands.shape[-1]
-    spectra = np.conj(np.swapaxes(bands, -1, -2))
-    frames = np.fft.irfft(spectra, n=M, axis=-1)
-    del spectra
+    frames = np.fft.irfft(np.swapaxes(bands, -1, -2), n=M, axis=-1)
     # reversed tiled frame: column i of the reversed frame is sample M-1 - (i mod M)
     frames_rev = frames[..., ::-1]
     dual_rev = spec.dual[::-1]

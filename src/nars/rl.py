@@ -23,12 +23,12 @@ the bits it would get if the episodes ran one after another.
 
 Each piece of the PPO math has one home. ``_forward`` evaluates both networks
 and keeps the intermediates that the backward pass reads; ``_log_prob`` is the
-Gaussian log-density; ``_clipped_surrogate`` is min(rA, clip(r, 1±eps)A),
-which ``ppo_surrogate`` wraps with input checks for outside callers. Sampling,
-``policy_mean_std`` and ``objective_and_grad`` all go through them, and a
-rollout step evaluates the policy once for its action, log-probability and
-value. All gradients are computed by hand in numpy; a finite-difference check
-of the full objective is part of the acceptance gate.
+Gaussian log-density; ``clipped_surrogate`` is min(rA, clip(r, 1±eps)A).
+Sampling, ``policy_mean_std`` and ``objective_and_grad`` all go through
+them, and a rollout step evaluates the policy once for its action,
+log-probability and value. All gradients are computed by hand in numpy; a
+finite-difference check of the full objective is part of the acceptance
+gate.
 """
 
 from __future__ import annotations
@@ -196,32 +196,14 @@ def policy_mean_std(p: PolicyParams, obs: np.ndarray) -> tuple[np.ndarray, np.nd
     return f.mean, np.broadcast_to(f.std, f.mean.shape)
 
 
-def sample_actions(p: PolicyParams, obs: np.ndarray, rng: np.random.Generator):
-    """Raw Gaussian actions at each observation row and their log-probabilities."""
-    f = _forward(p, obs)
-    return _sample(f, rng.standard_normal(f.mean.shape))
-
-
 # === PPO pieces ===
 
 
-def _clipped_surrogate(ratio, advantage, clip_eps: float):
+def clipped_surrogate(ratio, advantage, clip_eps: float):
     """min(r A, clip(r, 1-eps, 1+eps) A) and the mask of rows where r A is the min."""
     unclipped = ratio * advantage
     clipped = np.clip(ratio, 1.0 - clip_eps, 1.0 + clip_eps) * advantage
     return np.minimum(unclipped, clipped), unclipped <= clipped
-
-
-def ppo_surrogate(ratio, advantage, clip_eps: float):
-    """Pessimistic clipped objective min(r A, clip(r, 1-eps, 1+eps) A)."""
-    ratio = np.asarray(ratio, dtype=np.float64)
-    advantage = np.asarray(advantage, dtype=np.float64)
-    if not 0.0 < clip_eps < 1.0:
-        raise DomainError("clip_eps must lie in (0, 1)")
-    if np.any(ratio <= 0):
-        raise DomainError("probability ratios must be positive")
-    out = _clipped_surrogate(ratio, advantage, clip_eps)[0]
-    return float(out) if out.ndim == 0 else out
 
 
 @dataclass
@@ -280,7 +262,7 @@ def objective_and_grad(
     N = f.obs.shape[0]
     zn, logp = _log_prob(f, np.asarray(act, dtype=np.float64))
     ratio = np.exp(logp - old_logp)
-    surr, flows = _clipped_surrogate(ratio, adv, p.clip_eps)
+    surr, flows = clipped_surrogate(ratio, adv, p.clip_eps)
     j_pg = float(np.mean(surr))
     v_err = f.v - ret
     value_loss = float(np.mean(v_err**2))

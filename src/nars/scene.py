@@ -15,6 +15,8 @@ NOISE_KINDS = ("white", "pink", "street_surrogate", "car_surrogate", "babble_sur
 
 SI_SNR_CAP_DB = 60.0
 
+MIN_SOURCE_MIC_DISTANCE = 1e-9  # m; a source closer to a mic than this coincides with it
+
 
 @dataclass(frozen=True)
 class RoomSpec:
@@ -119,7 +121,7 @@ def image_source_rir(room: RoomSpec, src: tuple, mic) -> np.ndarray:
         if not np.all((p > 0) & (p < dims)):
             raise DomainError(f"{name} position must lie strictly inside the room")
     gap = src - mics
-    if np.any(np.sqrt(np.vecdot(gap, gap)) < 1e-9):
+    if np.any(np.sqrt(np.vecdot(gap, gap)) < MIN_SOURCE_MIC_DISTANCE):
         raise DomainError("microphone coincides with the source")
 
     axes = [_axis_images(src[k], room.dims[k], room.max_order) for k in range(3)]
@@ -154,11 +156,6 @@ def image_source_rir(room: RoomSpec, src: tuple, mic) -> np.ndarray:
     return rir[0] if lone else rir
 
 
-def direct_path_delay_samples(room: RoomSpec, src: tuple, mic: tuple) -> float:
-    d = float(np.linalg.norm(np.asarray(src, float) - np.asarray(mic, float)))
-    return d * room.fs / room.c
-
-
 # === noise surrogates ===
 
 
@@ -169,12 +166,6 @@ def _shape_white(white: np.ndarray, mag: np.ndarray) -> np.ndarray:
     out = np.fft.irfft(spec, n=len(white))
     rms = np.sqrt(np.mean(out**2))
     return out / rms
-
-
-def noise_shape_db(kind: str, f: np.ndarray) -> np.ndarray:
-    """Declared long-term magnitude shape (dB, arbitrary offset) per kind."""
-    mag = _SHAPES[kind](np.asarray(f, dtype=np.float64))
-    return 20 * np.log10(np.maximum(mag, 1e-12))
 
 
 def _white_shape(f):
@@ -238,21 +229,6 @@ def synth_noise(kind: str, duration: float, fs: float, seed) -> np.ndarray:
             acc += voice * (1.0 + 0.5 * np.sin(2 * np.pi * 4.0 * t + phase))
         return acc / np.sqrt(np.mean(acc**2))
     return _shape_white(rng.standard_normal(n), mag)
-
-
-def octave_band_power_db(x: np.ndarray, fs: float, f_lo: float = 62.5) -> tuple[np.ndarray, np.ndarray]:
-    """Mean power per octave band (dB), bands [f, 2f) upward from f_lo."""
-    spec = np.abs(np.fft.rfft(x)) ** 2
-    f = np.fft.rfftfreq(len(x), 1.0 / fs)
-    centers, powers = [], []
-    lo = f_lo
-    while lo * 2 <= fs / 2:
-        sel = (f >= lo) & (f < 2 * lo)
-        if np.any(sel):
-            centers.append(np.sqrt(lo * 2 * lo))
-            powers.append(10 * np.log10(np.mean(spec[sel])))
-        lo *= 2
-    return np.asarray(centers), np.asarray(powers)
 
 
 # === mixing and metrics ===

@@ -36,14 +36,15 @@ from nars.rl import (
     RewardWeights,
     Trajectory,
     TuningEnv,
+    _forward,
+    _sample,
     clipped_action,
+    clipped_surrogate,
     init_policy,
     objective_and_grad,
     policy_mean_std,
-    ppo_surrogate,
     ppo_update,
     run_q_learning,
-    sample_actions,
     train_tuning_policy,
 )
 from nars.scene import (
@@ -285,7 +286,7 @@ def bandit_updates_to_converge(seed, max_updates=200):
     rng = np.random.default_rng(seed + 100)
     for update in range(1, max_updates + 1):
         obs = np.zeros((64, 1))
-        act, logp = sample_actions(p, obs, rng)
+        act, logp = _sample(_forward(p, obs), rng.standard_normal((len(obs), p.act_dim)))
         traj = Trajectory(
             obs=obs, actions=act, logps=logp,
             rewards=(act[:, 0] > 0).astype(float),
@@ -299,14 +300,14 @@ def bandit_updates_to_converge(seed, max_updates=200):
 
 
 def test_criterion_08_ppo_correctness(capsys):
-    assert ppo_surrogate(1.0, 2.0, 0.2) == pytest.approx(2.0)
-    assert ppo_surrogate(1.5, 1.0, 0.2) == pytest.approx(1.2)
-    assert ppo_surrogate(0.5, -1.0, 0.2) == pytest.approx(-0.8)
+    assert clipped_surrogate(1.0, 2.0, 0.2)[0] == pytest.approx(2.0)
+    assert clipped_surrogate(1.5, 1.0, 0.2)[0] == pytest.approx(1.2)
+    assert clipped_surrogate(0.5, -1.0, 0.2)[0] == pytest.approx(-0.8)
 
     p = init_policy(3, 2, hidden=4, v_hidden=3, seed=11)
     rng = np.random.default_rng(12)
     obs = rng.standard_normal((10, 3))
-    act, logp0 = sample_actions(p, obs, rng)
+    act, logp0 = _sample(_forward(p, obs), rng.standard_normal((len(obs), p.act_dim)))
     old = logp0 + 0.05 * rng.standard_normal(10)
     adv, ret = rng.standard_normal(10), rng.standard_normal(10)
     _, grad, _ = objective_and_grad(p, obs, act, old, adv, ret)

@@ -481,6 +481,36 @@ def _assert_one_error_line(proc):
     assert "Traceback" not in proc.stderr + proc.stdout
 
 
+def _position_cases():
+    """(id, command, key, config): a mic outside the room, from ``[array]`` or ``[mics]``, and
+    an echo loudspeaker on mic 0, for every command that reads them."""
+    array = "[array]\ncenter = 3, 2.5, 1.2\nradius = 0.05\nn_mics = 8"
+    mics = "[mics]\n0 = 3.05, 2.5, 1.2\n1 = 2.95, 2.5, 1.2\n2 = 3, 2.5, 3.5"
+    cases = []
+    for command, base in (
+        ("scene", SCENE_CFG), ("frontend", FRONTEND_CFG), ("localize", LOCALIZE_CFG), ("train", TRAIN_CFG)
+    ):
+        cases.append((
+            f"{command}-array-outside-room", command,
+            f"{command}.ini: [array] center/radius must place every mic strictly inside the room",
+            base.replace(array, array.replace("1.2", "3.2")),
+        ))
+        cases.append((
+            f"{command}-mics-outside-room", command, f"{command}.ini: [mics] 2 must lie strictly inside the room",
+            base.replace(array, mics),
+        ))
+        if "echo_pos" in base:
+            cases.append((
+                f"{command}-echo_pos-on-mic-0", command,
+                f"{command}.ini: [scene] echo_pos must not coincide with a microphone",
+                base.replace("echo_pos = 5, 1, 1.3", "echo_pos = 3.05, 2.5, 1.2"),
+            ))
+    return cases
+
+
+POSITION_CASES = _position_cases()
+
+
 @pytest.mark.parametrize(
     "command, key, cfg_text",
     [
@@ -525,6 +555,7 @@ def _assert_one_error_line(proc):
             "[scene]", "[scene]\nsource_pos = 3, 2.5, 1.2").replace("n_scenes = 6", "n_scenes = 1")),
         ("scene", "scene.ini: [scene] source_pos must lie farther than the array radius",
          SCENE_CFG.replace("source_pos = 1.5, 3.5, 1.5", "source_pos = 3.03, 2.5, 2.5")),
+        *(case[1:] for case in POSITION_CASES),
     ],
     ids=[
         "train-m_bands-36",
@@ -563,6 +594,7 @@ def _assert_one_error_line(proc):
         "frontend-echo_pos-outside-room",
         "localize-source_pos-at-array-centre",
         "scene-source_pos-within-array-radius",
+        *(case[0] for case in POSITION_CASES),
     ],
 )
 def test_bad_config_value_exits_one_with_one_log_line(tmp_path, command, key, cfg_text):

@@ -67,7 +67,7 @@ def _reference_folded(spec, x):
 
 
 def _reference_analyze(spec, x):
-    bands = np.conj(np.fft.rfft(_reference_folded(spec, x), axis=1)).T
+    bands = np.fft.rfft(_reference_folded(spec, x), axis=1).T
     return SubbandState(bands=bands, n_samples=len(x), m_bands=spec.m_bands)
 
 
@@ -75,7 +75,7 @@ def _reference_synthesize(spec, state):
     P, M, L = spec.n_taps, spec.m_bands, spec.hop
     bands = state.bands
     n_frames = bands.shape[1]
-    chunks = np.tile(np.fft.irfft(np.conj(bands.T), n=M, axis=1), (1, P // M)) * spec.dual[None, :]
+    chunks = np.tile(np.fft.irfft(bands.T, n=M, axis=1), (1, P // M)) * spec.dual[None, :]
     acc = np.zeros(P - 1 + n_frames * L + P)
     for k in range(n_frames):
         acc[k * L : k * L + P] += chunks[k, ::-1]
@@ -83,15 +83,15 @@ def _reference_synthesize(spec, state):
 
 
 def _full_band_analyze(spec, x):
-    """All M bands, as the bank computed them before it kept bands 0..M/2 only."""
-    return spec.m_bands * np.fft.ifft(_reference_folded(spec, x), axis=1).T
+    """All M bands of the full bank, of which the bank keeps bands 0..M/2."""
+    return np.fft.fft(_reference_folded(spec, x), axis=1).T
 
 
 def _full_band_synthesize(spec, bands, n_samples):
-    """Synthesis from all M bands: the real part of each frame's M-point DFT."""
+    """Synthesis from all M bands: the real part of each frame's M-point inverse DFT."""
     P, M, L = spec.n_taps, spec.m_bands, spec.hop
     n_frames = bands.shape[1]
-    chunks = np.tile(np.fft.fft(bands.T, axis=1) / M, (1, P // M)) * spec.dual[None, :]
+    chunks = np.tile(np.fft.ifft(bands.T, axis=1), (1, P // M)) * spec.dual[None, :]
     acc = np.zeros(P - 1 + n_frames * L + P, dtype=np.complex128)
     for k in range(n_frames):
         acc[k * L : k * L + P] += chunks[k, ::-1]

@@ -22,16 +22,17 @@ from nars.rl import (
     RewardWeights,
     Trajectory,
     TuningEnv,
+    _forward,
+    _sample,
     clipped_action,
+    clipped_surrogate,
     compute_gae,
     init_policy,
     objective_and_grad,
     policy_mean_std,
-    ppo_surrogate,
     ppo_update,
     q_update,
     run_q_learning,
-    sample_actions,
     theta_size,
     train_tuning_policy,
 )
@@ -65,24 +66,16 @@ def env():
 
 
 def test_surrogate_unit_cases():
-    assert ppo_surrogate(1.0, 2.0, 0.2) == pytest.approx(2.0)
-    assert ppo_surrogate(1.5, 1.0, 0.2) == pytest.approx(1.2)
-    assert ppo_surrogate(0.5, -1.0, 0.2) == pytest.approx(-0.8)
-    assert ppo_surrogate(0.5, 1.0, 0.2) == pytest.approx(0.5)
+    assert clipped_surrogate(1.0, 2.0, 0.2)[0] == pytest.approx(2.0)
+    assert clipped_surrogate(1.5, 1.0, 0.2)[0] == pytest.approx(1.2)
+    assert clipped_surrogate(0.5, -1.0, 0.2)[0] == pytest.approx(-0.8)
+    assert clipped_surrogate(0.5, 1.0, 0.2)[0] == pytest.approx(0.5)
 
 
 def test_surrogate_vectorized():
-    out = ppo_surrogate([1.0, 1.5], [2.0, 1.0], 0.2)
+    out, flows = clipped_surrogate(np.array([1.0, 1.5]), np.array([2.0, 1.0]), 0.2)
     assert out == pytest.approx([2.0, 1.2])
-
-
-def test_surrogate_validation():
-    with pytest.raises(DomainError):
-        ppo_surrogate(-0.1, 1.0, 0.2)
-    with pytest.raises(DomainError):
-        ppo_surrogate(1.0, 1.0, 1.2)
-    with pytest.raises(DomainError):
-        ppo_surrogate(1.0, 1.0, 0.0)
+    assert flows.tolist() == [True, False]
 
 
 @settings(max_examples=300, deadline=None)
@@ -92,7 +85,7 @@ def test_surrogate_validation():
     eps=st.floats(0.01, 0.99),
 )
 def test_surrogate_pessimism_and_bound(ratio, adv, eps):
-    s = ppo_surrogate(ratio, adv, eps)
+    s = clipped_surrogate(ratio, adv, eps)[0]
     # never more optimistic than the unclipped estimate
     assert s <= ratio * adv + 1e-12
     # magnitude bounded by the larger of the two branches
@@ -188,7 +181,7 @@ def test_policy_mean_bounded():
 def test_sampled_logp_matches_scipy_normal_logpdf():
     p = init_policy(3, 2, hidden=4, v_hidden=3, seed=0)
     obs = np.random.default_rng(2).standard_normal((16, 3))
-    raw, logp = sample_actions(p, obs, np.random.default_rng(3))
+    raw, logp = _sample(_forward(p, obs), np.random.default_rng(3).standard_normal((len(obs), p.act_dim)))
     mean, std = policy_mean_std(p, obs)
     assert logp == pytest.approx(stats.norm.logpdf(raw, mean, std).sum(axis=1), abs=1e-12)
 
@@ -196,7 +189,7 @@ def test_sampled_logp_matches_scipy_normal_logpdf():
 def test_ratio_is_one_after_rollout():
     p = init_policy(3, 2, hidden=4, v_hidden=3, seed=0)
     obs = np.random.default_rng(4).standard_normal((32, 3))
-    raw, logp = sample_actions(p, obs, np.random.default_rng(5))
+    raw, logp = _sample(_forward(p, obs), np.random.default_rng(5).standard_normal((len(obs), p.act_dim)))
     adv = np.random.default_rng(6).standard_normal(32)
     _, _, diag = objective_and_grad(p, obs, raw, logp, adv, np.zeros(32))
     assert diag["mean_ratio"] == pytest.approx(1.0, abs=1e-12)
@@ -207,7 +200,7 @@ def test_ratio_is_one_after_rollout():
 def test_diag_reports_approx_kl_and_the_closed_form_entropy():
     p = init_policy(3, 2, hidden=4, v_hidden=3, seed=0, init_log_std=-0.3)
     obs = np.random.default_rng(7).standard_normal((64, 3))
-    raw, logp = sample_actions(p, obs, np.random.default_rng(8))
+    raw, logp = _sample(_forward(p, obs), np.random.default_rng(8).standard_normal((len(obs), p.act_dim)))
     old = logp + np.random.default_rng(9).uniform(0.0, 0.1, 64)
     _, _, diag = objective_and_grad(p, obs, raw, old, np.zeros(64), np.zeros(64))
     assert diag["approx_kl"] == pytest.approx(np.mean(old - logp), rel=1e-15)
@@ -219,7 +212,7 @@ def test_gradient_matches_finite_differences():
     p = init_policy(3, 2, hidden=4, v_hidden=3, seed=11)
     rng = np.random.default_rng(12)
     obs = rng.standard_normal((10, 3))
-    act, logp0 = sample_actions(p, obs, rng)
+    act, logp0 = _sample(_forward(p, obs), rng.standard_normal((len(obs), p.act_dim)))
     # perturb old logps so clip branches are exercised away from the kink
     old = logp0 + 0.05 * rng.standard_normal(10)
     adv = rng.standard_normal(10)
@@ -260,7 +253,7 @@ def test_unchanged_policy_ratio_is_exactly_one_per_row():
     p.theta[split - 2 : split] = log_std
     rng = np.random.default_rng(13)
     for o in rng.standard_normal((48, 1, 3)):
-        raw, logp = sample_actions(p, o, rng)
+        raw, logp = _sample(_forward(p, o), rng.standard_normal((len(o), p.act_dim)))
         _, _, diag = objective_and_grad(p, o, raw, logp, np.ones(1), np.zeros(1))
         assert diag["mean_ratio"] == 1.0
 
@@ -269,7 +262,7 @@ def test_zero_advantages_touch_only_the_value_head():
     p = init_policy(3, 2, hidden=4, v_hidden=3, seed=0, gamma=1.0, lam=0.95)
     rng = np.random.default_rng(7)
     obs = rng.standard_normal((8, 3))
-    act, logp = sample_actions(p, obs, rng)
+    act, logp = _sample(_forward(p, obs), rng.standard_normal((len(obs), p.act_dim)))
     c = 0.7  # constant value guesses, zero rewards, gamma 1 -> all deltas vanish
     traj = Trajectory(
         obs=obs, actions=act, logps=logp,
@@ -294,7 +287,7 @@ def test_ppo_update_needs_an_epoch_and_a_minibatch(epochs, minibatch, name):
     p = init_policy(3, 2, hidden=4, v_hidden=3, seed=0)
     rng = np.random.default_rng(7)
     obs = rng.standard_normal((8, 3))
-    act, logp = sample_actions(p, obs, rng)
+    act, logp = _sample(_forward(p, obs), rng.standard_normal((len(obs), p.act_dim)))
     traj = Trajectory(
         obs=obs, actions=act, logps=logp,
         rewards=np.ones(8), values=np.zeros(8),
@@ -365,7 +358,7 @@ def test_bandit_sign_task_converges():
     prob_pos = 0.0
     for update in range(60):
         obs = np.zeros((64, 1))
-        act, logp = sample_actions(p, obs, rng)
+        act, logp = _sample(_forward(p, obs), rng.standard_normal((len(obs), p.act_dim)))
         traj = Trajectory(
             obs=obs, actions=act, logps=logp,
             rewards=(act[:, 0] > 0).astype(float),

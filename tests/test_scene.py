@@ -12,14 +12,12 @@ from nars.scene import (
     Metrics,
     RoomSpec,
     ScenarioConfig,
+    _SHAPES,
     _axis_images,
     _convolve_rirs,
-    direct_path_delay_samples,
     image_source_rir,
     measure_rtf,
     mix_at_snr,
-    noise_shape_db,
-    octave_band_power_db,
     render_scene,
     scene_rng,
     si_snr,
@@ -90,8 +88,7 @@ def test_anechoic_rir_is_single_arrival():
     src, mic = (1.0, 1.0, 1.0), (2.0, 2.0, 1.5)
     rir = image_source_rir(room, src, mic)
     d = np.linalg.norm(np.subtract(src, mic))
-    delay = direct_path_delay_samples(room, src, mic)
-    assert delay == pytest.approx(d / room.c * room.fs, rel=1e-12)
+    delay = d * room.fs / room.c
     # all energy sits in the fractional-delay kernel around the arrival
     peak = np.argmax(np.abs(rir))
     assert abs(peak - delay) <= 4
@@ -100,7 +97,7 @@ def test_anechoic_rir_is_single_arrival():
 
 def test_rir_causal():
     rir = image_source_rir(ROOM, (1.0, 1.0, 1.0), (3.0, 2.0, 1.5))
-    delay = direct_path_delay_samples(ROOM, (1.0, 1.0, 1.0), (3.0, 2.0, 1.5))
+    delay = np.linalg.norm(np.subtract((1.0, 1.0, 1.0), (3.0, 2.0, 1.5))) * ROOM.fs / ROOM.c
     lead = int(np.floor(delay)) - 4  # fractional-delay kernel half width
     assert not np.any(rir[: max(lead, 0)])
 
@@ -119,7 +116,7 @@ def test_rir_direct_term_unaffected_by_reflection_coeff():
     r1 = image_source_rir(ROOM, src, mic)
     room2 = RoomSpec(dims=(4.0, 3.0, 2.5), reflection=0.2, max_order=1, fs=16000.0)
     r2 = image_source_rir(room2, src, mic)
-    delay = direct_path_delay_samples(ROOM, src, mic)
+    delay = np.linalg.norm(np.subtract(src, mic)) * ROOM.fs / ROOM.c
     k = int(round(delay))
     assert r1[k] == pytest.approx(r2[k], rel=1e-9)
 
@@ -133,7 +130,7 @@ def test_rir_causality_property(sx, sy, sz, mx, my, mz):
     if np.linalg.norm(np.subtract((sx, sy, sz), (mx, my, mz))) < 1e-3:
         return  # degenerate placement is rejected, covered separately
     rir = image_source_rir(ROOM, (sx, sy, sz), (mx, my, mz))
-    delay = direct_path_delay_samples(ROOM, (sx, sy, sz), (mx, my, mz))
+    delay = np.linalg.norm(np.subtract((sx, sy, sz), (mx, my, mz))) * ROOM.fs / ROOM.c
     lead = int(np.floor(delay)) - 4
     assert not np.any(rir[: max(lead, 0)])
     assert np.all(np.isfinite(rir))
@@ -249,6 +246,27 @@ def test_noise_determinism():
     c = synth_noise("pink", 0.25, 16000.0, seed=10)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+def noise_shape_db(kind, f):
+    """Declared long-term magnitude shape of a noise kind (dB, arbitrary offset)."""
+    mag = _SHAPES[kind](np.asarray(f, dtype=np.float64))
+    return 20 * np.log10(np.maximum(mag, 1e-12))
+
+
+def octave_band_power_db(x, fs, f_lo=62.5):
+    """Mean power per octave band (dB), bands [f, 2f) upward from f_lo."""
+    spec = np.abs(np.fft.rfft(x)) ** 2
+    f = np.fft.rfftfreq(len(x), 1.0 / fs)
+    centers, powers = [], []
+    lo = f_lo
+    while lo * 2 <= fs / 2:
+        sel = (f >= lo) & (f < 2 * lo)
+        if np.any(sel):
+            centers.append(np.sqrt(lo * 2 * lo))
+            powers.append(10 * np.log10(np.mean(spec[sel])))
+        lo *= 2
+    return np.asarray(centers), np.asarray(powers)
 
 
 def test_pink_noise_rolloff():
