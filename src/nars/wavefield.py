@@ -20,23 +20,20 @@ with the first-order frequency-domain split-step scheme of Aanonsen et al.
 (1984). Its substeps are Crank-Nicolson radial diffraction over dz, exact
 absorption when delta > 0, explicit quadratic harmonic coupling when
 beta > 0, and the absorbing edge ramp. Diffraction stacks the per-harmonic
-tridiagonal systems into one block-diagonal system, LU-factors it once per
-march with LAPACK ``?gttrf`` and makes one ``?gttrs`` solve per substep
-through ``solve_banded``; the factored solve gives the bits of scipy's
-``solve_banded`` (``?gtsv``) on the same matrix. The coupling takes the
-harmonics of p^2 with one zero-padded ``irfft``/``rfft`` pair (Lee &
-Hamilton 1995), in N log N rather than N^2. Its limit is
+tridiagonal systems into one block-diagonal system. Its matrix is strictly
+diagonally dominant, so cyclic reduction (Hockney 1965) solves it without
+pivoting: ``_factor_tridiagonal`` does the reduction's matrix work once per
+march and ``solve_banded`` makes one numpy solve per substep. The coupling
+takes the harmonics of p^2 with one zero-padded ``irfft``/``rfft`` pair (Lee
+& Hamilton 1995), in N log N rather than N^2. Its limit is
 10 p0 max(1, max|profile|). A march whose spectrum ends piled up at the top
 harmonic, a harmonic series truncated past the shock, is a validity error.
 
 ``harmonic_spectrum`` reads its few bins through a cached real DFT table
 instead of a full ``rfft``, since the Westervelt readout asks for a handful
-of harmonics at every step.
-
-The solvers import their scipy pieces (the LAPACK tridiagonal routines, the
-Bessel ``jv`` of ``fubini_harmonics``) on first use, so importing this
-module loads no scipy. No table or factorization is built before a call
-needs it.
+of harmonics at every step. ``fubini_harmonics`` takes its Bessel function
+from Miller's backward recurrence. The module needs numpy alone and loads no
+scipy; no table or factorization is built before a call needs it.
 
 Amplitude convention for the harmonic field: p(r, z, tau) =
 Re{ sum_n A_n(r, z) exp(i n w tau) }, so |A_n| is directly the measured
@@ -46,6 +43,7 @@ amplitude of harmonic n in Pa.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,8 +73,9 @@ class Medium:
     def __post_init__(self):
         if self.rho0 <= 0 or self.c <= 0:
             raise DomainError("medium requires rho0 > 0 and c > 0")
-        if self.beta < 0 or self.delta < 0:
-            raise DomainError("medium requires beta >= 0 and delta >= 0")
+        for name, value in (("beta", self.beta), ("delta", self.delta)):
+            if not (math.isfinite(value) and value >= 0):
+                raise DomainError(f"medium requires a finite {name} >= 0, got {value!r}")
         # the shock distance and the solvers' nonlinear terms scale with rho0 c^3
         with np.errstate(over="ignore"):
             if not np.isfinite(np.float64(self.rho0) * np.float64(self.c) ** 3):
@@ -91,8 +90,11 @@ class SourceWaveform:
     phase: float = 0.0
 
     def __post_init__(self):
-        if self.p0 <= 0 or self.f0 <= 0:
-            raise DomainError("source requires p0 > 0 and f0 > 0")
+        for name, value in (("p0", self.p0), ("f0", self.f0)):
+            if not (math.isfinite(value) and value > 0):
+                raise DomainError(f"source requires a finite {name} > 0, got {value!r}")
+        if not math.isfinite(self.phase):
+            raise DomainError(f"source requires a finite phase, got {self.phase!r}")
         if self.kind not in SOURCE_KINDS:
             raise DomainError(f"unknown source kind {self.kind!r}")
 
@@ -129,8 +131,11 @@ class PlaneWaveGrid:
     def __post_init__(self):
         if self.n_time < 64 or self.n_time & (self.n_time - 1):
             raise ConfigurationError("n_time must be a power of two >= 64")
-        if self.n_steps < 1 or self.dz <= 0:
-            raise ConfigurationError("n_steps >= 1 and dz > 0 required")
+        if self.n_steps < 1:
+            raise ConfigurationError("n_steps >= 1 required")
+        for name, value in (("dz", self.dz), ("z_max", self.z_max)):
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigurationError(f"a finite {name} > 0 required, got {value!r}")
         if abs(self.n_steps * self.dz - self.z_max) > 1e-9 * max(abs(self.z_max), 1e-300):
             raise ConfigurationError("n_steps * dz must equal z_max to one part in 1e9")
 
@@ -144,10 +149,11 @@ class AxisymGrid:
     n_harm: int
 
     def __post_init__(self):
-        if self.n_r < 32 or self.dr <= 0:
-            raise ConfigurationError("n_r >= 32 and dr > 0 required")
-        if self.n_z < 1 or self.dz <= 0:
-            raise ConfigurationError("n_z >= 1 and dz > 0 required")
+        if self.n_r < 32 or self.n_z < 1:
+            raise ConfigurationError("n_r >= 32 and n_z >= 1 required")
+        for name, value in (("dr", self.dr), ("dz", self.dz)):
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigurationError(f"a finite {name} > 0 required, got {value!r}")
         if self.n_harm < 2:
             raise ConfigurationError("n_harm >= 2 required")
 
@@ -175,8 +181,8 @@ class TimeWaveform:
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=np.float64)
-        if self.fs <= 0:
-            raise DomainError("fs must be positive")
+        if not (math.isfinite(self.fs) and self.fs > 0):
+            raise DomainError(f"fs must be finite and positive, got {self.fs!r}")
 
 
 # === closed forms ===
@@ -195,32 +201,68 @@ def fubini_harmonics(n: int, sigma: float) -> float:
 
     sigma is range over shock distance; the series converges for sigma <= 1.
     """
-    if n < 1 or int(n) != n:
-        raise DomainError("harmonic index must be a positive integer")
-    if sigma < 0:
-        raise DomainError("sigma must be nonnegative")
+    if not (n >= 1 and float(n).is_integer()):
+        raise DomainError(f"harmonic index must be a positive integer, got {n!r}")
+    if not sigma >= 0:
+        raise DomainError(f"sigma must be nonnegative, got {sigma!r}")
     if sigma > 1:
         raise ValidityError("pre-shock series is valid only up to sigma = 1")
     if sigma == 0:
         return 1.0 if n == 1 else 0.0
-    from scipy.special import jv
+    x = int(n) * float(sigma)
+    return 2.0 * _bessel_j(int(n), x) / x
 
-    x = n * sigma
-    return float(2.0 * jv(n, x) / x)
+
+# Miller's recurrence rescales its running values by this power of two
+# whenever one passes its inverse, exactly; one step multiplies them by at
+# most 2 m / x, which stays below 2^400 for x >= 1e-100
+_MILLER_RESCALE = 2.0**-600
+
+
+def _bessel_j(n: int, x: float) -> float:
+    """J_n(x) for an integer n >= 1 and 0 < x <= n, by Miller's backward recurrence.
+
+    J_{k-1} = (2k / x) J_k - J_{k+1} runs down from J_{m+1} = 0, J_m = 1 at
+    an even m well past n, where the true J_m is negligible; J_0 + 2 sum_k
+    J_2k = 1 then normalizes the run. The work is O(n) Python float steps.
+    Against 40-digit values at sampled n <= 256 and x / n in [1e-3, 1] it
+    errs by at most 1.5e-14 relative (scipy's ``jv`` by up to 2.1e-13), until
+    the result nears underflow. Below x = 1e-100, J_n(x) is (x/2)^n / n! to
+    double precision, and that product is returned instead.
+    """
+    if x < 1e-100:
+        term = 1.0
+        for i in range(1, n + 1):
+            term *= x / (2 * i)
+        return term
+    m = 2 * ((n + 16 + math.isqrt(40 * n)) // 2 + 1)
+    j_up, j = 0.0, 1.0  # J_{k+1} and J_k, unnormalized
+    even_sum = jn = 0.0  # the even orders passed so far, J_m + ... + J_2; J_n once passed
+    for k in range(m, 0, -1):
+        if k % 2 == 0:
+            even_sum += j
+        j_up, j = j, (2 * k / x) * j - j_up
+        if k - 1 == n:
+            jn = j
+        if abs(j) > 1 / _MILLER_RESCALE:
+            j, j_up, even_sum, jn = (v * _MILLER_RESCALE for v in (j, j_up, even_sum, jn))
+    return jn / (j + 2.0 * even_sum)
 
 
 def analytic_gaussian_axis(src: SourceWaveform, a: float, medium: Medium, z: float) -> float:
     """Linear on-axis amplitude of a Gaussian source: p0 / sqrt(1 + (z/z_R)^2)."""
-    if a <= 0:
-        raise DomainError("source radius must be positive")
-    if z < 0:
-        raise DomainError("z must be nonnegative")
+    if not (math.isfinite(a) and a > 0):
+        raise DomainError(f"source radius a must be finite and positive, got {a!r}")
+    if not z >= 0:
+        raise DomainError(f"z must be nonnegative, got {z!r}")
     k = 2 * np.pi * src.f0 / medium.c
     z_r = k * a**2 / 2
     return float(src.p0 / np.sqrt(1.0 + (z / z_r) ** 2))
 
 
 def rayleigh_distance(src: SourceWaveform, a: float, medium: Medium) -> float:
+    if not (math.isfinite(a) and a > 0):
+        raise DomainError(f"source radius a must be finite and positive, got {a!r}")
     return 2 * np.pi * src.f0 / medium.c * a**2 / 2
 
 
@@ -236,8 +278,8 @@ def harmonic_spectrum(w: TimeWaveform, f0: float, n_max: int) -> np.ndarray:
     two agree to a few ulps. The product is an ``einsum``, which calls no
     BLAS, so the result's bits do not depend on the BLAS thread count.
     """
-    if f0 <= 0 or n_max < 1:
-        raise DomainError("f0 > 0 and n_max >= 1 required")
+    if not (math.isfinite(f0) and f0 > 0) or n_max < 1:
+        raise DomainError(f"a finite f0 > 0 and n_max >= 1 required, got f0 = {f0!r}, n_max = {n_max!r}")
     n = w.samples.shape[-1]
     cycles = n / w.fs * f0
     cycles_int = round(cycles)
@@ -402,29 +444,25 @@ def westervelt_harmonic_curve(
 # === axisymmetric harmonic solver ===
 
 
-def _radial_laplacian_bands(n_r: int, dr: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Finite-volume axisymmetric Laplacian, tridiagonal (lower, diag, upper).
+def _radial_laplacian_bands(n_r: int, dr: float) -> tuple[np.ndarray, np.ndarray]:
+    """Finite-volume axisymmetric Laplacian L as its off-diagonals (lower, upper).
 
-    Conservative form: self-adjoint under the cell-volume weights, which is
-    what makes the Crank-Nicolson diffraction step exactly energy-preserving
-    ahead of the edge absorber.
+    Row i couples x[i - 1] by lower[i] and x[i + 1] by upper[i]. Conservative
+    form: every row sums to zero, so the diagonal is -(lower + upper), and L is
+    self-adjoint under the cell-volume weights, which is what makes the
+    Crank-Nicolson diffraction step exactly energy-preserving ahead of the
+    edge absorber. The outermost cell keeps its Dirichlet ghost (pressure
+    release) implicitly: upper[-1] counts in its diagonal, but the matrix
+    drops it as an off-diagonal.
     """
     i = np.arange(n_r, dtype=np.float64)
     r_minus = (i - 0.5) * dr
     r_plus = (i + 0.5) * dr
     vol = radial_weights(n_r, dr)
-    lower = np.zeros(n_r)
-    upper = np.zeros(n_r)
-    diag = np.zeros(n_r)
-    # axis cell: single flux through r = dr/2
-    upper[0] = r_plus[0] / (dr * vol[0])
-    diag[0] = -upper[0]
+    lower = np.zeros(n_r)  # axis cell: single flux through r = dr/2
     lower[1:] = r_minus[1:] / (dr * vol[1:])
-    upper[1:] = r_plus[1:] / (dr * vol[1:])
-    diag[1:] = -(r_minus[1:] + r_plus[1:]) / (dr * vol[1:])
-    # outermost cell keeps its Dirichlet ghost (pressure release) implicitly:
-    # the upper coefficient is simply dropped from the matrix.
-    return lower, diag, upper
+    upper = r_plus / (dr * vol)
+    return lower, upper
 
 
 def radial_weights(n_r: int, dr: float) -> np.ndarray:
@@ -471,71 +509,113 @@ def _coupling(n_harm: int, n_r: int):
 
 
 def _factor_tridiagonal(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray) -> tuple:
-    """LU factors, for ``solve_banded``, of the n x n tridiagonal matrix with
-    sub-diagonal ``lower``, diagonal ``diag`` and super-diagonal ``upper``.
+    """Cyclic-reduction factors, for ``solve_banded``, of the n x n tridiagonal
+    matrix with sub-diagonal ``lower``, diagonal ``diag`` and super-diagonal
+    ``upper`` (lengths n - 1, n and n - 1).
 
-    LAPACK ``?gttrf`` (partial pivoting) does the work; scipy.linalg is
-    imported on the first call, so only a KZK march pays its 0.3 s. Raises
-    ``NumericalError`` if LAPACK reports a singular or rejected matrix.
+    A level of the reduction (Hockney 1965) keeps the even rows and adds to
+    row 2k alpha_k times row 2k - 1 and gamma_k times row 2k + 1, which clears
+    its couplings to the odd unknowns. What is left is a tridiagonal system in
+    the even unknowns, half as long; an odd length keeps its last row as it
+    is. Levels repeat down to one unknown. None of this depends on the
+    right-hand side, so it is done here, once. Each level stores alpha, gamma,
+    the reciprocals of its odd pivots, and the back-substitution weights
+    -lower / pivot and -upper / pivot of its odd rows.
+
+    Without pivoting the reduction needs |diag| >= |lower| + |upper| in every
+    row, and a level keeps that property. Raises ``NumericalError`` if a row
+    fails it, or if a pivot or a stored weight is zero or not finite.
     """
-    from scipy.linalg import get_lapack_funcs
-
-    gttrf, gttrs = get_lapack_funcs(("gttrf", "gttrs"), (diag,))
-    *lu, info = gttrf(lower, diag, upper)
-    if info != 0:
-        what = "is singular" if info > 0 else "was rejected"
-        raise NumericalError(f"tridiagonal diffraction matrix {what} (LAPACK ?gttrf info={info})")
-    return (gttrs, *lu)
+    n = diag.shape[0]
+    dtype = np.result_type(lower, diag, upper)
+    a = np.zeros(n, dtype)  # a[i] couples row i to x[i - 1]
+    a[1:] = lower
+    c = np.zeros(n, dtype)  # c[i] couples row i to x[i + 1]
+    c[:-1] = upper
+    b = np.array(diag, dtype=dtype)
+    weak = ~(np.abs(b) >= np.abs(a) + np.abs(c))  # a NaN is weak too
+    if weak.any():
+        raise NumericalError(
+            f"tridiagonal diffraction matrix is not diagonally dominant in row {int(np.argmax(weak))}, "
+            "so cyclic reduction without pivoting could meet a singular pivot"
+        )
+    levels = []
+    with np.errstate(all="ignore"):  # a zero or overflowed pivot fails the check below
+        while b.shape[0] > 1:
+            n_even_tail = (b.shape[0] - 1) // 2  # even rows after row 0
+            inv = 1.0 / b[1::2]
+            odd_a, odd_c = a[1::2], c[1::2]
+            alpha = -a[2::2] * inv[:n_even_tail]
+            gamma = -c[0::2][: inv.shape[0]] * inv
+            levels.append((alpha, gamma, inv, -odd_a * inv, -odd_c[:n_even_tail] * inv[:n_even_tail]))
+            b = b[0::2].copy()
+            b[1:] += alpha * odd_c[:n_even_tail]
+            b[: gamma.shape[0]] += gamma * odd_a
+            a = np.zeros_like(b)
+            a[1:] = alpha * odd_a[:n_even_tail]
+            c = np.zeros_like(b)
+            c[: gamma.shape[0]] = gamma * odd_c
+        inv_last = 1.0 / b
+    stored = np.concatenate([inv_last, *(w for level in levels for w in level)])
+    if not (np.isfinite(stored).all() and inv_last.all() and all(level[2].all() for level in levels)):
+        raise NumericalError(
+            "tridiagonal diffraction matrix is singular to working precision: "
+            "a cyclic-reduction pivot or weight is zero or not finite"
+        )
+    return levels, inv_last
 
 
 def solve_banded(factors: tuple, b: np.ndarray) -> np.ndarray:
-    """Solve A x = b with the LU ``factors`` of A from ``_factor_tridiagonal`` (LAPACK ``?gttrs``).
+    """Solve A x = b with the cyclic-reduction ``factors`` of A from ``_factor_tridiagonal``.
 
-    ``b`` is overwritten. Raises ``NumericalError`` if LAPACK reports an error.
+    The forward pass folds each level's odd entries of ``b`` into its even
+    ones, level by level down to one unknown; back substitution then gives
+    each level's odd unknowns from their even neighbours. Each level works
+    in place on strided views of ``b``, which ends holding x and is returned.
     """
-    gttrs, *lu = factors
-    x, info = gttrs(*lu, b, overwrite_b=True)
-    if info != 0:
-        raise NumericalError(f"tridiagonal solve rejected its input (LAPACK ?gttrs info={info})")
-    return x
+    levels, inv_last = factors
+    views = []
+    rest = b
+    for alpha, gamma, *_ in levels:
+        even, odd = rest[0::2], rest[1::2]
+        even[1:] += alpha * odd[: alpha.shape[0]]
+        even[: gamma.shape[0]] += gamma * odd
+        views.append((even, odd))
+        rest = even
+    rest *= inv_last
+    for (even, odd), (_, _, inv, lo, up) in zip(reversed(views), reversed(levels)):
+        odd *= inv
+        odd += lo * even[: odd.shape[0]]
+        odd[: up.shape[0]] += up * even[1:]
+    return b
 
 
 def _kzk_substeps(medium: Medium, src: SourceWaveform, grid: AxisymGrid) -> list:
     """The named substeps of one KZK step of dz, each built once."""
     omega = 2 * np.pi * src.f0
     n = np.arange(1, grid.n_harm + 1)
-    lower, diag, upper = _radial_laplacian_bands(grid.n_r, grid.dr)
 
-    # Crank-Nicolson per harmonic over dz: the banded matrix of (I + i dz/(4 k_n) L)
-    # and the three bands of (I - i dz/(4 k_n) L) applied to the current state.
-    # The harmonics' matrices sit one after another in a single tridiagonal
-    # ab; the entries that would couple neighbouring blocks stay zero, so one
-    # solve gives each harmonic its own solution to the bit. The matrix is
-    # the same at every step, so it is factored here, once.
-    n_harm, n_r = grid.n_harm, grid.n_r
-    ab = np.zeros((3, n_harm * n_r), dtype=np.complex128)
-    blocks = ab.reshape(3, n_harm, n_r)
-    rhs_diag = np.empty((n_harm, n_r), dtype=np.complex128)
-    rhs_upper = np.empty((n_harm, n_r - 1), dtype=np.complex128)
-    rhs_lower = np.empty((n_harm, n_r - 1), dtype=np.complex128)
-    for idx in range(n_harm):
-        k_n = (idx + 1) * omega / medium.c
-        coef = 1j * grid.dz / (4 * k_n)
-        blocks[0, idx, 1:] = coef * upper[:-1]
-        blocks[1, idx] = 1.0 + coef * diag
-        blocks[2, idx, :-1] = coef * lower[1:]
-        coef = -1j * grid.dz / (4 * k_n)
-        rhs_diag[idx] = 1.0 + coef * diag
-        rhs_upper[idx] = coef * upper[:-1]
-        rhs_lower[idx] = coef * lower[1:]
-
-    factors = _factor_tridiagonal(ab[2, :-1], ab[1], ab[0, 1:])
+    # Crank-Nicolson per harmonic over dz solves (I + c_n L) x = (I - c_n L) a,
+    # c_n = i dz / (4 k_n), which is x = 2 (I + c_n L)^-1 a - a. So the matrix
+    # is (I + c_n L) / 2 and a step is one solve and one subtraction. The
+    # harmonics' matrices sit one after another in a single tridiagonal
+    # system; the entries that would couple neighbouring blocks stay zero. The
+    # diagonal is formed from the scaled off-diagonals, the outer ghost's
+    # included, so |diag| >= |lower| + |upper| holds after rounding too, at any
+    # dz / (k dr^2). The matrix is the same at every step: it is factored
+    # here, once.
+    lower, upper = _radial_laplacian_bands(grid.n_r, grid.dr)
+    half_coef = (0.5j * grid.dz / (4 * n * omega / medium.c))[:, None]
+    sub = half_coef * lower
+    sup = half_coef * upper
+    diag = 0.5 - (sub + sup)
+    sup[:, -1] = 0.0
+    factors = _factor_tridiagonal(sub.ravel()[1:], diag.ravel(), sup.ravel()[:-1])
 
     def diffract(amps):
-        rhs = rhs_diag * amps
-        rhs[:, :-1] += rhs_upper * amps[:, 1:]
-        rhs[:, 1:] += rhs_lower * amps[:, :-1]
-        return solve_banded(factors, rhs.ravel()).reshape(amps.shape)
+        x = solve_banded(factors, amps.flatten())
+        x -= amps.ravel()
+        return x.reshape(amps.shape)
 
     substeps = [("diffraction", diffract)]
     if medium.delta > 0:
@@ -545,7 +625,7 @@ def _kzk_substeps(medium: Medium, src: SourceWaveform, grid: AxisymGrid) -> list
     if medium.beta > 0:
         gain = 1j * n * omega * medium.beta / (4 * medium.rho0 * medium.c**3)
         gain_dz = grid.dz * gain[:, None]
-        coupling = _coupling(n_harm, n_r)
+        coupling = _coupling(grid.n_harm, grid.n_r)
         substeps.append(("nonlinearity", lambda amps: amps + gain_dz * coupling(amps)))
     # quadratic absorbing ramp over the outer 10% of the radius
     i0 = int(np.floor(0.9 * grid.n_r))
@@ -622,8 +702,8 @@ def simulate_kzk_axisym(
 
 def gaussian_profile(a: float):
     """Radial profile exp(-(r/a)^2) for a Gaussian source of 1/e radius a."""
-    if a <= 0:
-        raise DomainError("source radius must be positive")
+    if not (math.isfinite(a) and a > 0):
+        raise DomainError(f"source radius a must be finite and positive, got {a!r}")
 
     def profile(r: np.ndarray) -> np.ndarray:
         return np.exp(-((r / a) ** 2))

@@ -778,10 +778,13 @@ def test_import_nars_cli_loads_no_scipy(tmp_path):
     assert proc.stdout.strip() == "[]"
 
 
-@pytest.mark.parametrize("command", ["scene", "frontend", "localize", "train", "bench"])
+@pytest.mark.parametrize("command", ["wave", "kzk", "scene", "frontend", "localize", "train", "bench"])
 def test_audio_commands_run_without_loading_scipy(tmp_path, command):
+    # the two solver commands too: no nars command loads scipy
     root = Path(__file__).resolve().parents[1]
     texts = {
+        "wave": (root / "configs" / "wave.ini").read_text(),
+        "kzk": (root / "configs" / "kzk.ini").read_text(),
         "scene": (root / "configs" / "scene.ini").read_text(),  # has an echo path
         "frontend": FRONTEND_CFG,
         "localize": LOCALIZE_CFG,

@@ -2,8 +2,12 @@
 
 The reference below rebuilds every coefficient inside each step, writes the
 first-order KZK sequence out step by step and runs its own Westervelt loop.
-``simulate_kzk_axisym`` and ``westervelt_harmonic_curve`` must agree with
-it bit for bit, in the final state and in every callback state.
+``westervelt_harmonic_curve`` must agree with it bit for bit, in the final
+state and in every callback state. The reference KZK step forms the
+Crank-Nicolson right-hand side explicitly and solves with scipy's
+``solve_banded`` (LAPACK, partial pivoting); ``simulate_kzk_axisym`` solves
+by numpy cyclic reduction in the form x = 2 (I + cL)^-1 a - a, so each of
+its states must agree within KZK_RTOL of that state's max |A|.
 
 The two rewritten kernels are held to inline copies of their term-by-term
 forms: ``_coupling`` (an FFT) to the O(N^2) loop over (n, m)
@@ -41,7 +45,8 @@ class _ReferenceKzk:
     def __init__(self, medium, src, grid):
         self.medium, self.grid = medium, grid
         self.omega = 2 * np.pi * src.f0
-        self.lower, self.diag, self.upper = _radial_laplacian_bands(grid.n_r, grid.dr)
+        self.lower, self.upper = _radial_laplacian_bands(grid.n_r, grid.dr)
+        self.diag = -(self.lower + self.upper)  # every row of L sums to zero
         i0 = int(np.floor(0.9 * grid.n_r))
         ramp = np.zeros(grid.n_r)
         width_m = (grid.n_r - 1 - i0) * grid.dr
@@ -122,6 +127,16 @@ def _reference_westervelt_curve(medium, src, grid, n_max):
 
 KZK_SRC = SourceWaveform(p0=1e5, f0=1e6)
 KZK_RADIUS = 0.004
+# max over the callback states of |A - A_ref| / max |A_ref|, measured: at most
+# 1.8e-14 on the grids below and 6.6e-14 on the 256-step, 32-harmonic grid of
+# the beam benchmark, rounding that the 24 to 256 steps accumulate
+KZK_RTOL = 1e-13
+
+
+def _assert_states_close(got_states, want_states):
+    assert len(got_states) == len(want_states)
+    for got, want in zip(got_states, want_states):
+        assert np.abs(got - want).max() <= KZK_RTOL * np.abs(want).max()
 
 
 @pytest.mark.parametrize("beta, delta", list(itertools.product((0.0, 3.5), (0.0, 4.5e-4))))
@@ -134,12 +149,10 @@ def test_kzk_march_matches_per_step_reference(beta, delta):
     field = simulate_kzk_axisym(
         medium, KZK_SRC, profile, grid, callback=lambda z, amps: states.append((z, amps))
     )
-    expect, expect_states = _reference_kzk(medium, KZK_SRC, profile, grid)
-    assert np.array_equal(field.amps, expect)
+    _, expect_states = _reference_kzk(medium, KZK_SRC, profile, grid)
     assert [z for z, _ in states] == [step * grid.dz for step in range(grid.n_z + 1)]
-    assert len(states) == len(expect_states)
-    for (_, got), want in zip(states, expect_states):
-        assert np.array_equal(got, want)
+    assert np.array_equal(field.amps, states[-1][1])
+    _assert_states_close([amps for _, amps in states], expect_states)
 
 
 @pytest.mark.parametrize("delta", [0.0, 4.5e-3])
@@ -217,10 +230,10 @@ def test_kzk_march_at_thirty_two_harmonics_matches_per_step_reference():
     field = simulate_kzk_axisym(
         medium, KZK_SRC, profile, grid, callback=lambda z, amps: states.append(amps)
     )
-    expect, expect_states = _reference_kzk(medium, KZK_SRC, profile, grid)
+    _, expect_states = _reference_kzk(medium, KZK_SRC, profile, grid)
     assert np.all(field.amps[-1] != 0)  # every harmonic is reached
-    assert np.array_equal(field.amps, expect)
-    assert all(np.array_equal(got, want) for got, want in zip(states, expect_states))
+    assert np.array_equal(field.amps, states[-1])
+    _assert_states_close(states, expect_states)
 
 
 # === the rewritten kernels ===

@@ -1,3 +1,6 @@
+import math
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -83,6 +86,44 @@ def test_axisym_grid_validation():
         AxisymGrid(n_r=64, dr=1e-4, n_z=10, dz=1e-3, n_harm=1)
 
 
+NAN, INF = float("nan"), float("inf")
+NON_FINITE_INPUTS = {
+    "fubini-sigma-nan": (lambda: fubini_harmonics(1, NAN), DomainError, "sigma"),
+    "fubini-n-nan": (lambda: fubini_harmonics(NAN, 0.5), DomainError, "harmonic index"),
+    "fubini-n-inf": (lambda: fubini_harmonics(INF, 0.5), DomainError, "harmonic index"),
+    "medium-beta-nan": (lambda: Medium(rho0=1000.0, c=1500.0, beta=NAN), DomainError, "beta"),
+    "medium-delta-inf": (lambda: Medium(rho0=1000.0, c=1500.0, beta=3.5, delta=INF), DomainError, "delta"),
+    "source-p0-nan": (lambda: SourceWaveform(p0=NAN, f0=1e6), DomainError, "p0"),
+    "source-f0-inf": (lambda: SourceWaveform(p0=1e5, f0=INF), DomainError, "f0"),
+    "source-phase-nan": (lambda: SourceWaveform(p0=1e5, f0=1e6, phase=NAN), DomainError, "phase"),
+    "axisym-dr-nan": (lambda: AxisymGrid(n_r=64, dr=NAN, n_z=10, dz=1e-3, n_harm=4), ConfigurationError, "dr"),
+    "axisym-dz-inf": (lambda: AxisymGrid(n_r=64, dr=1e-4, n_z=10, dz=INF, n_harm=4), ConfigurationError, "dz"),
+    "plane-dz-z_max-inf": (
+        lambda: PlaneWaveGrid(n_time=256, n_steps=10, dz=INF, z_max=INF), ConfigurationError, "dz"
+    ),
+    "plane-z_max-nan": (
+        lambda: PlaneWaveGrid(n_time=256, n_steps=10, dz=0.01, z_max=NAN), ConfigurationError, "z_max"
+    ),
+    "gaussian-profile-a-nan": (lambda: gaussian_profile(NAN), DomainError, "radius a"),
+    "gaussian-axis-a-nan": (
+        lambda: analytic_gaussian_axis(SRC_1MPA, NAN, WATER, 0.01), DomainError, "radius a"
+    ),
+    "gaussian-axis-z-nan": (lambda: analytic_gaussian_axis(SRC_1MPA, 0.004, WATER, NAN), DomainError, "z"),
+    "rayleigh-a-nan": (lambda: rayleigh_distance(SRC_1MPA, NAN, WATER), DomainError, "radius a"),
+    "waveform-fs-nan": (lambda: TimeWaveform(np.zeros(64), fs=NAN), DomainError, "fs"),
+    "spectrum-f0-nan": (
+        lambda: harmonic_spectrum(TimeWaveform(np.zeros(64), fs=64e6), NAN, 3), DomainError, "f0"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", NON_FINITE_INPUTS)
+def test_non_finite_inputs_are_rejected_naming_the_field(case):
+    make, error, field = NON_FINITE_INPUTS[case]
+    with pytest.raises(error, match=field):
+        make()
+
+
 # === analytic oracles ===
 
 
@@ -100,6 +141,31 @@ def test_fubini_domain():
         fubini_harmonics(1, 1.5)
     with pytest.raises(DomainError):
         fubini_harmonics(0, 0.5)
+
+
+def test_fubini_bessel_matches_scipy_jv():
+    # oracle: scipy's Bessel jv, which errs by up to 2.1e-13 relative for these
+    # n against 40-digit values (Miller's recurrence by up to 1.5e-14), and
+    # which flushes values below about 1e-290 to zero
+    from scipy.special import jv
+
+    sigmas = np.concatenate([np.geomspace(1e-3, 1.0, 25), [0.1, 0.3, 0.5, 0.999]])
+    for n in range(1, 257):
+        for sigma in sigmas:
+            want = 2.0 * jv(n, n * sigma) / (n * sigma)
+            got = fubini_harmonics(n, sigma)
+            if abs(want) > 1e-280:
+                assert abs(got - want) <= 1e-12 * abs(want), (n, sigma, got, want)
+            else:
+                assert abs(got) <= 1e-280, (n, sigma, got, want)
+
+
+@pytest.mark.parametrize("sigma", [1e-300, 1e-150, 1e-101, 1e-99, 1e-30])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_fubini_at_tiny_sigma_is_the_leading_series_term(n, sigma):
+    # B_n = (n sigma / 2)^(n-1) / n! (1 - O(sigma^2)); the recurrence must not overflow
+    want = (n * sigma / 2) ** (n - 1) / math.factorial(n)
+    assert fubini_harmonics(n, sigma) == pytest.approx(want, rel=1e-14)
 
 
 def test_rayleigh_distance():
@@ -371,15 +437,106 @@ def test_factor_tridiagonal_rejects_a_singular_matrix(dtype):
     assert err.value.exit_code == 3
 
 
-def test_factored_solve_matches_scipy_solve_banded():
+def test_factor_tridiagonal_rejects_a_nonsingular_matrix_that_is_not_dominant():
+    # lower triangular with a unit diagonal, so det = 1, but row 1 has |2| > |1|
+    lower, diag, upper = np.array([2.0, 0.0]), np.ones(3), np.zeros(2)
+    with pytest.raises(NumericalError, match="not diagonally dominant in row 1") as err:
+        wavefield._factor_tridiagonal(lower, diag, upper)
+    assert err.value.exit_code == 3
+
+
+@pytest.mark.parametrize(
+    "diag, lower",
+    [
+        ([1.0, 0.0, 1.0], [0.0, 0.0]),  # a zero row is weakly dominant, and singular
+        ([1.0, np.inf, 1.0], [0.0, 0.0]),  # an infinite pivot
+        ([1.0, 1.0, 1e-320], [0.0, 0.0]),  # its reciprocal overflows
+        ([1.0, 1.0, 1.0], [np.nan, 0.0]),  # fails the dominance check
+    ],
+)
+def test_factor_tridiagonal_rejects_a_zero_or_non_finite_pivot(diag, lower):
+    with np.errstate(all="raise"):  # and the check itself warns of nothing
+        with pytest.raises(NumericalError, match="singular") as err:
+            wavefield._factor_tridiagonal(np.array(lower), np.array(diag), np.zeros(2))
+    assert err.value.exit_code == 3
+
+
+def _dominant_bands(n, dtype, seed):
+    """Random (lower, diag, upper) with |diag| >= 1.1 (|lower| + |upper|) in every row."""
+    rng = np.random.default_rng(seed)
+    complex_ = dtype == np.complex128
+
+    def draw(m):
+        v = rng.standard_normal(m)
+        return v + 1j * rng.standard_normal(m) if complex_ else v
+
+    lower, upper = draw(n - 1), draw(n - 1)
+    off = np.zeros(n)
+    off[1:] += np.abs(lower)
+    off[:-1] += np.abs(upper)
+    sign = np.exp(1j * rng.uniform(-np.pi, np.pi, n)) if complex_ else rng.choice([-1.0, 1.0], n)
+    diag = (off * (1.1 + rng.random(n)) + (off == 0)) * sign
+    return lower, diag, upper, draw(n)
+
+
+def _kzk_bands(monkeypatch, medium, src, grid):
+    """The bands that a KZK march with these parameters hands ``_factor_tridiagonal``."""
+    seen = []
+    factor = wavefield._factor_tridiagonal
+    with monkeypatch.context() as patch:
+        patch.setattr(wavefield, "_factor_tridiagonal", lambda *bands: seen.append(bands) or factor(*bands))
+        wavefield._kzk_substeps(medium, src, grid)
+    (bands,) = seen
+    rng = np.random.default_rng(5)
+    n = bands[1].shape[0]
+    return (*bands, rng.standard_normal(n) + 1j * rng.standard_normal(n))
+
+
+# max |x - x_scipy| / max |x_scipy|, measured: at most 1.3e-15 over 200 seeds
+# of the random matrices, 4.3e-16 on the beam benchmark's KZK matrix
+SOLVE_RTOL = 1e-14
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 50, 401])
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_cyclic_reduction_matches_scipy_solve_banded_on_dominant_matrices(n, dtype):
+    _assert_solve_matches_scipy(*_dominant_bands(n, dtype, seed=n))
+
+
+@pytest.mark.parametrize("grid_name", ["beam", "kzk.ini"])
+def test_cyclic_reduction_matches_scipy_solve_banded_on_kzk_matrices(monkeypatch, grid_name):
+    if grid_name == "beam":  # the beam benchmark's 32-harmonic march
+        medium = Medium(rho0=1000.0, c=1500.0, beta=3.5, delta=4.5e-4)
+        src = SourceWaveform(p0=1e5, f0=1e6)
+        dz = rayleigh_distance(src, 0.004, medium) / 256
+        grid = AxisymGrid(n_r=400, dr=1e-4, n_z=256, dz=dz, n_harm=32)
+    else:  # configs/kzk.ini
+        medium = Medium(rho0=1000.0, c=1500.0, beta=0.0, delta=0.0)
+        src = SourceWaveform(p0=1e5, f0=1e6)
+        grid = AxisymGrid(n_r=96, dr=0.0002, n_z=40, dz=0.002, n_harm=4)
+    _assert_solve_matches_scipy(*_kzk_bands(monkeypatch, medium, src, grid))
+
+
+def _assert_solve_matches_scipy(lower, diag, upper, b):
     from scipy.linalg import solve_banded
 
-    rng = np.random.default_rng(3)
-    n = 50
-    ab = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
-    b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    factors = wavefield._factor_tridiagonal(ab[2, :-1], ab[1], ab[0, 1:])
-    assert np.array_equal(wavefield.solve_banded(factors, b.copy()), solve_banded((1, 1), ab, b))
+    n = diag.shape[0]
+    ab = np.zeros((3, n), dtype=diag.dtype)
+    ab[0, 1:], ab[1], ab[2, :-1] = upper, diag, lower
+    want = solve_banded((1, 1), ab, b)
+    got = wavefield.solve_banded(wavefield._factor_tridiagonal(lower, diag, upper), b.copy())
+    assert np.abs(got - want).max() <= SOLVE_RTOL * np.abs(want).max()
+
+
+def test_kzk_march_and_fubini_load_no_scipy(monkeypatch):
+    # the suite has loaded scipy as an oracle: every scipy entry of
+    # sys.modules is set to None, so any import of scipy raises ImportError
+    for name in [m for m in sys.modules if m.split(".")[0] == "scipy"] + ["scipy"]:
+        monkeypatch.setitem(sys.modules, name, None)
+    med, src, a, grid = kzk_case(beta=3.5, delta=4.5e-4, n_z=8, n_harm=4)
+    simulate_kzk_axisym(med, src, gaussian_profile(a), grid)
+    assert fubini_harmonics(3, 0.5) == pytest.approx(FUBINI_TABLE[(3, 0.5)], abs=5e-7)
+    assert [m for m, mod in sys.modules.items() if m.split(".")[0] == "scipy" and mod is not None] == []
 
 
 def test_radial_weights_integrate_area():
