@@ -121,6 +121,7 @@ def cmd_wave(args) -> None:
     cfg.effective_seed(conf, args.seed)
     conf.finish()
     conf.check(n_steps >= 1, "wave", "n_steps", "must be at least 1")
+    conf.check(n_harm >= 1, "wave", "n_harm", "must be at least 1")
     conf.check(
         (z_max is None) != (sigma_end is None), "wave", "z_max or sigma_end",
         "must be set, not both",
@@ -286,6 +287,7 @@ def cmd_localize(args) -> None:
         f"must exceed {2 * margin} m on every axis to place sources {margin} m from the walls",
     )
     cfg.check_positions(conf, room, mic_positions, explicit_pos)
+    cfg.check_wav_duration(conf, "scene", "duration", [duration], room.fs, len(mic_positions))
 
     rows = []
     errs = []
@@ -349,6 +351,9 @@ def cmd_bench(args) -> None:
     if len(durations) == 0:
         raise DataError("bench corpus is empty: no durations configured")
     conf.check(all(d > 0 for d in durations), "bench", "durations", "must be positive")
+    cfg.check_wav_duration(conf, "bench", "durations", durations, fs, n_mics)
+    span = f"must each hold at least the filter-bank prototype span ({spec.n_taps} samples at [bench] fs)"
+    conf.check(all(round(d * fs) >= spec.n_taps for d in durations), "bench", "durations", span)
 
     geom = circular_array(n_mics, 0.05, fs=fs)
 

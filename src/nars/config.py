@@ -262,13 +262,22 @@ def check_positions(conf: Conf, room: RoomSpec, mic_positions, source_pos, echo_
         )
 
 
+def check_wav_duration(conf: Conf, section: str, key: str, durations, fs: float, n_ch: int) -> None:
+    """Reject a duration whose samples at ``fs`` would not fit an ``n_ch``-channel WAV file."""
+    n_max = io.max_wav_samples(n_ch)
+    ok = all(d * fs < n_max + 1 and round(d * fs) <= n_max for d in durations)
+    rule = f"must give at most {n_max} samples at {fs!r} Hz, so {n_ch} channels fit a WAV file"
+    conf.check(ok, section, key, rule)
+
+
 def build_scenario(conf: Conf, seed: int) -> ScenarioConfig:
+    """The ``[scene]`` of the room and mics, whose mics must fit one WAV file."""
     room = build_room(conf)
     echo_pos = conf.get_vec3("scene", "echo_pos", None)
     source_pos = conf.get_vec3("scene", "source_pos")
     mic_positions = build_mic_positions(conf)
     check_positions(conf, room, mic_positions, source_pos, echo_pos)
-    return ScenarioConfig(
+    scenario = ScenarioConfig(
         room=room,
         source_pos=source_pos,
         mic_positions=mic_positions,
@@ -279,6 +288,8 @@ def build_scenario(conf: Conf, seed: int) -> ScenarioConfig:
         echo_pos=echo_pos,
         echo_level_db=conf.get_float("scene", "echo_level_db", 0.0),
     )
+    check_wav_duration(conf, "scene", "duration", [scenario.duration], room.fs, len(mic_positions))
+    return scenario
 
 
 def build_bank(conf: Conf, section: str, fs: float) -> FilterBankSpec:

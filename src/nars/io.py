@@ -57,6 +57,11 @@ _WAV_DECODERS = {
 }
 
 
+def max_wav_samples(n_ch: int) -> int:
+    """The most samples per channel whose n_ch-channel float32 WAV file a RIFF header can size."""
+    return (0xFFFFFFFF - 50) // (4 * n_ch)
+
+
 def write_wav(path, fs: float, data: np.ndarray) -> None:
     """Mono or interleaved multichannel float32 WAV.
 
@@ -73,7 +78,7 @@ def write_wav(path, fs: float, data: np.ndarray) -> None:
         raise DataError(f"sample rate {fs!r} is not a whole number of Hz representable in WAV")
     n_ch, n = data.shape
     fs, block = int(fs), 4 * n_ch
-    if n_ch < 1 or fs * block > 0xFFFFFFFF or 50 + block * n > 0xFFFFFFFF:
+    if n_ch < 1 or fs * block > 0xFFFFFFFF or n > max_wav_samples(n_ch):
         raise DataError(f"{n_ch} channels of {n} samples at {fs} Hz do not fit a WAV header")
     header = b"RIFF" + struct.pack("<I", 50 + block * n) + b"WAVE"
     header += b"fmt " + struct.pack(

@@ -19,7 +19,10 @@ batch (Schulman et al. 2017, Algorithm 1). Every episode starts at chunk 0
 and advances with the others, so one ``TuningEnv.step`` and one ``enhance``
 call serve them all. The action noise of an update is drawn at once in
 episode order, and the policy is evaluated row by row, so each episode gets
-the bits it would get if the episodes ran one after another.
+the bits it would get if the episodes ran one after another. An update's
+experience is one ``Batch`` of E whole episodes by T steps: the rollouts
+write it in place, GAE runs over its rows, and PPO flattens it to E * T
+samples.
 
 Each piece of the PPO math has one home. ``_forward`` evaluates both networks
 and keeps the intermediates that the backward pass reads; ``_log_prob`` is the
@@ -206,41 +209,38 @@ def clipped_surrogate(ratio, advantage, clip_eps: float):
     return np.minimum(unclipped, clipped), unclipped <= clipped
 
 
-@dataclass
-class Trajectory:
-    obs: np.ndarray  # (T, obs_dim)
-    actions: np.ndarray  # (T, act_dim) raw policy samples
-    logps: np.ndarray  # (T,)
-    rewards: np.ndarray  # (T,)
-    values: np.ndarray  # (T,)
-    dones: np.ndarray  # (T,) bool
-    bootstrap_value: float = 0.0
+class Batch(NamedTuple):
+    """One update's experience: E whole episodes of T steps, row e is episode e."""
 
-    def __len__(self):
-        return self.rewards.shape[0]
+    obs: np.ndarray  # (E, T, obs_dim)
+    actions: np.ndarray  # (E, T, act_dim) raw policy samples
+    logps: np.ndarray  # (E, T)
+    rewards: np.ndarray  # (E, T)
+    values: np.ndarray  # (E, T)
 
 
-def compute_gae(traj: Trajectory, gamma: float, lam: float) -> tuple[np.ndarray, np.ndarray]:
-    """Raw generalized-advantage estimates and returns (advantage + value).
+def compute_gae(
+    rewards: np.ndarray, values: np.ndarray, gamma: float, lam: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Raw generalized-advantage estimates and returns (advantage + value) of (E, T) episodes.
 
-    delta_t = r_t + gamma V(s_{t+1}) (1 - done_t) - V(s_t); the recursion
-    accumulates (gamma lam)-discounted deltas, resetting across episode ends.
-    Normalization happens later, per update batch.
+    delta_t = r_t + gamma V(s_{t+1}) - V(s_t), with V = 0 past the last step,
+    where every episode ends; the (gamma lam)-discounted recursion runs over
+    all rows at once. Normalization happens later, per update batch.
     """
     if not (0.0 <= gamma <= 1.0 and 0.0 <= lam <= 1.0):
         raise DomainError("gamma and lam must lie in [0, 1]")
-    T = len(traj)
-    if T == 0:
-        raise DomainError("empty trajectory")
-    next_values = np.append(traj.values[1:], traj.bootstrap_value)
-    not_done = 1.0 - traj.dones.astype(np.float64)
-    deltas = traj.rewards + gamma * next_values * not_done - traj.values
-    adv = np.empty(T)
+    if rewards.shape[-1] == 0:
+        raise DomainError("GAE needs at least one step")
+    next_values = np.zeros_like(values)
+    next_values[..., :-1] = values[..., 1:]
+    deltas = rewards + gamma * next_values - values
+    adv = np.empty_like(deltas)
     acc = 0.0
-    for t in range(T - 1, -1, -1):
-        acc = deltas[t] + gamma * lam * not_done[t] * acc
-        adv[t] = acc
-    return adv, adv + traj.values
+    for t in reversed(range(rewards.shape[-1])):
+        acc = deltas[..., t] + gamma * lam * acc
+        adv[..., t] = acc
+    return adv, adv + values
 
 
 def objective_and_grad(
@@ -311,32 +311,28 @@ def normalize_advantages(adv: np.ndarray) -> np.ndarray:
 
 def ppo_update(
     p: PolicyParams,
-    trajs: list[Trajectory],
+    batch: Batch,
     *,
     epochs: int = 4,
     minibatch: int = 64,
     rng: np.random.Generator | None = None,
 ) -> tuple[PolicyParams, dict]:
-    """One update over a batch of trajectories; returns a new PolicyParams.
+    """One update over a batch of whole episodes; returns a new PolicyParams.
 
+    The (E, T) batch is flattened to E * T rows in episode order.
     Advantages are batch-normalized; minibatches are shuffled from the
     supplied substream; Adam ascends the objective for the given epochs.
     """
-    if not trajs:
-        raise DomainError("ppo_update needs at least one trajectory")
+    if batch.rewards.size == 0:
+        raise DomainError("ppo_update needs at least one step")
     if epochs < 1 or minibatch < 1:
         raise DomainError(f"ppo_update needs epochs >= 1 and minibatch >= 1, got {epochs} and {minibatch}")
     rng = rng or np.random.default_rng(0)
-    obs = np.concatenate([t.obs for t in trajs])
-    act = np.concatenate([t.actions for t in trajs])
-    logp = np.concatenate([t.logps for t in trajs])
-    advs, rets = [], []
-    for t in trajs:
-        a, r = compute_gae(t, p.gamma, p.lam)
-        advs.append(a)
-        rets.append(r)
-    adv = normalize_advantages(np.concatenate(advs))
-    ret = np.concatenate(rets)
+    obs = batch.obs.reshape(-1, p.obs_dim)
+    act = batch.actions.reshape(-1, p.act_dim)
+    logp = batch.logps.ravel()
+    adv, ret = compute_gae(batch.rewards, batch.values, p.gamma, p.lam)
+    adv, ret = normalize_advantages(adv.ravel()), ret.ravel()
 
     theta = p.theta.copy()
     new = replace(p, theta=theta)
@@ -721,52 +717,43 @@ class TuningEnv:
 # === training loop ===
 
 _LOCKSTEP_EPISODES = 8  # at most this many episodes step together, which bounds a step's memory
+_CURVE_DIAGNOSTICS = ("clip_fraction", "mean_ratio", "surrogate", "value_loss", "approx_kl", "entropy")
 
 
 def clipped_action(raw: np.ndarray) -> Action:
     return Action(deltas=np.clip(raw, -1.0, 1.0) * ACTION_BOUNDS)
 
 
-def _rollouts(env: TuningEnv, p: PolicyParams, noise: np.ndarray) -> list[Trajectory]:
-    """One episode of env per row of noise, all stepped in lockstep.
+def _rollouts(env: TuningEnv, p: PolicyParams, noise: np.ndarray, batch: Batch, rows: list[int]) -> None:
+    """Episodes ``rows`` of the batch on env, stepped in lockstep and written in place.
 
-    ``noise`` (E, env.horizon, act_dim) holds each episode's standard-normal
-    action draws. The policy runs row by row: a batched (E, obs_dim) product
-    can differ from E row products in the last bits.
+    ``noise`` (E, T, act_dim) holds each episode's standard-normal action
+    draws. The policy runs row by row: a batched (E, obs_dim) product can
+    differ from E row products in the last bits.
     """
-    n_ep, horizon = noise.shape[:2]
-    obs = np.empty((n_ep, horizon, p.obs_dim))
-    act = np.empty((n_ep, horizon, p.act_dim))
-    logps, rewards, values = (np.empty((n_ep, horizon)) for _ in range(3))
-    dones = np.zeros(horizon, dtype=bool)
-    states = [env.reset()] * n_ep
-    for k in range(horizon):
-        for e, state in enumerate(states):
-            obs[e, k] = state.vector()
-            f = _forward(p, obs[e, k][None, :])
+    states = [env.reset()] * len(rows)
+    for k in range(noise.shape[1]):
+        for e, state in zip(rows, states):
+            batch.obs[e, k] = state.vector()
+            f = _forward(p, batch.obs[e, k][None, :])
             raw, logp = _sample(f, noise[e, k])
-            act[e, k], logps[e, k], values[e, k] = raw[0], logp[0], f.v[0]
-        states, rewards[:, k], dones[k] = env.step(clipped_action(act[:, k]))
-    return [
-        Trajectory(obs[e], act[e], logps[e], rewards[e], values[e], dones.copy(), 0.0)
-        for e in range(n_ep)
-    ]
+            batch.actions[e, k], batch.logps[e, k], batch.values[e, k] = raw[0], logp[0], f.v[0]
+        states, batch.rewards[rows, k], _ = env.step(clipped_action(batch.actions[rows, k]))
 
 
-def _collect(envs: list[TuningEnv], p: PolicyParams, noise: np.ndarray, first: int) -> list[Trajectory]:
-    """The episodes of one update, in order; episode i runs on envs[(first + i) % len(envs)].
+def _collect(envs: list[TuningEnv], p: PolicyParams, noise: np.ndarray, first: int) -> Batch:
+    """The (E, T) batch of one update; episode i runs on envs[(first + i) % len(envs)].
 
     The episodes that share an env step together, at most _LOCKSTEP_EPISODES
     at a time, each with its own row of noise.
     """
-    trajs: list = [None] * len(noise)
+    shape = noise.shape[:2]
+    batch = Batch(*(np.empty(shape + tail) for tail in ((p.obs_dim,), (p.act_dim,), (), (), ())))
     for j, env in enumerate(envs):
         mine = [i for i in range(len(noise)) if (first + i) % len(envs) == j]
         for lo in range(0, len(mine), _LOCKSTEP_EPISODES):
-            group = mine[lo : lo + _LOCKSTEP_EPISODES]
-            for i, t in zip(group, _rollouts(env, p, noise[group])):
-                trajs[i] = t
-    return trajs
+            _rollouts(env, p, noise, batch, mine[lo : lo + _LOCKSTEP_EPISODES])
+    return batch
 
 
 def train_tuning_policy(
@@ -810,26 +797,15 @@ def train_tuning_policy(
     while steps < budget:
         t0 = time.perf_counter()
         noise = rollout_rng.standard_normal((episodes_per_update, horizon, policy.act_dim))
-        trajs = _collect(envs, policy, noise, len(rows))
-        steps += sum(map(len, trajs))
+        batch = _collect(envs, policy, noise, len(rows))
+        steps += batch.rewards.size
         t1 = time.perf_counter()
-        policy, diag = ppo_update(
-            policy, trajs, epochs=epochs, minibatch=minibatch, rng=shuffle_rng
-        )
+        policy, diag = ppo_update(policy, batch, epochs=epochs, minibatch=minibatch, rng=shuffle_rng)
         rollout_s += t1 - t0
         update_s += time.perf_counter() - t1
-        for t in trajs:
-            rows.append(
-                {
-                    "episode": len(rows),
-                    "mean_reward": f"{float(np.mean(t.rewards)):.6f}",
-                    "clip_fraction": f"{diag['clip_fraction']:.6f}",
-                    "mean_ratio": f"{diag['mean_ratio']:.6f}",
-                    "surrogate": f"{diag['surrogate']:.6f}",
-                    "value_loss": f"{diag['value_loss']:.6f}",
-                    "approx_kl": f"{diag['approx_kl']:.6f}",
-                    "entropy": f"{diag['entropy']:.6f}",
-                }
-            )
+        # curve.csv's columns, in order; the PPO diagnostics are the update's
+        update_cols = {key: f"{diag[key]:.6f}" for key in _CURVE_DIAGNOSTICS}
+        for ep_rewards in batch.rewards:
+            rows.append({"episode": len(rows), "mean_reward": f"{float(np.mean(ep_rewards)):.6f}", **update_cols})
     log.debug("train: %d episodes; rollouts %.3f s, PPO updates %.3f s", len(rows), rollout_s, update_s)
     return policy, rows

@@ -31,10 +31,10 @@ from nars.frontend import (
 )
 from nars.rl import (
     Action,
+    Batch,
     ChainRoutingMdp,
     PolicyParams,
     RewardWeights,
-    Trajectory,
     TuningEnv,
     _forward,
     _sample,
@@ -287,12 +287,10 @@ def bandit_updates_to_converge(seed, max_updates=200):
     for update in range(1, max_updates + 1):
         obs = np.zeros((64, 1))
         act, logp = _sample(_forward(p, obs), rng.standard_normal((len(obs), p.act_dim)))
-        traj = Trajectory(
-            obs=obs, actions=act, logps=logp,
-            rewards=(act[:, 0] > 0).astype(float),
-            values=np.zeros(64), dones=np.ones(64, bool),
-        )
-        p, _ = ppo_update(p, [traj], rng=rng)
+        # 64 one-step episodes: a (64, 1) batch
+        rewards = (act[:, 0] > 0).astype(float)
+        batch = Batch(obs[:, None], act[:, None], logp[:, None], rewards[:, None], np.zeros((64, 1)))
+        p, _ = ppo_update(p, batch, rng=rng)
         mean, std = policy_mean_std(p, np.zeros((1, 1)))
         if stats.norm.cdf(mean[0, 0] / std[0, 0]) >= 0.95:
             return update

@@ -511,6 +511,32 @@ def _position_cases():
 POSITION_CASES = _position_cases()
 
 
+def _duration_cases():
+    """(id, command, key, config): durations whose samples would not fit a WAV file of the
+    scene's mics (8 of them, so at most 134217726 samples), or a bench stream shorter than the
+    filter-bank prototype span, for every command that reads them."""
+    limit = "wav-limit-plus-one"  # 134217727 samples at 16 kHz
+    cases = [
+        (f"{command}-duration-{value if value == '1e300' else limit}", command,
+         f"{command}.ini: [scene] duration must give at most 134217726 samples",
+         re.sub(r"duration = [\d.]+", f"duration = {value}", base))
+        for command, base in (
+            ("scene", SCENE_CFG), ("frontend", FRONTEND_CFG), ("localize", LOCALIZE_CFG), ("train", TRAIN_CFG)
+        )
+        for value in ("1e300", "8388.6079375")
+    ]
+    bench = "bench.ini: [bench] durations must"
+    return cases + [
+        ("bench-durations-1e300", "bench", f"{bench} give at most 268435452 samples",
+         BENCH_CFG.replace("durations = 3", "durations = 3, 1e300")),
+        ("bench-durations-below-prototype-span", "bench", f"{bench} each hold at least the filter-bank prototype span",
+         BENCH_CFG.replace("durations = 3", "durations = 3, 0.01")),
+    ]
+
+
+DURATION_CASES = _duration_cases()
+
+
 @pytest.mark.parametrize(
     "command, key, cfg_text",
     [
@@ -555,6 +581,8 @@ POSITION_CASES = _position_cases()
             "[scene]", "[scene]\nsource_pos = 3, 2.5, 1.2").replace("n_scenes = 6", "n_scenes = 1")),
         ("scene", "scene.ini: [scene] source_pos must lie farther than the array radius",
          SCENE_CFG.replace("source_pos = 1.5, 3.5, 1.5", "source_pos = 3.03, 2.5, 2.5")),
+        ("wave", "wave.ini: [wave] n_harm must be at least 1", WAVE_CFG.replace("n_harm = 3", "n_harm = 0")),
+        *(case[1:] for case in DURATION_CASES),
         *(case[1:] for case in POSITION_CASES),
     ],
     ids=[
@@ -594,6 +622,8 @@ POSITION_CASES = _position_cases()
         "frontend-echo_pos-outside-room",
         "localize-source_pos-at-array-centre",
         "scene-source_pos-within-array-radius",
+        "wave-n_harm-0",
+        *(case[0] for case in DURATION_CASES),
         *(case[0] for case in POSITION_CASES),
     ],
 )

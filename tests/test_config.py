@@ -2,8 +2,9 @@ import configparser
 
 import pytest
 
-from nars.config import Conf, build_mic_positions
+from nars.config import Conf, build_mic_positions, check_wav_duration
 from nars.errors import ConfigurationError
+from nars.io import max_wav_samples
 
 
 def conf_of(text):
@@ -42,3 +43,12 @@ def test_bad_explicit_mic_rows_are_configuration_errors(row):
 def test_explicit_mic_rows_parse_in_index_order():
     c = conf_of("[mics]\n1 = 3.1, 2.5, 1.2\n0 = 3 2.5 1.2\n")
     assert build_mic_positions(c) == [(3.0, 2.5, 1.2), (3.1, 2.5, 1.2)]
+
+
+@pytest.mark.parametrize("n_ch", [2, 8])
+def test_wav_duration_check_stops_at_the_riff_limit(n_ch):
+    c, n_max, fs = conf_of("[s]\n"), max_wav_samples(n_ch), 16000.0
+    check_wav_duration(c, "s", "d", [1.0, n_max / fs], fs, n_ch)  # the limit itself fits
+    for d in ((n_max + 1) / fs, 1e300):
+        with pytest.raises(ConfigurationError, match=rf"t.ini: \[s\] d must give at most {n_max} samples"):
+            check_wav_duration(c, "s", "d", [1.0, d], fs, n_ch)

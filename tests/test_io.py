@@ -10,6 +10,7 @@ from nars.errors import ConfigurationError, DataError
 from nars.io import (
     ArtifactSet,
     fmt_num,
+    max_wav_samples,
     read_field_dump,
     read_policy_vector,
     read_wav,
@@ -165,6 +166,16 @@ def test_wav_bad_shape_and_rate(tmp_path):
         write_wav(tmp_path / "s.wav", 8000.0, np.zeros((2, 3, 4)))
     with pytest.raises(DataError):
         write_wav(tmp_path / "r.wav", 0.0, np.zeros(10))
+
+
+@pytest.mark.parametrize("n_ch", [1, 2, 8, 7])
+def test_max_wav_samples_is_the_riff_limit_that_write_wav_enforces(tmp_path, n_ch):
+    n = max_wav_samples(n_ch)
+    assert 50 + 4 * n_ch * n <= 0xFFFFFFFF < 50 + 4 * n_ch * (n + 1)
+    path = tmp_path / "big.wav"
+    with pytest.raises(DataError, match="do not fit a WAV header"):
+        write_wav(path, 16000.0, np.broadcast_to(np.float32(0.0), (n_ch, n + 1)))  # zero-stride, no memory
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("fs", [16000.7, 15999.5, float("nan"), float("inf")])

@@ -16,11 +16,11 @@ from nars.rl import (
     ACTION_BOUNDS,
     OBS_DIM,
     Action,
+    Batch,
     ChainRoutingMdp,
     PolicyParams,
     QTable,
     RewardWeights,
-    Trajectory,
     TuningEnv,
     _forward,
     _sample,
@@ -95,56 +95,52 @@ def test_surrogate_pessimism_and_bound(ratio, adv, eps):
 # === GAE ===
 
 
-def make_traj(rewards, values, dones, bootstrap=0.0, obs_dim=2):
-    T = len(rewards)
-    return Trajectory(
-        obs=np.zeros((T, obs_dim)),
-        actions=np.zeros((T, 1)),
-        logps=np.zeros(T),
-        rewards=np.asarray(rewards, float),
-        values=np.asarray(values, float),
-        dones=np.asarray(dones, bool),
-        bootstrap_value=bootstrap,
-    )
-
-
 def test_gae_three_step_case():
-    t = make_traj([1.0, 0.0, 1.0], [0.5, 0.5, 0.5], [False, False, True])
-    adv, ret = compute_gae(t, gamma=0.9, lam=0.5)
-    assert adv == pytest.approx([1.02875, 0.175, 0.5], abs=1e-12)
+    adv, ret = compute_gae(np.array([[1.0, 0.0, 1.0]]), np.full((1, 3), 0.5), gamma=0.9, lam=0.5)
+    assert adv[0] == pytest.approx([1.02875, 0.175, 0.5], abs=1e-12)
     assert ret == pytest.approx(adv + 0.5, abs=1e-12)
 
 
 def test_gae_lambda_zero_is_td_error():
+    """With V = 0 past the last step."""
     rng = np.random.default_rng(0)
-    r, v = rng.standard_normal(6), rng.standard_normal(6)
-    t = make_traj(r, v, [False] * 5 + [True], bootstrap=0.3)
-    adv, _ = compute_gae(t, gamma=0.9, lam=0.0)
-    next_v = np.append(v[1:], 0.3)
-    not_done = np.array([1.0] * 5 + [0.0])
-    assert adv == pytest.approx(r + 0.9 * next_v * not_done - v, abs=1e-12)
+    r, v = rng.standard_normal((1, 6)), rng.standard_normal((1, 6))
+    adv, _ = compute_gae(r, v, gamma=0.9, lam=0.0)
+    next_v = np.append(v[0, 1:], 0.0)
+    assert adv[0] == pytest.approx(r[0] + 0.9 * next_v - v[0], abs=1e-12)
 
 
 def test_gae_lambda_one_gamma_one_is_reward_to_go():
-    r = np.array([1.0, 2.0, 3.0, 4.0])
-    t = make_traj(r, np.zeros(4), [False] * 4, bootstrap=0.0)
-    adv, _ = compute_gae(t, gamma=1.0, lam=1.0)
-    assert adv == pytest.approx(np.cumsum(r[::-1])[::-1], abs=1e-12)
+    r = np.array([[1.0, 2.0, 3.0, 4.0]])
+    adv, _ = compute_gae(r, np.zeros((1, 4)), gamma=1.0, lam=1.0)
+    assert adv[0] == pytest.approx(np.cumsum(r[0, ::-1])[::-1], abs=1e-12)
 
 
-def test_gae_resets_at_episode_boundary():
-    t = make_traj([1.0, 5.0], [0.0, 0.0], [True, True])
-    adv, _ = compute_gae(t, gamma=0.9, lam=0.9)
-    assert adv == pytest.approx([1.0, 5.0])  # no leakage across the done
+def test_gae_rows_do_not_leak_into_each_other():
+    adv, _ = compute_gae(np.array([[1.0], [5.0]]), np.zeros((2, 1)), gamma=0.9, lam=0.9)
+    assert adv.tolist() == [[1.0], [5.0]]
+
+
+def test_gae_of_a_batch_is_its_rows_gae_bit_for_bit():
+    rng = np.random.default_rng(3)
+    r, v = rng.standard_normal((5, 7)), rng.standard_normal((5, 7))
+    adv, ret = compute_gae(r, v, gamma=0.9, lam=0.8)
+    for e in range(5):
+        adv_e, ret_e = compute_gae(r[e : e + 1], v[e : e + 1], gamma=0.9, lam=0.8)
+        assert np.array_equal(adv[e : e + 1], adv_e) and np.array_equal(ret[e : e + 1], ret_e)
 
 
 def test_gae_validation():
-    t = make_traj([], [], [])
     with pytest.raises(DomainError):
-        compute_gae(t, 0.9, 0.5)
-    ok = make_traj([1.0], [0.0], [True])
-    with pytest.raises(DomainError):
-        compute_gae(ok, 1.5, 0.5)
+        compute_gae(np.zeros((2, 0)), np.zeros((2, 0)), 0.9, 0.5)
+    for gamma, lam in ((1.5, 0.5), (-0.1, 0.5), (0.9, 1.5), (0.9, -0.1)):
+        with pytest.raises(DomainError):
+            compute_gae(np.ones((1, 1)), np.zeros((1, 1)), gamma, lam)
+
+
+def one_episode(obs, act, logp, rewards, values):
+    """A batch of one episode from (T, ...) arrays."""
+    return Batch(*(np.asarray(x, dtype=np.float64)[None] for x in (obs, act, logp, rewards, values)))
 
 
 # === policy network and its gradient ===
@@ -263,22 +259,20 @@ def test_zero_advantages_touch_only_the_value_head():
     rng = np.random.default_rng(7)
     obs = rng.standard_normal((8, 3))
     act, logp = _sample(_forward(p, obs), rng.standard_normal((len(obs), p.act_dim)))
-    c = 0.7  # constant value guesses, zero rewards, gamma 1 -> all deltas vanish
-    traj = Trajectory(
-        obs=obs, actions=act, logps=logp,
-        rewards=np.zeros(8), values=np.full(8, c),
-        dones=np.zeros(8, bool), bootstrap_value=c,
-    )
-    new, _ = ppo_update(p, [traj], epochs=3, minibatch=4, rng=np.random.default_rng(8))
+    # zero rewards and zero value guesses -> all deltas vanish, yet V(s) != 0
+    batch = one_episode(obs, act, logp, np.zeros(8), np.zeros(8))
+    new, _ = ppo_update(p, batch, epochs=3, minibatch=4, rng=np.random.default_rng(8))
     split = policy_block_split(p)
     assert np.array_equal(new.theta[:split], p.theta[:split])
     assert not np.array_equal(new.theta[split:], p.theta[split:])
 
 
-def test_ppo_update_validation():
+@pytest.mark.parametrize("n_ep, horizon", [(0, 8), (2, 0)])
+def test_ppo_update_validation(n_ep, horizon):
     p = init_policy(3, 2, hidden=4, v_hidden=3, seed=0)
-    with pytest.raises(DomainError):
-        ppo_update(p, [])
+    empty = Batch(np.zeros((n_ep, horizon, 3)), np.zeros((n_ep, horizon, 2)), *np.zeros((3, n_ep, horizon)))
+    with pytest.raises(DomainError, match="at least one step"):
+        ppo_update(p, empty)
 
 
 
@@ -288,13 +282,9 @@ def test_ppo_update_needs_an_epoch_and_a_minibatch(epochs, minibatch, name):
     rng = np.random.default_rng(7)
     obs = rng.standard_normal((8, 3))
     act, logp = _sample(_forward(p, obs), rng.standard_normal((len(obs), p.act_dim)))
-    traj = Trajectory(
-        obs=obs, actions=act, logps=logp,
-        rewards=np.ones(8), values=np.zeros(8),
-        dones=np.zeros(8, bool), bootstrap_value=0.0,
-    )
+    batch = one_episode(obs, act, logp, np.ones(8), np.zeros(8))
     with pytest.raises(DomainError, match=name):
-        ppo_update(p, [traj], epochs=epochs, minibatch=minibatch)
+        ppo_update(p, batch, epochs=epochs, minibatch=minibatch)
 
 
 # === tabular Q-learning ===
@@ -359,12 +349,10 @@ def test_bandit_sign_task_converges():
     for update in range(60):
         obs = np.zeros((64, 1))
         act, logp = _sample(_forward(p, obs), rng.standard_normal((len(obs), p.act_dim)))
-        traj = Trajectory(
-            obs=obs, actions=act, logps=logp,
-            rewards=(act[:, 0] > 0).astype(float),
-            values=np.zeros(64), dones=np.ones(64, bool),
-        )
-        p, _ = ppo_update(p, [traj], rng=rng)
+        # 64 one-step episodes: a (64, 1) batch
+        rewards = (act[:, 0] > 0).astype(float)
+        batch = Batch(obs[:, None], act[:, None], logp[:, None], rewards[:, None], np.zeros((64, 1)))
+        p, _ = ppo_update(p, batch, rng=rng)
         mean, std = policy_mean_std(p, np.zeros((1, 1)))
         prob_pos = float(stats.norm.cdf(mean[0, 0] / std[0, 0]))
         if prob_pos >= 0.95:

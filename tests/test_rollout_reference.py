@@ -5,7 +5,8 @@ training did before episodes were stepped in lockstep: a single-episode env
 that calls ``enhance`` on one stream per step, a rollout that draws each
 step's action noise as it goes, and the training loop around them. The
 lockstep ``_collect`` and ``train_tuning_policy`` must agree with them bit
-for bit: every ``Trajectory`` field, the curve rows and the trained weights.
+for bit: every field of every row of the (E, T) batch of whole episodes
+that an update learns from, the curve rows and the trained weights.
 
 Every scenario here is 0.08 s long with 0.04 s chunks, so a 16-step episode
 wraps around its 2 chunks 8 times.
@@ -19,9 +20,9 @@ from nars.rl import (
     ACT_DIM,
     ACTION_BOUNDS,
     OBS_DIM,
+    Batch,
     EnvState,
     RewardWeights,
-    Trajectory,
     TuningEnv,
     _collect,
     _forward,
@@ -111,7 +112,8 @@ class _SequentialEnv:
 
 
 def _reference_rollout(env, p, rng):
-    obs_l, act_l, logp_l, rew_l, val_l, done_l = [], [], [], [], [], []
+    """One episode's fields, by the names of ``Batch``."""
+    obs_l, act_l, logp_l, rew_l, val_l = [], [], [], [], []
     state = env.reset()
     for _ in range(env.horizon):
         o = state.vector()
@@ -124,17 +126,14 @@ def _reference_rollout(env, p, rng):
         logp_l.append(logp[0])
         rew_l.append(reward)
         val_l.append(f.v[0])
-        done_l.append(done)
         if done:
             break
-    return Trajectory(
+    return dict(
         obs=np.asarray(obs_l),
         actions=np.asarray(act_l),
         logps=np.asarray(logp_l),
         rewards=np.asarray(rew_l),
         values=np.asarray(val_l),
-        dones=np.asarray(done_l, dtype=bool),
-        bootstrap_value=0.0,
     )
 
 
@@ -149,19 +148,20 @@ def _reference_train(scenarios, policy, budget, *, seed, episodes_per_update, ep
     steps = 0
     env_idx = 0
     while steps < budget:
-        trajs = []
+        episodes = []
         for _ in range(episodes_per_update):
             env = envs[env_idx % len(envs)]
             env_idx += 1
-            t = _reference_rollout(env, policy, rollout_rng)
-            trajs.append(t)
-            steps += len(t)
-        policy, diag = ppo_update(policy, trajs, epochs=epochs, minibatch=minibatch, rng=shuffle_rng)
-        for t in trajs:
+            ep = _reference_rollout(env, policy, rollout_rng)
+            episodes.append(ep)
+            steps += len(ep["rewards"])
+        batch = Batch(*(np.stack([ep[name] for ep in episodes]) for name in Batch._fields))
+        policy, diag = ppo_update(policy, batch, epochs=epochs, minibatch=minibatch, rng=shuffle_rng)
+        for ep in episodes:
             rows.append(
                 {
                     "episode": len(rows),
-                    "mean_reward": f"{float(np.mean(t.rewards)):.6f}",
+                    "mean_reward": f"{float(np.mean(ep['rewards'])):.6f}",
                     "clip_fraction": f"{diag['clip_fraction']:.6f}",
                     "mean_ratio": f"{diag['mean_ratio']:.6f}",
                     "surrogate": f"{diag['surrogate']:.6f}",
@@ -215,10 +215,10 @@ def test_lockstep_rollouts_match_the_sequential_loop(case):
             _reference_rollout(_SequentialEnv(envs[(first + update * n_ep + i) % len(envs)]), p, rng)
             for i in range(n_ep)
         ]
-        for i, (g, w) in enumerate(zip(got, want)):
-            for name in ("obs", "actions", "logps", "rewards", "values", "dones"):
-                assert _same(getattr(g, name), getattr(w, name)), (update, i, name)
-            assert g.bootstrap_value == w.bootstrap_value
+        for name in Batch._fields:
+            assert getattr(got, name).shape[:2] == (n_ep, HORIZON), name
+            for i, w in enumerate(want):
+                assert _same(getattr(got, name)[i], w[name]), (update, i, name)
         p, _ = ppo_update(p, got, epochs=2, minibatch=16, rng=np.random.default_rng(9))
 
 
