@@ -15,7 +15,9 @@ diagnostics go to the log (NARS_LOG=error|info|debug, stderr).
 the same chain that ``train`` tunes; ``scene``, ``frontend`` and
 ``localize`` scan SRP over the leading <= 8192 samples of a scene.
 
-Exit codes: 0 ok, 1 configuration, 2 data, 3 numerical, 4 validity.
+Exit codes: 0 ok, 1 configuration, 2 data, 3 numerical, 4 validity. A run
+that runs out of memory (``MemoryError``, as numpy raises when an array
+the configured sizes ask for cannot be allocated) exits 1 with one log line.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from . import config as cfg
 from . import io
 from .errors import ConfigurationError, DataError, NarsError
 from .frontend import (
+    PROTOTYPE_TAPS_PER_BAND,
     AzimuthGrid,
     azimuth_error_deg,
     band_power,
@@ -226,8 +229,13 @@ def cmd_frontend(args) -> None:
     scenario = cfg.build_scenario(conf, seed)
     params = cfg.build_frontend(conf, scenario.room.fs)
     conf.finish()
-    geom = scenario_geometry(scenario)
     spec = params.bank
+    conf.check(
+        round(scenario.duration * scenario.room.fs) >= spec.n_taps, "scene", "duration",
+        f"must hold at least the filter-bank prototype span at [room] fs "
+        f"({PROTOTYPE_TAPS_PER_BAND} * [frontend] m_bands = {spec.n_taps} samples)",
+    )
+    geom = scenario_geometry(scenario)
 
     rendered = render_scene(scenario)
 
@@ -347,6 +355,7 @@ def cmd_bench(args) -> None:
     aec_taps = conf.get_int("bench", "aec_taps", 4)
     conf.finish()
     conf.check(n_mics >= 2, "bench", "n_mics", "must be at least 2")
+    cfg.check_wav_rate(conf, "bench", fs, n_mics, f"[bench] n_mics ({n_mics})")
     conf.check(aec_taps >= 1, "bench", "aec_taps", "must be at least 1")
     if len(durations) == 0:
         raise DataError("bench corpus is empty: no durations configured")
@@ -461,6 +470,9 @@ def main(argv=None) -> int:
     except OSError as e:
         log.error("%s", e)
         return 2
+    except MemoryError as e:
+        log.error("out of memory, the configured sizes need more than this machine has: %s", e)
+        return 1
     return 0
 
 

@@ -100,9 +100,10 @@ class Conf:
         return self._get(section, key, parse, default)
 
     def get_fs(self, section, default=_REQUIRED) -> float:
-        """``[section] fs``, which must be a whole number of Hz that WAV can store."""
+        """``[section] fs``, which must be a whole number of Hz that a mono WAV file can store."""
         fs = self.get_float(section, "fs", default)
-        self.check(io.is_wav_rate(fs), section, "fs", "must be a whole number of Hz")
+        rule = "must be a whole number of Hz whose mono WAV byte rate, fs * 4, is at most 4294967295 bytes/s"
+        self.check(io.is_wav_rate(fs), section, "fs", rule)
         return fs
 
     def get_vec3(self, section, key, default=_REQUIRED):
@@ -270,6 +271,15 @@ def check_wav_duration(conf: Conf, section: str, key: str, durations, fs: float,
     conf.check(ok, section, key, rule)
 
 
+def check_wav_rate(conf: Conf, section: str, fs: float, n_ch: int, channels: str) -> None:
+    """Reject an ``[section] fs`` whose byte rate, fs * 4 * n_ch, an ``n_ch``-channel WAV header cannot store."""
+    rule = (
+        f"must keep the WAV byte rate fs * 4 * {channels} within 4294967295 bytes/s; "
+        f"{fs!r} Hz gives {fs * 4 * n_ch:.0f}"
+    )
+    conf.check(io.is_wav_rate(fs, n_ch), section, "fs", rule)
+
+
 def build_scenario(conf: Conf, seed: int) -> ScenarioConfig:
     """The ``[scene]`` of the room and mics, whose mics must fit one WAV file."""
     room = build_room(conf)
@@ -288,7 +298,9 @@ def build_scenario(conf: Conf, seed: int) -> ScenarioConfig:
         echo_pos=echo_pos,
         echo_level_db=conf.get_float("scene", "echo_level_db", 0.0),
     )
-    check_wav_duration(conf, "scene", "duration", [scenario.duration], room.fs, len(mic_positions))
+    n_mics = len(mic_positions)
+    check_wav_rate(conf, "room", room.fs, n_mics, f"{n_mics} mics")
+    check_wav_duration(conf, "scene", "duration", [scenario.duration], room.fs, n_mics)
     return scenario
 
 

@@ -10,6 +10,10 @@ Every stage of the chain takes an optional leading row axis, which
 steers each row at its own azimuth in one pass, and analysis, the AEC, the
 gains and synthesis run the rows together. A lone stream is the case with no leading axis, and
 each row of a batch equals a lone-stream call on that row, bit for bit.
+DAS, analysis and synthesis run over time blocks of ``_BLOCK_SAMPLES``
+samples (``_BLOCK_SAMPLES // hop`` frames for the bank), each block finished
+in cache before the next; every output element sees the same operations in
+the same order at any block size, so the blocks change no bit.
 
 DAS and SRP steer through one object: ``das_weights`` returns the
 ``BeamformerWeights`` of any azimuths, the fractional-delay kernel of every
@@ -45,6 +49,10 @@ import numpy as np
 
 from .dsp import FRAC_DELAY_TAPS, frac_delay_kernels, kernel_offsets
 from .errors import ConfigurationError, DataError, DomainError, FramingError, NoSourceError
+
+# samples per time block of DAS, analysis and synthesis (// hop frames for the
+# bank): a stage finishes a block while it is in cache before it moves on
+_BLOCK_SAMPLES = 16384
 
 # === filter bank ===
 
@@ -166,8 +174,10 @@ def fb_analyze(spec: FilterBankSpec, x: np.ndarray) -> SubbandState:
     prototype into M bins: bin i sums the P/M products at j = i, i + M, ...
     in ascending j, starting from zero, as ``sum(axis=1)`` over a
     (P/M, M) reshape does. One (n_frames, M) accumulator takes the segments
-    in turn, so no (n_frames, P) product is built. The bands are the
-    folded frame's rfft bins 0..M/2.
+    in turn, block by block of ``_BLOCK_SAMPLES // L`` frames through one
+    block of scratch, so no (n_frames, P) product is built. The bands are
+    the folded frame's rfft bins 0..M/2, from one rfft of the whole fold
+    after the padded copy and the scratch are freed.
     An (E, n) stack gives (E, M//2 + 1, n_frames) bands whose every row
     equals the analysis of that row alone, bit for bit: each step is
     elementwise or an FFT along the row.
@@ -186,12 +196,16 @@ def fb_analyze(spec: FilterBankSpec, x: np.ndarray) -> SubbandState:
     # frame k holds x[kL - j] for j = 0..P-1, i.e. a reversed window ending at kL
     windows = np.lib.stride_tricks.sliding_window_view(xp, P, axis=-1)
     reversed_windows = windows[..., ::L, :][..., :n_frames, ::-1]
+    frames_per_block = max(_BLOCK_SAMPLES // L, 1)
     folded = np.zeros(lead + (n_frames, M))
-    segment = np.empty_like(folded)
-    for s in range(0, P, M):
-        np.multiply(reversed_windows[..., s : s + M], spec.prototype[s : s + M], out=segment)
-        folded += segment
-    del xp, windows, reversed_windows, segment  # free them before the complex bands
+    segment = np.empty(lead + (min(frames_per_block, n_frames), M))
+    for k0 in range(0, n_frames, frames_per_block):
+        k1 = min(k0 + frames_per_block, n_frames)
+        seg = segment[..., : k1 - k0, :]
+        for s in range(0, P, M):
+            np.multiply(reversed_windows[..., k0:k1, s : s + M], spec.prototype[s : s + M], out=seg)
+            folded[..., k0:k1, :] += seg
+    del xp, windows, reversed_windows, segment, seg  # free them before the complex bands
     bands = np.fft.rfft(folded, axis=-1)
     return SubbandState(bands=np.swapaxes(bands, -1, -2), n_samples=n, m_bands=M)
 
@@ -201,10 +215,12 @@ def fb_synthesize(spec: FilterBankSpec, state: SubbandState) -> np.ndarray:
 
     Frame k is irfft(bands, n=M), the inverse DFT of the full Hermitian
     spectrum the kept bands stand for; it adds that frame, tiled, times the
-    dual window, reversed, at samples kL .. kL + P - 1. The overlap-add runs
-    as P/L strided block adds over an (n_frames + 2P/L, L) view of the
-    output, in descending block offset b, so each sample sums its frames in
-    ascending k, starting from zero: the order of a frame-by-frame loop.
+    dual window, reversed, at samples kL .. kL + P - 1. The frames come from
+    one irfft of all bands. The overlap-add runs over blocks of
+    ``_BLOCK_SAMPLES // L`` frames in ascending order; in each block, P/L
+    strided adds over an (n_frames + 2P/L, L) view of the output, in
+    descending offset b, so each sample sums its frames in ascending k,
+    starting from zero: the order of a frame-by-frame loop.
     Bands of shape (E, M//2 + 1, n_frames) give (E, n_samples), each row bit
     for bit the synthesis of that row alone.
     """
@@ -218,11 +234,15 @@ def fb_synthesize(spec: FilterBankSpec, state: SubbandState) -> np.ndarray:
     frames_rev = frames[..., ::-1]
     dual_rev = spec.dual[::-1]
     rows = np.zeros(lead + (n_frames + 2 * P // L, L))  # every sample a frame reaches
-    block = np.empty(lead + (n_frames, L))
-    for b in range(P // L - 1, -1, -1):
-        c0 = b * L % M
-        np.multiply(frames_rev[..., c0 : c0 + L], dual_rev[b * L : (b + 1) * L], out=block)
-        rows[..., b : b + n_frames, :] += block
+    frames_per_block = max(_BLOCK_SAMPLES // L, 1)
+    block = np.empty(lead + (min(frames_per_block, n_frames), L))
+    for k0 in range(0, n_frames, frames_per_block):
+        k1 = min(k0 + frames_per_block, n_frames)
+        part = block[..., : k1 - k0, :]
+        for b in range(P // L - 1, -1, -1):
+            c0 = b * L % M
+            np.multiply(frames_rev[..., k0:k1, c0 : c0 + L], dual_rev[b * L : (b + 1) * L], out=part)
+            rows[..., b + k0 : b + k1, :] += part
     acc = rows.reshape(lead + (-1,))
     return M * acc[..., P - 1 : P - 1 + state.n_samples]
 
@@ -473,22 +493,28 @@ def beamform_das(geom: MicArrayGeometry, weights: BeamformerWeights, frames: np.
 
     One steering gives (n_samples,) samples; E of them give (E, n_samples),
     one beam per row from one pass over the mics, each row the bits of a
-    call with that row alone. ``weights.taps`` is applied one integer shift
-    at a time: an ``einsum`` over the mics adds every row's taps at that
-    shift into the span of the output the shifted mics reach, so no padded
-    copy of the mics is made and no BLAS call orders the sums.
+    call with that row alone. The output is made in blocks of
+    ``_BLOCK_SAMPLES`` samples. Within a block ``weights.taps`` is applied
+    one integer shift at a time, in ascending shift: an ``einsum`` over the
+    mics adds every row's taps at that shift into the part of the block the
+    shifted mics reach. No padded copy of the mics is made and no BLAS call
+    orders the sums.
     """
     frames = _steerable(geom, weights, frames)
     taps = weights.taps.reshape((-1,) + weights.taps.shape[-2:])
     rows, n = taps.shape[0], frames.shape[1]
     out = np.zeros((rows, n))
-    beam = np.empty((rows, n))
-    for j in range(taps.shape[2] - 1, -1, -1):  # ascending shift
-        shift = weights.max_shift - j
-        span = n - abs(shift)
-        src, dst = max(-shift, 0), max(shift, 0)
-        np.einsum("em,mt->et", taps[:, :, j], frames[:, src : src + span], out=beam[:, :span])
-        out[:, dst : dst + span] += beam[:, :span]
+    beam = np.empty((rows, min(_BLOCK_SAMPLES, n)))
+    for t0 in range(0, n, _BLOCK_SAMPLES):
+        t1 = min(t0 + _BLOCK_SAMPLES, n)
+        for j in range(taps.shape[2] - 1, -1, -1):  # ascending shift
+            shift = weights.max_shift - j
+            # the samples t of this block whose source t - shift lies in the frame
+            lo, hi = max(t0, shift), min(t1, n + shift)
+            if lo < hi:
+                part = beam[:, : hi - lo]
+                np.einsum("em,mt->et", taps[:, :, j], frames[:, lo - shift : hi - shift], out=part)
+                out[:, lo:hi] += part
     return out if weights.taps.ndim == 3 else out[0]
 
 

@@ -41,9 +41,10 @@ POLICY_MAGIC = b"NARSPOL1"
 # === WAV ===
 
 
-def is_wav_rate(fs: float) -> bool:
-    """True for a positive whole number of Hz that a WAV header can store."""
-    return 0 < fs <= 2**31 - 1 and fs == int(fs)
+def is_wav_rate(fs: float, n_ch: int = 1) -> bool:
+    """True for a positive whole number of Hz that the header of an ``n_ch``-channel
+    float32 WAV file can store: its byte rate, fs * 4 * n_ch, must fit 32 bits."""
+    return 0 < fs * 4 * n_ch <= 0xFFFFFFFF and fs == int(fs)
 
 
 _WAVE_PCM, _WAVE_FLOAT, _WAVE_EXTENSIBLE = 1, 3, 0xFFFE
@@ -75,11 +76,11 @@ def write_wav(path, fs: float, data: np.ndarray) -> None:
     elif data.ndim != 2:
         raise DataError("audio must be 1-D or (n_channels, n_samples)")
     if not is_wav_rate(fs):
-        raise DataError(f"sample rate {fs!r} is not a whole number of Hz representable in WAV")
+        raise DataError(f"sample rate {fs!r} is not a whole number of Hz that a WAV header can store")
     n_ch, n = data.shape
+    if n_ch < 1 or not is_wav_rate(fs, n_ch) or n > max_wav_samples(n_ch):
+        raise DataError(f"{n_ch} channels of {n} samples at {int(fs)} Hz do not fit a WAV header")
     fs, block = int(fs), 4 * n_ch
-    if n_ch < 1 or fs * block > 0xFFFFFFFF or n > max_wav_samples(n_ch):
-        raise DataError(f"{n_ch} channels of {n} samples at {fs} Hz do not fit a WAV header")
     header = b"RIFF" + struct.pack("<I", 50 + block * n) + b"WAVE"
     header += b"fmt " + struct.pack(
         "<IHHIIHHH", 18, _WAVE_FLOAT, n_ch, fs, fs * block, block, 32, 0

@@ -531,10 +531,41 @@ def _duration_cases():
          BENCH_CFG.replace("durations = 3", "durations = 3, 1e300")),
         ("bench-durations-below-prototype-span", "bench", f"{bench} each hold at least the filter-bank prototype span",
          BENCH_CFG.replace("durations = 3", "durations = 3, 0.01")),
+        ("frontend-duration-below-prototype-span", "frontend",
+         "frontend.ini: [scene] duration must hold at least the filter-bank prototype span at [room] fs "
+         "(8 * [frontend] m_bands = 512 samples)",
+         FRONTEND_CFG.replace("duration = 0.5", "duration = 0.01")),
     ]
 
 
 DURATION_CASES = _duration_cases()
+
+
+def _wav_rate_cases():
+    """(id, command, key, config): a rate whose WAV byte rate, fs * 4 * channels, overflows
+    32 bits for the command's multichannel file, though a mono file at it would fit, and
+    one at which a mono file overflows too."""
+    huge = "fs = 200000000"
+    bench = BENCH_CFG.replace("durations = 3", "durations = 1e-5").replace("n_mics = 4", "n_mics = 8")
+    cases = [(
+        "bench-fs-byte-rate", "bench",
+        "bench.ini: [bench] fs must keep the WAV byte rate fs * 4 * [bench] n_mics (8) within 4294967295",
+        bench.replace("fs = 16000", huge),
+    ), (
+        "bench-fs-mono-byte-rate", "bench",
+        "bench.ini: [bench] fs must be a whole number of Hz whose mono WAV byte rate, fs * 4, is at most",
+        bench.replace("fs = 16000", "fs = 2000000000"),
+    )]
+    for command, base in (("scene", SCENE_CFG), ("frontend", FRONTEND_CFG), ("train", TRAIN_CFG)):
+        cases.append((
+            f"{command}-fs-byte-rate", command,
+            f"{command}.ini: [room] fs must keep the WAV byte rate fs * 4 * 8 mics within 4294967295",
+            re.sub(r"duration = [\d.]+", "duration = 1e-5", base).replace("fs = 16000", huge),
+        ))
+    return cases
+
+
+WAV_RATE_CASES = _wav_rate_cases()
 
 
 @pytest.mark.parametrize(
@@ -583,6 +614,7 @@ DURATION_CASES = _duration_cases()
          SCENE_CFG.replace("source_pos = 1.5, 3.5, 1.5", "source_pos = 3.03, 2.5, 2.5")),
         ("wave", "wave.ini: [wave] n_harm must be at least 1", WAVE_CFG.replace("n_harm = 3", "n_harm = 0")),
         *(case[1:] for case in DURATION_CASES),
+        *(case[1:] for case in WAV_RATE_CASES),
         *(case[1:] for case in POSITION_CASES),
     ],
     ids=[
@@ -624,6 +656,7 @@ DURATION_CASES = _duration_cases()
         "scene-source_pos-within-array-radius",
         "wave-n_harm-0",
         *(case[0] for case in DURATION_CASES),
+        *(case[0] for case in WAV_RATE_CASES),
         *(case[0] for case in POSITION_CASES),
     ],
 )
@@ -726,6 +759,20 @@ def test_solver_config_fuzz_fails_cleanly(tmp_path, caplog, command, line, value
     assert len([r for r in caplog.records if r.levelno >= logging.ERROR]) == (code != 0)
     if code != 0:
         assert not out.exists()
+
+
+def test_out_of_memory_exits_one_with_one_log_line(tmp_path, caplog, monkeypatch):
+    """numpy's allocation failure is a ``MemoryError``; raised here without allocating."""
+
+    def render_scene(scenario):
+        raise MemoryError("Unable to allocate 32.0 GiB for an array with shape (8, 536870912)")
+
+    monkeypatch.setattr(cli, "render_scene", render_scene)
+    code, out = run_cli(tmp_path, "scene", SCENE_CFG)
+    assert code == 1
+    errors_logged = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+    assert len(errors_logged) == 1 and "out of memory" in errors_logged[0] and "32.0 GiB" in errors_logged[0]
+    assert not out.exists()
 
 
 def test_exit_code_taxonomy():

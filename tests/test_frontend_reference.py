@@ -11,6 +11,10 @@ every row the bits of a lone-stream call on that row. The half-band bank is
 also held to the full-band bank of all M bands it replaced, within a
 roundoff bound.
 
+DAS, analysis and synthesis work through time blocks of
+``frontend._BLOCK_SAMPLES`` samples; with the constant set to one hop, 7
+hops, its default or more than the stream, every output keeps its bits.
+
 The beamformer is held to the per-mic ``shift_add`` loop it replaced within
 a roundoff bound, since its steering matrix sums the taps in another order;
 the SRP steering bank and its powers to an inline copy of the builder that
@@ -153,6 +157,64 @@ def test_bank_matches_the_frame_loops(m_bands, hop):
         # a C-ordered (M//2 + 1, n_frames) state takes the same path
         c_state = SubbandState(bands=np.ascontiguousarray(want.bands), n_samples=n, m_bands=m_bands)
         assert _identical(fb_synthesize(spec, c_state), _reference_synthesize(spec, c_state)), n
+
+
+BLOCKED_N = 3 * frontend._BLOCK_SAMPLES + 1001  # three default blocks and a partial one
+
+
+def _block_sizes(hop):
+    """One hop, 7 hops, the default and one block for the whole stream."""
+    return [hop, 7 * hop, frontend._BLOCK_SAMPLES, 10**9]
+
+
+@pytest.mark.parametrize("m_bands, hop", [(64, 32), (15, 5)])
+def test_bank_does_not_depend_on_the_block_size(monkeypatch, m_bands, hop):
+    """Analysis and synthesis of a lone stream and of a (4, n) stack give the same bits at any block size."""
+    spec = FilterBankSpec(m_bands=m_bands, hop=hop, fs=FS)
+    rng = np.random.default_rng(400 + m_bands)
+    streams = [rng.standard_normal(BLOCKED_N), rng.standard_normal((4, BLOCKED_N))]
+    want = None
+    for size in _block_sizes(hop):
+        monkeypatch.setattr(frontend, "_BLOCK_SAMPLES", size)
+        states = [fb_analyze(spec, x) for x in streams]
+        got = [s.bands for s in states] + [fb_synthesize(spec, s) for s in states]
+        want = got if want is None else want
+        assert all(_identical(g, w) for g, w in zip(got, want)), size
+
+
+def _unblocked_analyze(spec, x):
+    """The analysis as one fold over the whole stack: a padded copy, the fold and one segment
+    of n_frames x M, freed before the rfft."""
+    P, M, L = spec.n_taps, spec.m_bands, spec.hop
+    n_frames = (x.shape[-1] + P - 2) // L + 1
+    xp = np.zeros(x.shape[:-1] + (P - 1 + n_frames * L + P,))
+    xp[..., P - 1 : P - 1 + x.shape[-1]] = x
+    windows = np.lib.stride_tricks.sliding_window_view(xp, P, axis=-1)[..., ::L, :][..., :n_frames, ::-1]
+    folded = np.zeros(x.shape[:-1] + (n_frames, M))
+    segment = np.empty_like(folded)
+    for s in range(0, P, M):
+        np.multiply(windows[..., s : s + M], spec.prototype[s : s + M], out=segment)
+        folded += segment
+    del xp, windows, segment
+    return np.fft.rfft(folded, axis=-1)
+
+
+def test_tune_sized_analysis_peaks_no_higher_than_one_unblocked_fold():
+    """A (4, 3200) stack, a tuning step's chunk, fits one block: its analysis allocates no more
+    than the unblocked fold, give or take a few Python objects."""
+    spec = FilterBankSpec(m_bands=64, hop=32, fs=FS)
+    x = np.random.default_rng(47).standard_normal((4, 3200))
+
+    def peak(fn):
+        tracemalloc.start()
+        try:
+            fn(spec, x)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(fb_analyze), peak(_unblocked_analyze)  # first calls build numpy's FFT plans
+    assert peak(fb_analyze) <= peak(_unblocked_analyze) + 4096
 
 
 @pytest.mark.parametrize("m_bands, hop", [(64, 32), (16, 8), (128, 32), (30, 10), (15, 5)])
@@ -413,6 +475,24 @@ def test_beamform_das_matches_the_shift_add_loop(name, rows, gain_kind):
             assert _identical(got[e], lone), (n, e)
     with pytest.raises(FramingError):
         beamform_das(geom, weights, frames[:, : _guard_length(geom, delays) - 1])
+
+
+@pytest.mark.parametrize("radius", [0.3, 1.0])
+def test_beamform_das_does_not_depend_on_the_block_size(monkeypatch, radius):
+    """One and four steerings give the same bits at any block size. The shifts take both
+    signs, and at a 1 m radius some of them reach past a 32-sample block."""
+    geom = circular_array(8, radius, fs=FS)
+    frames = np.random.default_rng(int(10 * radius)).standard_normal((8, BLOCKED_N))
+    for az in (37.0, np.array([0.0, 95.5, 181.0, 300.25])):
+        weights = das_weights(geom, az)
+        lowest = weights.max_shift - weights.taps.shape[-1] + 1
+        assert lowest < 0 < weights.max_shift and (max(-lowest, weights.max_shift) > 32) == (radius > 0.5)
+        want = None
+        for size in _block_sizes(32):
+            monkeypatch.setattr(frontend, "_BLOCK_SAMPLES", size)
+            got = beamform_das(geom, weights, frames)
+            want = got if want is None else want
+            assert _identical(got, want), (az, size)
 
 
 def test_steering_delays_and_das_weights_take_an_array_of_azimuths():

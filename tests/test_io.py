@@ -10,6 +10,7 @@ from nars.errors import ConfigurationError, DataError
 from nars.io import (
     ArtifactSet,
     fmt_num,
+    is_wav_rate,
     max_wav_samples,
     read_field_dump,
     read_policy_vector,
@@ -183,6 +184,19 @@ def test_wav_rejects_a_rate_that_is_not_whole_hz(tmp_path, fs):
     path = tmp_path / "f.wav"
     with pytest.raises(DataError):
         write_wav(path, fs, np.zeros(10))
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("n_ch", [1, 2, 8])
+def test_wav_rate_keeps_the_byte_rate_within_32_bits(tmp_path, n_ch):
+    """The rate that ``write_wav`` enforces: fs * 4 * n_ch must fit the header's byte-rate field."""
+    top = 0xFFFFFFFF // (4 * n_ch)
+    assert is_wav_rate(top, n_ch) and is_wav_rate(float(top), n_ch) and not is_wav_rate(top + 1, n_ch)
+    write_wav(tmp_path / "top.wav", float(top), np.zeros((n_ch, 10)))
+    assert read_wav(tmp_path / "top.wav")[0] == top
+    path = tmp_path / "over.wav"
+    with pytest.raises(DataError, match="do not fit a WAV header" if n_ch > 1 else "that a WAV header can store"):
+        write_wav(path, float(top + 1), np.zeros((n_ch, 10)))
     assert not path.exists()
 
 
