@@ -88,9 +88,14 @@ def _summary(key: str, value) -> None:
     print(f"{key}={io.fmt_num(value) if not isinstance(value, str) else value}")
 
 
-def _localize(geom, mics) -> tuple[float, np.ndarray]:
-    """SRP azimuth and power curve over the leading <= 8192 samples."""
-    return srp_localize(geom, mics[:, :8192])
+def _localize(conf, geom, mics) -> tuple[float, np.ndarray]:
+    """SRP azimuth and power curve over the leading <= 8192 samples.
+
+    An array the scan cannot steer (no horizontal aperture) names the keys
+    that placed its mics.
+    """
+    with conf.blame(*cfg.mic_keys(conf)):
+        return srp_localize(geom, mics[:, :8192])
 
 
 @contextlib.contextmanager
@@ -208,7 +213,7 @@ def cmd_scene(args) -> None:
     t0 = time.perf_counter()
     rendered = render_scene(scenario)
     log.debug("scene: render %.3f s, including first-call start-up", time.perf_counter() - t0)
-    est_az, _ = _localize(scenario_geometry(scenario), rendered.mics)
+    est_az, _ = _localize(conf, scenario_geometry(scenario), rendered.mics)
 
     m = Metrics(
         scenario_id=f"scene-{seed}",
@@ -240,7 +245,7 @@ def cmd_frontend(args) -> None:
     rendered = render_scene(scenario)
 
     t0 = time.perf_counter()
-    est_az, power = _localize(geom, rendered.mics)
+    est_az, power = _localize(conf, geom, rendered.mics)
     steer = est_az if params.steer_deg is None else params.steer_deg
     far_sub = None if rendered.far_end is None else fb_analyze(spec, rendered.far_end)
     mic_sub, out_sub, enhanced = enhance(
@@ -315,7 +320,7 @@ def cmd_localize(args) -> None:
             duration=duration,
         )
         rendered = render_scene(scenario)
-        est_az, _ = _localize(scenario_geometry(scenario), rendered.mics)
+        est_az, _ = _localize(conf, scenario_geometry(scenario), rendered.mics)
         true_az = rendered.true_azimuth_deg
         err = azimuth_error_deg(est_az, true_az)
         errs.append(err)

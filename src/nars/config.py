@@ -225,6 +225,13 @@ def build_mic_positions(conf: Conf) -> list[tuple[float, float, float]]:
     return [tuple(p) for p in circular_array(n_mics, radius, center=center).positions.tolist()]
 
 
+def mic_keys(conf: Conf) -> tuple[str, str]:
+    """The section and keys that set the mics' spread: ``[mics]`` or ``[array] radius``."""
+    if conf.has_section("mics"):
+        return "mics", "/".join(_mic_keys(conf))
+    return "array", "radius"
+
+
 def check_positions(conf: Conf, room: RoomSpec, mic_positions, source_pos, echo_pos=None) -> None:
     """Reject microphones, or an explicit ``[scene] source_pos`` or ``echo_pos``, that no scene can use.
 

@@ -22,9 +22,8 @@ integer shifts. The DAS applies it one shift at a time over the span of the
 output that shift reaches. The SRP scan does not beamform once per azimuth:
 its steering bank is ``das_weights`` at every grid azimuth, read-only and
 cached per (geometry, grid), flattened over (mic, shift) into W; the power
-curve is then sum_t (W X(t))^2 / n, where X(t) stacks the shifted copies of
-each mic, computed as one matrix product per short time block so memory
-does not grow with the frame length.
+at azimuth a is then w_a^T R w_a / n, where R is the Gram matrix of the
+shifted mic windows, built once per scan from the mics' cross-correlations.
 
 Band m of the analysis bank is the prototype modulated by exp(-i 2 pi m j / M)
 and decimated by the hop L: x_m(k) = sum_j h(j) x(kL - j) exp(-i 2 pi m j / M),
@@ -551,9 +550,6 @@ def _steering_bank(positions: bytes, fs: float, c: float, grid: AzimuthGrid) -> 
     return bank
 
 
-_SRP_BLOCK = 256  # samples per matrix product; bounds the stacked copy in memory
-
-
 def srp_localize(
     geom: MicArrayGeometry, frames: np.ndarray, grid: AzimuthGrid = AzimuthGrid()
 ) -> tuple[float, np.ndarray]:
@@ -561,32 +557,53 @@ def srp_localize(
 
     Returns (azimuth_deg, power curve over the grid). Power at each azimuth
     is the mean square of the DAS output steered there, equal to a
-    ``beamform_das`` scan up to the order of the additions: the cached
-    steering bank of (geom, grid) is applied to the zero-filled shifted mic
-    copies as one matrix product per block of at most 256 samples. The peak
-    is refined by parabolic interpolation over its periodic neighbors; exact
-    ties resolve to the lowest azimuth index.
+    ``beamform_das`` scan up to the order of the additions. With w the
+    cached steering bank row of an azimuth over (mic, shift) and R the Gram
+    matrix of the zero-filled shifted mic windows, it is w^T R w / n. R is
+    built once per scan from the mics' cross-correlations at every lag
+    within the bank's shift span, less the products of the window edges
+    that fall outside the n output samples, so a scan costs
+    O(M^2 S n) + O(A (M S)^2) for M mics, S shifts and A azimuths, in place
+    of O(A M S n) for beamforming each azimuth. The peak is refined by
+    parabolic interpolation over its periodic neighbors; exact ties resolve
+    to the lowest azimuth index. An array with no horizontal aperture (every
+    steering delay zero: coincident mics, or a vertical line) raises
+    ``ConfigurationError``.
     """
     if geom.n_mics < 2:
         raise ConfigurationError("localization needs at least two mics")
     if not np.any(frames):
         raise NoSourceError("all-zero frames carry no source to localize")
     bank = _steering_bank(geom.positions.tobytes(), geom.fs, geom.c, grid)
+    if bank.max_delay == 0:
+        raise ConfigurationError(
+            "the mics have no horizontal aperture: every azimuth steers the same delays"
+        )
     frames = _steerable(geom, bank, frames)
-    n, n_shifts = frames.shape[1], bank.taps.shape[-1]
+    n_mics, n = frames.shape
+    s = bank.taps.shape[-1]
+    e = s - 1
+    # The beam at time t is the bank row dotted with the window P[:, t : t + s], where
+    # P[m, u] = x_m(u - max_shift) is zero outside the frame; the delays are
+    # centroid-relative, so the shifts straddle zero and x fits in u < n + e.
+    # ``padded`` holds P from column e, with e zeros more on each side, so it holds
+    # every window that reaches a sample of x: t in [-e, n + e).
+    padded = np.zeros((n_mics, n + 3 * e))
+    padded[:, e + bank.max_shift : e + bank.max_shift + n] = frames
+    p = padded[:, e : n + 2 * e]
+    # lags[e + d, m, k] = sum_u P[m, u] P[k, u + d], for d in [-e, e]
+    lag = np.stack([p[:, : n + e - d] @ p[:, d:].T for d in range(s)])
+    lags = np.concatenate([lag[:0:-1].transpose(0, 2, 1), lag])
+    # gram[(m, j), (k, j')] = sum_t P[m, t + j] P[k, t + j'] over t in [0, n): lag
+    # j' - j, which sums over every t, less the windows of t < 0 and t >= n
+    j = np.arange(s)
+    gram = lags[e + j - j[:, None]].transpose(2, 0, 3, 1).reshape(n_mics * s, n_mics * s)
+    # the first columns in ``padded`` of the windows of t in [-e, 0) and [n, n + e)
+    t = np.concatenate([np.arange(e), np.arange(n + e, n + 2 * e)])
+    outside = padded[:, t[:, None] + j].transpose(1, 0, 2).reshape(2 * e, n_mics * s)
+    gram -= outside.T @ outside
     w = bank.taps.reshape(grid.n_points, -1)  # row i: the beam at azimuth i, over (mic, shift)
-    # padded[m, t + j] = x_m(t - (max_shift - j)), zero outside the frame; the
-    # delays are centroid-relative, so the shifts straddle zero and x fits
-    padded = np.zeros((geom.n_mics, n + n_shifts - 1))
-    padded[:, bank.max_shift : bank.max_shift + n] = frames
-    windows = np.lib.stride_tricks.sliding_window_view(padded, n_shifts, axis=1)
-    power = np.zeros(grid.n_points)
-    for t0 in range(0, n, _SRP_BLOCK):
-        t1 = min(t0 + _SRP_BLOCK, n)
-        x = windows[:, t0:t1].transpose(1, 0, 2).reshape(t1 - t0, -1)  # (block, n_mics * n_shifts)
-        y = x @ w.T
-        power += np.einsum("ta,ta->a", y, y)
-    power /= n
+    power = np.einsum("ai,ai->a", w @ gram, w) / n
     i = int(np.argmax(power))  # first maximum = lowest azimuth index on ties
     p_l, p_c, p_r = power[i - 1], power[i], power[(i + 1) % grid.n_points]
     denom = p_l - 2 * p_c + p_r

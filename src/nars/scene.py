@@ -252,19 +252,20 @@ def si_snr(reference: np.ndarray, estimate: np.ndarray) -> float:
     """Scale-invariant SNR in dB, capped at +60.
 
     Zero-mean signals are projected: the component of the estimate along the
-    reference counts as target, the rest as distortion.
+    reference counts as target, the rest as distortion. Two float64 copies
+    of the signals are made; the target and the distortion overwrite them.
     """
-    ref = np.asarray(reference, dtype=np.float64)
-    est = np.asarray(estimate, dtype=np.float64)
+    ref = np.array(reference, dtype=np.float64)
+    est = np.array(estimate, dtype=np.float64)
     if ref.shape != est.shape:
         raise DomainError("reference and estimate must have equal shape")
-    ref = ref - ref.mean()
-    est = est - est.mean()
+    ref -= ref.mean()
+    est -= est.mean()
     denom = float(np.dot(ref, ref))
     if denom <= 0:
         raise DomainError("si_snr needs a nonzero reference")
-    target = (np.dot(est, ref) / denom) * ref
-    resid = est - target
+    target = np.multiply(np.dot(est, ref) / denom, ref, out=ref)
+    resid = np.subtract(est, target, out=est)
     p_t = float(np.dot(target, target))
     p_r = float(np.dot(resid, resid))
     if p_r <= p_t * 10.0 ** (-SI_SNR_CAP_DB / 10.0):

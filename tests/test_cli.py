@@ -668,6 +668,26 @@ def test_bad_config_value_exits_one_with_one_log_line(tmp_path, command, key, cf
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, key, cfg_text",
+    [
+        ("localize", "localize.ini: [array] radius", LOCALIZE_CFG.replace("radius = 0.05", "radius = 1e-300")),
+        ("frontend", "frontend.ini: [array] radius", FRONTEND_CFG.replace("radius = 0.05", "radius = 1e-300")),
+        ("scene", "scene.ini: [array] radius", SCENE_CFG.replace("radius = 0.05", "radius = 1e-300")),
+        ("localize", "localize.ini: [mics] 0/1/2", LOCALIZE_ONE_MIC_CFG.replace(
+            "0 = 3, 2.5, 1.2", "0 = 3, 2.5, 0.5\n1 = 3, 2.5, 1.2\n2 = 3, 2.5, 1.9")),
+    ],
+    ids=["localize-radius-1e-300", "frontend-radius-1e-300", "scene-radius-1e-300", "localize-vertical-line"],
+)
+def test_array_with_no_horizontal_aperture_exits_one_naming_the_keys(tmp_path, command, key, cfg_text):
+    """Mics that round onto one vertical axis steer every azimuth alike: no DOA, no output."""
+    proc, out = _run_module(tmp_path, command, cfg_text)
+    assert proc.returncode == 1, proc.stderr
+    _assert_one_error_line(proc)
+    assert key in proc.stderr and "horizontal aperture" in proc.stderr
+    assert not out.exists()
+
+
 def test_negative_seed_flag_exits_one_with_one_log_line(tmp_path):
     proc, out = _run_module(tmp_path, "scene", SCENE_CFG, "--seed", "-1")
     assert proc.returncode == 1
@@ -737,9 +757,9 @@ def test_bad_rl_value_exits_one_before_any_output(tmp_path, key, value):
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
-def _fuzz_cases():
-    """(command, line index, value) for every key line of the two solver configs."""
-    for command in ("wave", "kzk"):
+def _fuzz_cases(commands):
+    """(command, line index, value) for every key line of the commands' configs."""
+    for command in commands:
         lines = (CONFIGS / f"{command}.ini").read_text().splitlines()
         for i, line in enumerate(lines):
             if "=" in line:
@@ -747,18 +767,29 @@ def _fuzz_cases():
                     yield pytest.param(command, i, value, id=f"{command}-{line.split()[0]}-{value}")
 
 
-@pytest.mark.parametrize("command, line, value", _fuzz_cases())
-def test_solver_config_fuzz_fails_cleanly(tmp_path, caplog, command, line, value):
+def _fuzz(tmp_path, caplog, command, line, value) -> int:
+    """Run ``command`` on its config with one value replaced; any failure is one log line and no output."""
     lines = (CONFIGS / f"{command}.ini").read_text().splitlines()
     lines[line] = f"{lines[line].split('=')[0]}= {value}"
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code, out = run_cli(tmp_path, command, "\n".join(lines) + "\n")
-    assert code in range(5)
     assert [str(w.message) for w in caught] == []
     assert len([r for r in caplog.records if r.levelno >= logging.ERROR]) == (code != 0)
     if code != 0:
         assert not out.exists()
+    return code
+
+
+@pytest.mark.parametrize("command, line, value", _fuzz_cases(("wave", "kzk")))
+def test_solver_config_fuzz_fails_cleanly(tmp_path, caplog, command, line, value):
+    assert _fuzz(tmp_path, caplog, command, line, value) in range(5)
+
+
+@pytest.mark.parametrize("command, line, value", _fuzz_cases(("localize", "frontend", "scene")))
+def test_srp_config_fuzz_fails_cleanly(tmp_path, caplog, command, line, value):
+    """The commands that scan SRP either run or refuse the config or its data."""
+    assert _fuzz(tmp_path, caplog, command, line, value) in (0, 1, 2)
 
 
 def test_out_of_memory_exits_one_with_one_log_line(tmp_path, caplog, monkeypatch):

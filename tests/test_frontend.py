@@ -1,7 +1,11 @@
+import math
+import os
+import subprocess
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +14,14 @@ from hypothesis import strategies as st
 from scipy.special import i0
 
 import nars.frontend
-from nars.dsp import _kaiser_cont, delay_signal, frac_delay_kernel, frac_delay_kernels, kernel_offsets
+from nars.dsp import (
+    FRAC_DELAY_TAPS,
+    _kaiser_cont,
+    delay_signal,
+    frac_delay_kernel,
+    frac_delay_kernels,
+    kernel_offsets,
+)
 from nars.errors import ConfigurationError, DataError, DomainError, FramingError, NoSourceError
 from nars.frontend import (
     AzimuthGrid,
@@ -432,6 +443,97 @@ def test_srp_power_matches_a_beamform_das_scan(name, n, grid):
     np.testing.assert_allclose(power, ref, rtol=1e-12, atol=0)
     assert np.argmax(power) == np.argmax(ref)
     assert azimuth_error_deg(az, grid.angles[np.argmax(ref)]) <= grid.step / 2
+
+
+def _srp_exact(geom, frames, grid):
+    """Each DAS output sample squared and summed exactly: the scan's powers up to the beams' rounding."""
+    n = frames.shape[1]
+    beams = (beamform_das(geom, das_weights(geom, az), frames) for az in grid.angles)
+    return np.array([math.fsum((y * y).tolist()) / n for y in beams])
+
+
+@pytest.mark.parametrize("grid", [AzimuthGrid(72), AzimuthGrid(18), AzimuthGrid(36, start_deg=5.0)],
+                         ids=["72", "18", "36-from-5"])
+@pytest.mark.parametrize("n", [300, 1000, 8192])
+@pytest.mark.parametrize("name", sorted(SRP_GEOMETRIES))
+def test_srp_power_matches_an_exactly_summed_scan(name, n, grid):
+    geom = SRP_GEOMETRIES[name]
+    frames = np.random.default_rng(n + 1).standard_normal((geom.n_mics, n))
+    power = srp_localize(geom, frames, grid)[1]
+    np.testing.assert_allclose(power, _srp_exact(geom, frames, grid), rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("name", sorted(SRP_GEOMETRIES))
+def test_srp_power_of_frames_with_a_large_dc_offset(name):
+    """A DC offset 1e3 times the noise makes the Gram entries nearly equal; the powers stay exact."""
+    geom = SRP_GEOMETRIES[name]
+    frames = 1e3 + np.random.default_rng(24).standard_normal((geom.n_mics, 2000))
+    grid = AzimuthGrid(36)
+    power = srp_localize(geom, frames, grid)[1]
+    assert np.all(power >= 0)
+    np.testing.assert_allclose(power, _srp_reference(geom, frames, grid), rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("name", sorted(SRP_GEOMETRIES))
+def test_srp_power_of_the_shortest_steerable_frames(name):
+    """Frames one sample past the padding limit: the bank's shift span exceeds the frame."""
+    geom = SRP_GEOMETRIES[name]
+    grid = AzimuthGrid(72)
+    bank = nars.frontend._steering_bank(geom.positions.tobytes(), geom.fs, geom.c, grid)
+    n = int(np.floor(bank.max_delay + FRAC_DELAY_TAPS)) + 1
+    assert bank.taps.shape[-1] > n
+    frames = np.random.default_rng(25).standard_normal((geom.n_mics, n))
+    with pytest.raises(FramingError):
+        srp_localize(geom, frames[:, :-1], grid)
+    power = srp_localize(geom, frames, grid)[1]
+    np.testing.assert_allclose(power, _srp_exact(geom, frames, grid), rtol=1e-13, atol=0)
+
+
+def test_srp_scan_peaks_under_one_and_three_quarter_frames():
+    """The scan's one padded copy of the frames dominates; its lags and Gram matrix are small."""
+    geom = circular_array(8, 0.05, fs=FS)
+    frames = np.random.default_rng(26).standard_normal((8, 8192))
+    srp_localize(geom, frames)  # the bank is cached before the count starts
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        srp_localize(geom, frames)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.75 * frames.nbytes
+
+
+def test_srp_power_bits_do_not_depend_on_the_blas_threads():
+    code = (
+        "import numpy as np; from nars.frontend import circular_array, srp_localize; "
+        "geom = circular_array(8, 0.05, fs=16000.0); "
+        "frames = np.random.default_rng(27).standard_normal((8, 8192)); "
+        "print(srp_localize(geom, frames)[1].tobytes().hex())"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        out.append(proc.stdout)
+    assert out[0] == out[1] and len(out[0]) > 1
+
+
+@pytest.mark.parametrize(
+    "positions",
+    [np.full((4, 3), 1.5), np.array([[1.0, 2.0, z] for z in (0.5, 1.0, 1.5, 2.0)])],
+    ids=["coincident", "vertical-line"],
+)
+def test_srp_refuses_an_array_with_no_horizontal_aperture(positions):
+    geom = MicArrayGeometry(positions=positions, fs=FS)
+    frames = np.random.default_rng(28).standard_normal((4, 1000))
+    with pytest.raises(ConfigurationError, match="horizontal aperture"):
+        srp_localize(geom, frames)
 
 
 def test_srp_reuses_the_steering_bank(monkeypatch):

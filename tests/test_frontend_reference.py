@@ -17,8 +17,10 @@ hops, its default or more than the stream, every output keeps its bits.
 
 The beamformer is held to the per-mic ``shift_add`` loop it replaced within
 a roundoff bound, since its steering matrix sums the taps in another order;
-the SRP steering bank and its powers to an inline copy of the builder that
-made the bank before the DAS shared it, bit for bit.
+the SRP steering bank to an inline copy of the builder that made the bank
+before the DAS shared it, bit for bit, and the SRP powers to that builder's
+blocked window product within a roundoff bound, since the scan now sums the
+same products as a quadratic form of the windows' Gram matrix.
 """
 
 import itertools
@@ -531,15 +533,19 @@ def _reference_bank(geom, grid):
     return w.reshape(grid.n_points, -1), max_shift, n_shifts, float(np.max(np.abs(delays)))
 
 
+_REFERENCE_SRP_BLOCK = 256  # samples per matrix product of the blocked window scan
+
+
 def _reference_srp_power(geom, frames, grid):
+    """The SRP powers as the blocked window product computed them before the Gram form."""
     w, max_shift, n_shifts, _ = _reference_bank(geom, grid)
     n = frames.shape[1]
     padded = np.zeros((geom.n_mics, n + n_shifts - 1))
     padded[:, max_shift : max_shift + n] = frames
     windows = np.lib.stride_tricks.sliding_window_view(padded, n_shifts, axis=1)
     power = np.zeros(grid.n_points)
-    for t0 in range(0, n, frontend._SRP_BLOCK):
-        t1 = min(t0 + frontend._SRP_BLOCK, n)
+    for t0 in range(0, n, _REFERENCE_SRP_BLOCK):
+        t1 = min(t0 + _REFERENCE_SRP_BLOCK, n)
         y = windows[:, t0:t1].transpose(1, 0, 2).reshape(t1 - t0, -1) @ w.T
         power += np.einsum("ta,ta->a", y, y)
     return power / n
@@ -549,13 +555,15 @@ def _reference_srp_power(geom, frames, grid):
                          ids=["72", "18", "36-from-5"])
 @pytest.mark.parametrize("name", sorted(DAS_GEOMETRIES))
 def test_srp_bank_and_powers_keep_the_bits_of_the_old_builder(name, grid):
+    """The bank keeps its bits; the powers are the old window product's sums, reassociated."""
     geom = DAS_GEOMETRIES[name]
     bank = frontend._steering_bank(geom.positions.tobytes(), geom.fs, geom.c, grid)
     w, max_shift, n_shifts, max_delay = _reference_bank(geom, grid)
     assert _identical(bank.taps.reshape(grid.n_points, -1), w)
     assert (bank.max_shift, bank.taps.shape[-1], bank.max_delay) == (max_shift, n_shifts, max_delay)
     frames = np.random.default_rng(grid.n_points).standard_normal((geom.n_mics, 1000))
-    assert _identical(srp_localize(geom, frames, grid)[1], _reference_srp_power(geom, frames, grid))
+    np.testing.assert_allclose(srp_localize(geom, frames, grid)[1], _reference_srp_power(geom, frames, grid),
+                               rtol=1e-13, atol=0)
 
 
 @pytest.mark.parametrize("order", ["C", "F"])

@@ -9,6 +9,7 @@ from nars.dsp import FRAC_DELAY_TAPS, frac_delay_kernel, kernel_offsets
 from nars.errors import DomainError
 from nars.scene import (
     NOISE_KINDS,
+    SI_SNR_CAP_DB,
     Metrics,
     RoomSpec,
     ScenarioConfig,
@@ -331,6 +332,58 @@ def test_si_snr_scale_invariance(scale, seed):
     ref = rng.standard_normal(1000)
     est = ref + 0.3 * rng.standard_normal(1000)
     assert si_snr(ref, scale * est) == pytest.approx(si_snr(ref, est), abs=1e-9)
+
+
+def _si_snr_four_rows(reference, estimate):
+    """``si_snr`` as it was written with four full-length rows: both centred copies, target and residual."""
+    ref = np.asarray(reference, dtype=np.float64)
+    est = np.asarray(estimate, dtype=np.float64)
+    ref = ref - ref.mean()
+    est = est - est.mean()
+    target = (np.dot(est, ref) / float(np.dot(ref, ref))) * ref
+    resid = est - target
+    p_t = float(np.dot(target, target))
+    p_r = float(np.dot(resid, resid))
+    if p_r <= p_t * 10.0 ** (-SI_SNR_CAP_DB / 10.0):
+        return SI_SNR_CAP_DB
+    if p_t == 0.0:
+        return -SI_SNR_CAP_DB
+    return min(SI_SNR_CAP_DB, float(10.0 * np.log10(p_t / p_r)))
+
+
+def test_si_snr_keeps_the_bits_of_the_four_row_formula():
+    rng = np.random.default_rng(2)
+    cases = []
+    for n in (7, 1000, 4099):
+        ref = rng.standard_normal(n) + 3.0
+        cases += [(ref, ref + a * rng.standard_normal(n)) for a in (1e-4, 0.3, 10.0)]
+        cases.append((ref, 2.5 * ref))  # no distortion: the +60 dB cap
+    cases.append((rng.standard_normal(500).astype(np.float32), rng.standard_normal(500).astype(np.float32)))
+    cases.append((np.array([1.0, -1.0, 1.0, -1.0]), np.array([1.0, 1.0, -1.0, -1.0])))  # no target: -60 dB
+    capped = set()
+    for ref, est in cases:
+        ref_before, est_before = ref.copy(), est.copy()
+        got = si_snr(ref, est)
+        want = _si_snr_four_rows(ref, est)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        assert np.array_equal(ref, ref_before) and np.array_equal(est, est_before)  # the caller's rows are kept
+        if abs(got) == SI_SNR_CAP_DB:
+            capped.add(got)
+    assert capped == {SI_SNR_CAP_DB, -SI_SNR_CAP_DB}
+
+
+def test_si_snr_peaks_under_two_and_a_half_rows():
+    rng = np.random.default_rng(3)
+    ref = rng.standard_normal(200_000)
+    est = ref + 0.1 * rng.standard_normal(200_000)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        si_snr(ref, est)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * ref.nbytes
 
 
 def test_measure_rtf():
