@@ -340,7 +340,8 @@ def cmd_train(args) -> None:
     policy, train = cfg.build_rl(conf, scenario, seed)
     conf.finish()
 
-    trained, curve = train_tuning_policy([scenario], policy, seed=seed, **train)
+    with conf.blame(*cfg.mic_keys(conf)):  # the env scans SRP, which needs horizontal aperture
+        trained, curve = train_tuning_policy([scenario], policy, seed=seed, **train)
     with _artifacts(args.out, conf) as art:
         io.write_csv(art.path("curve.csv"), list(curve[0]), (list(r.values()) for r in curve))
         io.write_policy_vector(art.path("policy.npc"), trained.theta)

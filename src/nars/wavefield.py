@@ -9,31 +9,32 @@ substep if the state is non-finite or above the solver's limit (a max and
 a min over its real view decide most states; the exact max |z| the rest),
 and it calls ``callback(z, state)`` at z = 0 and after every step.
 
-The plane-wave (Westervelt) solver evolves one steady-state cycle of a
-periodic wave in retarded time. Its substeps are an exact lossless
-distortion (simple-wave characteristics resampled onto the uniform time
-grid) when beta > 0, then an exact per-harmonic thermoviscous decay when
-delta > 0. Its limit is 10 max|p(z=0)|.
+Both march complex harmonic amplitudes A_n, n = 1..N, by the first-order
+frequency-domain split step of Aanonsen et al. (1984): exact per-harmonic
+absorption when delta > 0, and quadratic coupling when beta > 0, which takes
+the harmonics of p^2 with one zero-padded ``irfft``/``rfft`` pair (Lee &
+Hamilton 1995), in N log N rather than N^2. A march whose spectrum ends
+piled up at the top harmonic, truncated past the shock, is a validity error.
 
-The axisymmetric (KZK) solver marches complex harmonic amplitudes A_n(r, z)
-with the first-order frequency-domain split-step scheme of Aanonsen et al.
-(1984). Its substeps are Crank-Nicolson radial diffraction over dz, exact
-absorption when delta > 0, explicit quadratic harmonic coupling when
-beta > 0, and the absorbing edge ramp. Diffraction stacks the per-harmonic
-tridiagonal systems into one block-diagonal system. Its matrix is strictly
-diagonally dominant, so cyclic reduction (Hockney 1965) solves it without
-pivoting: ``_factor_tridiagonal`` does the reduction's matrix work once per
-march and ``solve_banded`` makes one numpy solve per substep. The coupling
-takes the harmonics of p^2 with one zero-padded ``irfft``/``rfft`` pair (Lee
-& Hamilton 1995), in N log N rather than N^2. Its limit is
-10 p0 max(1, max|profile|). A march whose spectrum ends piled up at the top
-harmonic, a harmonic series truncated past the shock, is a validity error.
+The axisymmetric (KZK) solver adds Crank-Nicolson radial diffraction before
+and an absorbing edge ramp after, and steps the coupling by forward Euler.
+Diffraction stacks the per-harmonic tridiagonal systems into one
+block-diagonal system. Its matrix is strictly diagonally dominant, so cyclic
+reduction (Hockney 1965) solves it without pivoting: ``_factor_tridiagonal``
+does the matrix work once per march and ``solve_banded`` makes one numpy
+solve per substep. Its limit is 10 p0 max(1, max|profile|).
 
-``harmonic_spectrum`` reads its few bins through a cached real DFT table
-instead of a full ``rfft``, since the Westervelt readout asks for a handful
-of harmonics at every step. ``fubini_harmonics`` takes its Bessel function
-from Miller's backward recurrence. The module needs numpy alone and loads no
-scipy; no table or factorization is built before a call needs it.
+The plane-wave (Westervelt) solver is that march without diffraction, at
+n_r = 1 (Hamilton & Blackstock 1998, ch. 4), over one periodic cycle in
+retarded time: 16 ``n_harm_out`` harmonics over p0, limit 10, coupling by
+explicit midpoint. Its callback and result get the ``irfft`` of the
+harmonics onto ``n_time`` samples, so ``n_time`` sets only the waveform's
+resolution. ``harmonic_spectrum`` reads a few bins of such a waveform
+through a cached DFT table, for callers that read one at every step.
+
+``fubini_harmonics`` takes its Bessel function from Miller's backward
+recurrence. The module needs numpy alone and loads no scipy; no table or
+factorization is built before a call needs it.
 
 Amplitude convention for the harmonic field: p(r, z, tau) =
 Re{ sum_n A_n(r, z) exp(i n w tau) }, so |A_n| is directly the measured
@@ -110,15 +111,6 @@ class SourceWaveform:
         T = self.period()
         center = T / 2 + self.phase / (2 * np.pi * self.f0)
         return self.p0 * np.exp(-0.5 * ((t - center) / (T / 12)) ** 2)
-
-    def max_slope(self) -> float:
-        """Largest |dp/dtau| of one source cycle (exact for sine, else on 4096 samples)."""
-        if self.kind == "sine":
-            return 2 * np.pi * self.f0 * self.p0
-        n_time = 4096
-        p = self.samples(n_time)
-        dt = self.period() / n_time
-        return float(np.max(np.abs(np.gradient(p, dt))))
 
 
 @dataclass(frozen=True)
@@ -353,27 +345,41 @@ def _march(state, substeps, n_steps: int, dz: float, limit: float, solver: str, 
 # === plane-wave solver ===
 
 
-def _distort_lossless(p: np.ndarray, tau: np.ndarray, period: float, eps: float) -> np.ndarray:
-    """Advance one lossless simple-wave step: value p travels to tau - eps*p."""
-    y = tau - eps * p
-    dy = np.diff(y)
-    wrap = (y[0] + period) - y[-1]
-    if np.any(dy <= 0) or wrap <= 0:
-        raise DivergenceError("nonlinear distortion substep lost monotonicity (shock reached)")
-    # np.interp(period=) reduces tau and y with two float % passes and sorts y
-    # with argsort. Here tau already lies in [0, period), and y increases over
-    # less than one period from y[0] = -eps p[0] > -period (sigma < 1 keeps
-    # eps |p| under period / 2). So wrapping y takes one add or subtract per
-    # wrapped point (the bits of np.mod), and its sorted order is the rotation
-    # that starts at its minimum. The padded table is the one np.interp
-    # builds for period=, so the result is the same to the bit.
-    ym = y.copy()
-    ym[y < 0] += period
-    ym[y >= period] -= period
-    k = int(np.argmin(ym))
-    xp = np.concatenate((ym[[k - 1]] - period, ym[k:], ym[:k], ym[[k]] + period))
-    fp = np.concatenate((p[[k - 1]], p[k:], p[:k], p[[k]]))
-    return np.interp(tau, xp, fp)
+def _plane_march(medium: Medium, src: SourceWaveform, grid: PlaneWaveGrid, n_harm_out: int, read):
+    """March harmonics 1..N = 16 ``n_harm_out`` of the source cycle over p0 to z_max; returns
+    the cycle there. Each step is the exact absorption, then one explicit-midpoint coupling
+    step (forward Euler errs 4e3 times more on criterion 1). ``read(z, a, cycle)`` sees the
+    (N, 1) state at z = 0 and after every step; ``cycle(z, a)`` gives its ``n_time`` samples.
+    The source mean enters p^2 only as 2 mean p, which turns harmonic n by n w beta mean z /
+    (rho0 c^3): that turn commutes with the march, so ``cycle`` alone adds it.
+    """
+    n_harm = 16 * n_harm_out
+    if grid.n_time <= 2 * n_harm:
+        raise ConfigurationError(f"n_time={grid.n_time} must exceed {2 * n_harm}, twice the {n_harm} harmonics marched")
+    omega = 2 * np.pi * src.f0
+    spec = np.fft.rfft(src.samples(4 * n_harm) / src.p0, norm="forward")  # on the coupling's grid
+    mean = spec[0].real
+    turn_n = omega * medium.beta / (medium.rho0 * medium.c**3) * (mean * src.p0) * np.arange(1, n_harm + 1)
+
+    def cycle(z: float, a: np.ndarray) -> np.ndarray:
+        half = np.concatenate(([mean], 0.5 * a[:, 0] * np.exp(1j * z * turn_n)))
+        return src.p0 * np.fft.irfft(half, n=grid.n_time, norm="forward")
+
+    substeps = _absorption(medium, omega, n_harm, grid.dz)
+    if medium.beta > 0:
+        # at dz = x_shock/16 a march to sigma = 0.5 errs 6e-3 on B3; one step there, 15 %
+        x_shock = shock_formation_distance(medium, src)
+        if grid.dz > x_shock / 16:
+            raise ValidityError(f"dz={grid.dz:g} m exceeds x_shock/16={x_shock / 16:g} m; the march is under-resolved")
+        gain_dz = src.p0 * _coupling_gain(medium, omega, n_harm, grid.dz)
+        coupling = _coupling(n_harm, 1)
+        substeps.append(("nonlinearity", lambda q: q + gain_dz * coupling(q + 0.5 * gain_dz * coupling(q))))
+    # a step many shock distances long can overflow the coupling; the check after it names it
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = _march(2 * spec[1 : n_harm + 1, None], substeps, grid.n_steps, grid.dz, 10.0, "plane-wave",
+                   None if read is None else lambda z, state: read(z, state, cycle))
+    _check_truncation(np.abs(a[:, 0]) ** 2)
+    return TimeWaveform(cycle(grid.n_steps * grid.dz, a), fs=grid.n_time * src.f0)
 
 
 def simulate_westervelt_plane(
@@ -386,39 +392,12 @@ def simulate_westervelt_plane(
     """March one periodic cycle to z_max; returns the distorted steady-state cycle.
 
     ``n_harm_out`` declares how many harmonics downstream analysis will
-    read; the time grid must oversample them 16x to keep steepening
-    alias-free. ``callback(z, samples)`` is invoked at z=0 and after every
-    step.
+    read; the march carries 16 times as many. ``callback(z, samples)`` is
+    invoked at z=0 and after every step with the cycle on ``grid.n_time``
+    samples.
     """
-    if grid.n_time < 16 * n_harm_out:
-        raise ConfigurationError(
-            f"n_time={grid.n_time} cannot resolve {n_harm_out} harmonics; need >= {16 * n_harm_out}"
-        )
-    sigma_end = grid.z_max * medium.beta * src.max_slope() / (medium.rho0 * medium.c**3)
-    if sigma_end >= 1.0:
-        raise ValidityError(
-            f"z_max reaches sigma={sigma_end:.3f} >= 1; pre-shock solver refuses"
-        )
-
-    period = src.period()
-    tau = np.arange(grid.n_time) * (period / grid.n_time)
-    p = src.samples(grid.n_time)
-    eps = medium.beta * grid.dz / (medium.rho0 * medium.c**3)
-
-    substeps = []
-    if medium.beta > 0:
-        substeps.append(("distortion", lambda q: _distort_lossless(q, tau, period, eps)))
-    if medium.delta > 0:
-        omega_n = 2 * np.pi * src.f0 * np.arange(grid.n_time // 2 + 1)
-        with np.errstate(over="ignore"):  # an exponent that overflows to -inf decays to 0
-            decay = np.exp(-medium.delta * omega_n**2 * grid.dz / (2 * medium.c**3))
-        substeps.append(
-            ("absorption", lambda q: np.fft.irfft(np.fft.rfft(q) * decay, n=grid.n_time))
-        )
-
-    limit = 10 * np.max(np.abs(p))
-    p = _march(p, substeps, grid.n_steps, grid.dz, limit, "plane-wave", callback)
-    return TimeWaveform(p, fs=grid.n_time * src.f0)
+    read = None if callback is None else lambda z, a, cycle: callback(z, cycle(z, a))
+    return _plane_march(medium, src, grid, n_harm_out, read)
 
 
 def westervelt_harmonic_curve(
@@ -432,12 +411,11 @@ def westervelt_harmonic_curve(
     zs: list[float] = []
     rows: list[np.ndarray] = []
 
-    def record(z, samples):
+    def record(z, a, cycle):
         zs.append(z)
-        w = TimeWaveform(samples, fs=grid.n_time * src.f0)
-        rows.append(harmonic_spectrum(w, src.f0, n_max) / src.p0)
+        rows.append(np.abs(a[:n_max, 0]))
 
-    final = simulate_westervelt_plane(medium, src, grid, n_harm_out=n_max, callback=record)
+    final = _plane_march(medium, src, grid, n_max, record)
     return np.asarray(zs), np.asarray(rows), final
 
 
@@ -506,6 +484,39 @@ def _coupling(n_harm: int, n_r: int):
         return (m * out[:, 1 : n_harm + 1]).T
 
     return coupling
+
+
+def _absorption(medium: Medium, omega: float, n_harm: int, dz: float) -> list:
+    """The exact decay of harmonics 1..n_harm over dz as a substep list, empty if delta = 0."""
+    if medium.delta == 0:
+        return []
+    n = np.arange(1, n_harm + 1)
+    with np.errstate(over="ignore"):  # an exponent that overflows to -inf decays to 0
+        decay = np.exp(-medium.delta * (n * omega) ** 2 * dz / (2 * medium.c**3))[:, None]
+    return [("absorption", lambda amps: amps * decay)]
+
+
+def _coupling_gain(medium: Medium, omega: float, n_harm: int, dz: float) -> np.ndarray:
+    """dz i n w beta / (4 rho0 c^3), shape (n_harm, 1): dz times dA_n/dz per unit ``_coupling`` S_n."""
+    n = np.arange(1, n_harm + 1)
+    gain = 1j * n * omega * medium.beta / (4 * medium.rho0 * medium.c**3)
+    return dz * gain[:, None]
+
+
+def _check_truncation(energy: np.ndarray) -> None:
+    """Raise ``ValidityError`` if the per-harmonic energies of a march end piled up at the top.
+
+    A resolved spectrum decays with n; past the shock a truncated series
+    piles up at the top harmonic instead. The share of the energy that the
+    first harmonic left out would hold, extrapolated geometrically from the
+    top two as E_N^2 / (E_{N-1} sum E), tells the two apart.
+    """
+    dropped = energy[-1] ** 2 / (energy[-2] * energy.sum()) if energy[-1] > 0 else 0.0
+    if dropped > 1e-6:
+        raise ValidityError(
+            f"the harmonic series is truncated: harmonic {energy.shape[0] + 1}, left out, would "
+            f"hold about {dropped:.3g} of the energy (limit 1e-6); raise n_harm"
+        )
 
 
 def _factor_tridiagonal(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray) -> tuple:
@@ -617,14 +628,9 @@ def _kzk_substeps(medium: Medium, src: SourceWaveform, grid: AxisymGrid) -> list
         x -= amps.ravel()
         return x.reshape(amps.shape)
 
-    substeps = [("diffraction", diffract)]
-    if medium.delta > 0:
-        with np.errstate(over="ignore"):  # an exponent that overflows to -inf decays to 0
-            decay = np.exp(-medium.delta * (n * omega) ** 2 * grid.dz / (2 * medium.c**3))[:, None]
-        substeps.append(("absorption", lambda amps: amps * decay))
+    substeps = [("diffraction", diffract), *_absorption(medium, omega, grid.n_harm, grid.dz)]
     if medium.beta > 0:
-        gain = 1j * n * omega * medium.beta / (4 * medium.rho0 * medium.c**3)
-        gain_dz = grid.dz * gain[:, None]
+        gain_dz = _coupling_gain(medium, omega, grid.n_harm, grid.dz)
         coupling = _coupling(grid.n_harm, grid.n_r)
         substeps.append(("nonlinearity", lambda amps: amps + gain_dz * coupling(amps)))
     # quadratic absorbing ramp over the outer 10% of the radius
@@ -684,19 +690,8 @@ def simulate_kzk_axisym(
     substeps = _kzk_substeps(medium, src, grid)
     limit = 10 * src.p0 * max(1.0, float(np.max(np.abs(prof))))
     amps = _march(amps, substeps, grid.n_z, grid.dz, limit, "axisymmetric", callback)
-    # A resolved spectrum decays with n; past the shock a truncated series
-    # piles up at the top harmonic instead. The share of the energy that the
-    # first harmonic left out would hold, extrapolated geometrically from the
-    # top two as E_N^2 / (E_{N-1} sum E), tells the two apart. The share is
-    # scale-free, so it is taken of amps / p0, whose squares cannot overflow;
-    # a march that leaves the top harmonic empty (a linear one) drops nothing.
-    energy = harmonic_energy(amps / src.p0, grid.dr)
-    dropped = energy[-1] ** 2 / (energy[-2] * energy.sum()) if energy[-1] > 0 else 0.0
-    if dropped > 1e-6:
-        raise ValidityError(
-            f"the harmonic series is truncated: harmonic {grid.n_harm + 1}, left out, would "
-            f"hold about {dropped:.3g} of the energy (limit 1e-6); raise n_harm"
-        )
+    # the share is scale-free, so it is taken of amps / p0, whose squares cannot overflow
+    _check_truncation(harmonic_energy(amps / src.p0, grid.dr))
     return HarmonicField(amps, z=grid.n_z * grid.dz)
 
 

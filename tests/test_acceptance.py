@@ -99,7 +99,8 @@ def test_criterion_01_fubini_agreement(capsys):
             got = np.interp(sigma * x_shock, z, ratios[:, n - 1])
             rel = abs(got - oracle) / oracle
             worst = max(worst, rel)
-            assert rel < 0.02, f"B{n}(sigma={sigma}): {got} vs {oracle}"
+            # measured 2.98e-6; the time-domain march it replaced read 8.40e-3
+            assert rel <= 8.4e-6, f"B{n}(sigma={sigma}): {got} vs {oracle}"
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0
     report(capsys, 1, f"B1..B3 at sigma 0.1/0.3/0.5 worst rel err {worst:.2e}, {elapsed:.2f} s")
@@ -599,3 +600,33 @@ def test_criterion_12_reruns_are_byte_identical(capsys, tmp_path, monkeypatch):
         capsys, 12,
         f"{compared} artifacts byte-identical across reruns of {len(RERUN_CONFIGS)} commands",
     )
+
+
+# --- 13: plane-wave harmonics past the shock against Fay's solution ---
+
+
+@pytest.mark.parametrize("goldberg", [100, 300])
+def test_criterion_13_fay_agreement_past_the_shock(capsys, goldberg):
+    """At sigma = 10 an absorbing plane wave is a sawtooth whose harmonics
+    follow Fay's B_n = 2 / (G sinh(n (1 + sigma) / G)), G the Gol'dberg
+    number 1 / (alpha x_shock). Fay is asymptotic: the converged march stays
+    1.9e-3 (G = 100) and 1.4e-3 (G = 300) from it, so the bound tests the
+    march, not the formula."""
+    src = SourceWaveform(p0=1e6, f0=1e6)
+    x_shock = shock_formation_distance(WATER, src)
+    omega = 2 * np.pi * src.f0
+    delta = 2 * WATER.c**3 / (goldberg * x_shock * omega**2)  # alpha = delta w^2 / (2 c^3)
+    medium = Medium(rho0=WATER.rho0, c=WATER.c, beta=WATER.beta, delta=delta)
+    sigma = 10.0
+    grid = PlaneWaveGrid(n_time=1024, n_steps=400, dz=sigma * x_shock / 400, z_max=sigma * x_shock)
+    t0 = time.perf_counter()
+    _, ratios, _ = westervelt_harmonic_curve(medium, src, grid, n_max=16)  # 256 harmonics
+    elapsed = time.perf_counter() - t0
+    worst = 0.0
+    for n in (1, 2, 3):
+        fay = 2.0 / (goldberg * np.sinh(n * (1 + sigma) / goldberg))
+        worst = max(worst, abs(ratios[-1][n - 1] - fay) / fay)
+    # measured 1.51e-3 (G = 100) and 1.20e-3 (G = 300), about 0.03 s each
+    assert worst <= 3e-3
+    assert elapsed < 1.0
+    report(capsys, 13, f"G={goldberg}: B1..B3 at sigma 10 worst rel err to Fay {worst:.2e}, {elapsed:.2f} s")
